@@ -150,26 +150,23 @@ def closeness(full: Trajectory, averaged: Trajectory) -> float:
     if abs(span_a - span_b) > period * (1 + 1e-9):
         raise InvalidParameterError(f"trajectory spans differ: {span_a} vs {span_b}")
     n = int(math.floor(round(min(span_a, span_b) / period, 9)))
-    worst = 0.0
-    for k in range(n + 1):
-        tk = k * period
-        ia = int(round(tk / full.dt)) if full.dt > 0 else 0
-        ib = int(round(tk / averaged.dt)) if averaged.dt > 0 else 0
-        ia = min(ia, len(full.states) - 1)
-        ib = min(ib, len(averaged.states) - 1)
-        worst = max(worst, abs(float(full.states[ia]) - float(averaged.states[ib])))
-    return worst
+    tk = np.arange(n + 1) * period
+    gap = np.abs(_states_at(full, tk) - _states_at(averaged, tk))
+    return float(np.fmax.reduce(gap, initial=0.0))    # fmax skips NaN gaps
+
+
+def _states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """States at the stored steps nearest to the given times."""
+    k = np.rint(times / traj.dt) if traj.dt > 0 else np.zeros(len(times))
+    return traj.states[np.minimum(k, len(traj.states) - 1).astype(np.intp)]
 
 
 def time_to_band(traj: Trajectory, xstar: float, band: float = 0.05) -> float:
     """First stroboscopic time after which |x - x*| stays within the band."""
     ts, xs = traj.strobe()
-    d = np.abs(xs - xstar)
-    inside = d <= band
-    for k in range(len(d)):
-        if inside[k:].all():
-            return float(ts[k])
-    return math.inf
+    outside = np.flatnonzero(~(np.abs(xs - xstar) <= band))
+    k = outside[-1] + 1 if len(outside) else 0
+    return float(ts[k]) if k < len(ts) else math.inf
 
 
 @dataclass

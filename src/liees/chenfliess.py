@@ -120,30 +120,23 @@ def _is_lyndon(w: tuple) -> bool:
     return all(w < w[i:] + w[:i] for i in range(1, len(w)))
 
 
-def _rank_increases(rows: list[dict], new: dict) -> bool:
-    """Exact Fraction Gaussian elimination: does `new` extend the span of `rows`?"""
-    cols = sorted(set().union(*[r.keys() for r in rows], new.keys()))
-    idx = {c: i for i, c in enumerate(cols)}
-    mat = []
-    for r in rows + [new]:
-        row = [Fraction(0)] * len(cols)
-        for c, v in r.items():
-            row[idx[c]] = Fraction(v)
-        mat.append(row)
-    rank = 0
-    m, n = len(mat), len(cols)
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(m):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / pv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank == len(rows) + 1
+def _reduce(basis: dict, row: dict) -> dict:
+    """Eliminate every pivot of the echelon basis from `row` (exact Fractions).
+
+    Each basis row has a unit entry at its pivot word and, having been reduced
+    against every earlier row, zeros at all earlier pivots; one pass in
+    insertion order therefore clears every pivot.
+    """
+    for pivot, brow in basis.items():
+        f = row.get(pivot)
+        if f:
+            for w, v in brow.items():
+                r = row.get(w, 0) - f * v
+                if r:
+                    row[w] = r
+                else:
+                    row.pop(w, None)
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -151,21 +144,22 @@ def basis_labels(n_channels: int, ell: int) -> tuple:
     """Label words whose right-iterated brackets form a basis of degree ell.
 
     Lyndon words are tried first in lexicographic order, then all remaining
-    words; a word is accepted when its bracket expansion enlarges the span.
+    words; a word is accepted when its bracket expansion enlarges the span,
+    that is when it does not reduce to zero against the echelon basis (a
+    dict from pivot word to reduced row) of the labels accepted so far.
     """
     dim = _lie_dimension(n_channels, ell)
     all_words = list(product(range(1, n_channels + 1), repeat=ell))
     candidates = [w for w in all_words if _is_lyndon(w)]
     candidates += [w for w in all_words if not _is_lyndon(w)]
     labels: list[tuple] = []
-    rows: list[dict] = []
+    basis: dict = {}
     for w in candidates:
-        exp = expand_bracket(w)
-        if not exp:
-            continue
-        if _rank_increases(rows, exp):
+        row = _reduce(basis, {k: Fraction(c) for k, c in expand_bracket(w).items()})
+        if row:
+            pivot = min(row)
+            basis[pivot] = {k: v / row[pivot] for k, v in row.items()}
             labels.append(w)
-            rows.append(exp)
         if len(labels) == dim:
             break
     if len(labels) != dim:
@@ -296,7 +290,7 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     m = quadrature_steps
     dt = eps / m
     ts = np.linspace(0.0, eps, m + 1)
-    us = [np.array([eval_dither(d, t) for t in ts]) for d in dithers]
+    us = [eval_dither(d, ts) for d in dithers]
 
     suffix: dict = {(): np.ones(m + 1)}
 

@@ -150,8 +150,8 @@ def _lbs_terms(cfg: dict) -> list[tuple[int, float]]:
     return [(1, cfg["gamma1"]), (3, cfg["gamma3"])]
 
 
-def run_experiment(cfg: dict, out_dir: str = ".") -> dict:
-    """Build, integrate, optionally fit; returns the summary dict."""
+def run_experiment(cfg: dict, out_dir: str = ".") -> tuple[dict, sim.Trajectory]:
+    """Build, integrate, optionally fit; returns the summary dict and the trajectory."""
     system = build_from_config(cfg)
     dec = cfg["decimation"] or cfg["steps_per_period"]
     config = sim.IntegratorConfig(total_time=cfg["total_time"],
@@ -191,8 +191,7 @@ def run_experiment(cfg: dict, out_dir: str = ".") -> dict:
         with open(os.path.join(out_dir, cfg["summary_json"]), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    summary["_trajectory"] = traj
-    return summary
+    return summary, traj
 
 
 def _json_num(v):
@@ -207,8 +206,7 @@ def cmd_run(args) -> int:
         cfg["steps_per_period"] = args.steps_per_period
     if args.decimate:
         cfg["decimation"] = args.decimate
-    summary = run_experiment(cfg, args.out)
-    summary.pop("_trajectory")
+    summary, _ = run_experiment(cfg, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -220,10 +218,8 @@ def cmd_compare(args) -> int:
         raise ConfigError([f"epsilon mismatch: {cfg_a['epsilon']} vs {cfg_b['epsilon']}"])
     if cfg_a["total_time"] != cfg_b["total_time"]:
         raise ConfigError([f"total_time mismatch: {cfg_a['total_time']} vs {cfg_b['total_time']}"])
-    sum_a = run_experiment(cfg_a, args.out_dir)
-    sum_b = run_experiment(cfg_b, args.out_dir)
-    ta = sum_a.pop("_trajectory")
-    tb = sum_b.pop("_trajectory")
+    _, ta = run_experiment(cfg_a, args.out_dir)
+    _, tb = run_experiment(cfg_b, args.out_dir)
     n = min(len(ta.times), len(tb.times))
     with open(args.out, "w") as fh:
         fh.write("t,x_a,x_b,J_a,J_b\n")

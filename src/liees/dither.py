@@ -149,40 +149,49 @@ class DitherSpec:
         return self.harmonic * self.kappa
 
 
-def eval_dither(spec: DitherSpec, t: float) -> float:
-    """Full signal value u(t) = eps^(1/N-1) v(t/eps) at time t."""
+def eval_dither(spec: DitherSpec, t: float | np.ndarray) -> float | np.ndarray:
+    """Full signal value u(t) = eps^(1/N-1) v(t/eps) at time t.
+
+    t is a float or a numpy array of times.  An array gives the array of
+    values in one call, each bit for bit equal to the value for that time
+    alone; a float gives a float.
+    """
+    u = _signal(spec, np.asarray(t, dtype=float) / spec.epsilon)
+    return u if u.ndim else float(u)
+
+
+def _signal(spec: DitherSpec, tau: np.ndarray) -> np.ndarray:
     eps = spec.epsilon
     kap = spec.kappa
-    tau = t / eps
     pre = eps ** (1.0 / spec.length - 1.0)
     if spec.kind in ("first12", "classic"):
         amp = 2.0 * math.sqrt(kap * math.pi)
         ang = 2.0 * kap * math.pi * tau
-        return pre * amp * (math.cos(ang) if spec.channel == 1 else math.sin(ang))
+        return pre * amp * (np.cos(ang) if spec.channel == 1 else np.sin(ang))
     if spec.kind == "second122":
         amp = (4.0 * kap * math.pi) ** (2.0 / 3.0)
         if spec.channel == 1:
-            return pre * -2.0 * amp * math.cos(4.0 * kap * math.pi * tau)
-        return pre * amp * math.cos(2.0 * kap * math.pi * tau)
+            return pre * -2.0 * amp * np.cos(4.0 * kap * math.pi * tau)
+        return pre * amp * np.cos(2.0 * kap * math.pi * tau)
     if spec.kind == "third1222":
         amp = (2.0 * kap * math.pi) ** 0.75
         if spec.channel == 1:
-            return pre * 6.0 * amp * math.sin(6.0 * kap * math.pi * tau)
-        return pre * 2.0 * amp * math.cos(2.0 * kap * math.pi * tau)
+            return pre * 6.0 * amp * np.sin(6.0 * kap * math.pi * tau)
+        return pre * 2.0 * amp * np.cos(2.0 * kap * math.pi * tau)
     if spec.kind == "triple123":
         j = spec.channel - 1
         val = 0.0
         for freqs, amps in zip(TRIPLE123_FREQS, TRIPLE123_AMPS):
-            val += amps[j] * math.cos(2.0 * math.pi * freqs[j] * kap * tau)
+            val += amps[j] * np.cos(2.0 * math.pi * freqs[j] * kap * tau)
         return pre * val
     # custom-harmonic
     ang = 2.0 * math.pi * spec.harmonic * kap * tau
     if spec.waveform == "cos":
-        val = math.cos(ang)
+        val = np.cos(ang)
     elif spec.waveform == "sin":
-        val = math.sin(ang)
+        val = np.sin(ang)
     else:
-        val = abs(math.cos(ang)) - (2.0 / math.pi if spec.demean else 0.0)
+        val = np.abs(np.cos(ang)) - (2.0 / math.pi if spec.demean else 0.0)
     return pre * spec.amplitude * val
 
 
@@ -190,8 +199,7 @@ def sample_dither(spec: DitherSpec, n: int, t0: float = 0.0, t1: float | None = 
     """n+1 uniform samples of the dither over [t0, t1] (default one period)."""
     if t1 is None:
         t1 = t0 + spec.epsilon
-    ts = np.linspace(t0, t1, n + 1)
-    return np.array([eval_dither(spec, t) for t in ts])
+    return eval_dither(spec, np.linspace(t0, t1, n + 1))
 
 
 def period_mean(spec: DitherSpec, quadrature_steps: int = 256) -> float:
@@ -200,10 +208,13 @@ def period_mean(spec: DitherSpec, quadrature_steps: int = 256) -> float:
         raise InvalidParameterError(f"quadrature_steps must be >= 64, got {quadrature_steps}")
     n = quadrature_steps + (quadrature_steps % 2)   # Simpson needs an even count
     h = spec.epsilon / n
-    total = eval_dither(spec, 0.0) + eval_dither(spec, spec.epsilon)
-    for k in range(1, n):
-        total += (4 if k % 2 else 2) * eval_dither(spec, k * h)
-    return total * h / 3.0 / spec.epsilon
+    ts = np.arange(n + 1) * h
+    ts[-1] = spec.epsilon
+    u = eval_dither(spec, ts)
+    weights = np.where(np.arange(1, n) % 2, 4.0, 2.0)
+    # cumsum adds left to right (np.sum would pair), fixing the rounding order
+    total = np.cumsum(np.concatenate(([u[0] + u[-1]], weights * u[1:-1])))[-1]
+    return float(total) * h / 3.0 / spec.epsilon
 
 
 def make_pair(kind: str, epsilon: float, kappa: int = 1) -> tuple[DitherSpec, DitherSpec]:

@@ -4,9 +4,14 @@ The full dynamics are x' = sum_k g_k(J(x)) u_k(t) with eps-periodic dithers.
 Integration is classical fixed-step RK4: the forcing has a known fastest
 harmonic, so the resolution is chosen a priori and the result is
 deterministic.  Dither values are precomputed on the step/half-step grid of
-one period and reused for every period.  When every channel shape is affine
-in the cost value (all built-in designs are), the per-step right-hand side
-reduces to J(x) * Q(t) + P(t) with precomputed tables P, Q.
+one period and reused for every period.
+
+One stepper, _rk4, integrates x' = F[c](x) * Q[c] + P[c] over grid columns c.
+When every channel shape is affine in the cost value (all built-in designs
+are), F[c] is J and P, Q are precomputed tables.  Other shapes get one
+right-hand-side function per column, with Q = 1 and P = 0.  The averaged
+system of integrate_lbs has no time dependence: two columns holding the same
+function, Q = 1 and P = 0.
 """
 
 from __future__ import annotations
@@ -136,9 +141,9 @@ class Trajectory:
         """Samples at integer multiples of epsilon (nearest stored step)."""
         if self.epsilon <= 0 or self.dt <= 0:
             return self.times, self.states
-        stride = self.epsilon / self.dt
         n = int(math.floor(round(float(self.times[-1]) / self.epsilon, 9)))
-        idx = [min(int(round(k * stride)), len(self.times) - 1) for k in range(n + 1)]
+        k = np.rint(np.arange(n + 1) * (self.epsilon / self.dt))
+        idx = np.minimum(k, len(self.times) - 1).astype(np.intp)
         return self.times[idx], self.states[idx]
 
 
@@ -226,7 +231,41 @@ def _dither_tables(system: ESSystem, steps: int):
     eps = system.epsilon
     m = 2 * steps
     ts = np.arange(m) * (eps / m)
-    return [np.array([eval_dither(d, t) for t in ts]) for d in system.dithers]
+    return [eval_dither(d, ts) for d in system.dithers]
+
+
+def _rk4(F, P, Q, x0: float, h: float, n_out: int, dec: int, store) -> None:
+    """Classical RK4 on x' = F[c](x) * Q[c] + P[c], storing every dec-th state.
+
+    Column c indexes the step/half-step grid: step i evaluates columns 2i,
+    2i+1, 2i+1 and 2i+2, wrapping at len(Q).  Raises DivergenceError when the
+    state leaves (-1e12, 1e12) or a stage overflows; last_time is the start of
+    the diverging step.
+    """
+    hh = 0.5 * h
+    h6 = h / 6.0
+    m = len(Q)
+    lim = DIVERGENCE_LIMIT
+    x = x0
+    c = 0
+    try:
+        for i in range(n_out):
+            for j in range(dec):
+                b = c + 1
+                fb, pb, qb = F[b], P[b], Q[b]
+                k1 = F[c](x) * Q[c] + P[c]
+                k2 = fb(x + hh * k1) * qb + pb
+                k3 = fb(x + hh * k2) * qb + pb
+                c = (c + 2) % m
+                k4 = F[c](x + h * k3) * Q[c] + P[c]
+                x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                if not (-lim < x < lim):
+                    t = (i * dec + j) * h
+                    raise DivergenceError(f"state exceeded {lim:g} at t={t:.6g}", last_time=t)
+            store(x)
+    except OverflowError:
+        t = (i * dec + j) * h
+        raise DivergenceError(f"state overflow at t={t:.6g}", last_time=t) from None
 
 
 def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
@@ -240,81 +279,30 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
         )
     n_periods = max(1, int(round(config.total_time / eps)))
     tables = _dither_tables(system, S)
-
     dec = config.decimation
     h = eps / S
-    hh = 0.5 * h
-    h6 = h / 6.0
     J = system.cost.eval
-    m2 = 2 * S
-    lim = DIVERGENCE_LIMIT
+
+    affine = [getattr(g, "affine", None) for g in system.shapes]
+    if all(a is not None for a in affine):
+        F = [J] * (2 * S)
+        P = sum(a[0] * u for a, u in zip(affine, tables)).tolist()
+        Q = sum(a[1] * u for a, u in zip(affine, tables)).tolist()
+    else:
+        shapes = system.shapes
+
+        def column(us):
+            def rhs(xv):
+                z = J(xv)
+                return sum(g(z) * u for g, u in zip(shapes, us))
+            return rhs
+
+        F = [column(us) for us in zip(*(u.tolist() for u in tables))]
+        P = [0.0] * (2 * S)
+        Q = [1.0] * (2 * S)
 
     states = [x0]
-    affine = [getattr(g, "affine", None) for g in system.shapes]
-    x = x0
-    step_idx = 0
-    store = states.append
-
-    try:
-        if all(a is not None for a in affine):
-            P = sum(a[0] * u for a, u in zip(affine, tables))
-            Q = sum(a[1] * u for a, u in zip(affine, tables))
-            P = P.tolist()
-            Q = Q.tolist()
-            for _ in range(n_periods):
-                i2 = 0
-                while i2 < m2:
-                    ap, aq = P[i2], Q[i2]
-                    bp, bq = P[i2 + 1], Q[i2 + 1]
-                    j = (i2 + 2) % m2
-                    cp, cq = P[j], Q[j]
-                    k1 = J(x) * aq + ap
-                    k2 = J(x + hh * k1) * bq + bp
-                    k3 = J(x + hh * k2) * bq + bp
-                    k4 = J(x + h * k3) * cq + cp
-                    x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                    if not (-lim < x < lim):
-                        raise DivergenceError(
-                            f"state exceeded {lim:g} at t={step_idx * h:.6g}",
-                            last_time=step_idx * h,
-                        )
-                    i2 += 2
-                    step_idx += 1
-                    if step_idx % dec == 0:
-                        store(x)
-        else:
-            shapes = system.shapes
-            U = [u.tolist() for u in tables]
-            n_ch = len(shapes)
-            for _ in range(n_periods):
-                i2 = 0
-                while i2 < m2:
-                    j = (i2 + 2) % m2
-
-                    def rhs(xv, col):
-                        z = J(xv)
-                        return sum(shapes[c](z) * U[c][col] for c in range(n_ch))
-
-                    k1 = rhs(x, i2)
-                    k2 = rhs(x + hh * k1, i2 + 1)
-                    k3 = rhs(x + hh * k2, i2 + 1)
-                    k4 = rhs(x + h * k3, j)
-                    x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                    if not (-lim < x < lim):
-                        raise DivergenceError(
-                            f"state exceeded {lim:g} at t={step_idx * h:.6g}",
-                            last_time=step_idx * h,
-                        )
-                    i2 += 2
-                    step_idx += 1
-                    if step_idx % dec == 0:
-                        store(x)
-    except OverflowError:
-        # a stage evaluation blew past float range before the post-step check
-        raise DivergenceError(
-            f"state overflow at t={step_idx * h:.6g}", last_time=step_idx * h
-        ) from None
-
+    _rk4(F, P, Q, x0, h, n_periods * S // dec, dec, states.append)
     xs = np.array(states)
     times = np.arange(len(states)) * (h * dec)
     cost_values = np.array([J(v) for v in states])
@@ -342,20 +330,8 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
         return -sum(g * derivative(cost, j, xv) for j, g in terms)
 
     h = total_time / steps
-    hh = 0.5 * h
-    h6 = h / 6.0
-    x = x0
     states = [x0]
-    for i in range(steps):
-        k1 = rhs(x)
-        k2 = rhs(x + hh * k1)
-        k3 = rhs(x + hh * k2)
-        k4 = rhs(x + h * k3)
-        x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        if not (-DIVERGENCE_LIMIT < x < DIVERGENCE_LIMIT):
-            raise DivergenceError(f"averaged state exceeded {DIVERGENCE_LIMIT:g} at t={i * h:.6g}",
-                                  last_time=i * h)
-        states.append(x)
+    _rk4([rhs, rhs], [0.0, 0.0], [1.0, 1.0], x0, h, steps, 1, states.append)
     xs = np.array(states)
     times = np.arange(len(states)) * h
     return Trajectory(times=times, states=xs,

@@ -44,8 +44,8 @@ def fig1_runs(tmp_path_factory):
 
 
 def test_criterion_1_fig1_reproduction(fig1_runs, capsys):
-    we = fig1_runs["fig1_we"]
-    durr = fig1_runs["fig1_durr"]
+    we, we_traj = fig1_runs["fig1_we"]
+    durr, durr_traj = fig1_runs["fig1_durr"]
 
     assert we["rate"]["rate_class"] == "exponential"
     assert we["rate"]["r_squared"] >= 0.95
@@ -53,8 +53,8 @@ def test_criterion_1_fig1_reproduction(fig1_runs, capsys):
     assert durr["rate"]["power_exponent"] == pytest.approx(-0.5, abs=0.1)
     assert durr["rate"]["r_squared"] >= 0.95
 
-    ttb_we = analysis.time_to_band(we["_trajectory"], 1.0, 0.05)
-    ttb_durr = analysis.time_to_band(durr["_trajectory"], 1.0, 0.05)
+    ttb_we = analysis.time_to_band(we_traj, 1.0, 0.05)
+    ttb_durr = analysis.time_to_band(durr_traj, 1.0, 0.05)
     assert ttb_we <= 0.5 * ttb_durr
 
     with capsys.disabled():

@@ -121,6 +121,48 @@ class TestTimeToBand:
         assert analysis.time_to_band(traj, 0.0, band=0.05) == math.inf
 
 
+def loop_closeness(full, averaged):
+    """Per-sample reference for closeness (the indices it must reproduce)."""
+    period = full.epsilon if full.epsilon > 0 else averaged.epsilon
+    n = int(math.floor(round(min(full.times[-1], averaged.times[-1]) / period, 9)))
+    worst = 0.0
+    for k in range(n + 1):
+        ia = min(int(round(k * period / full.dt)), len(full.states) - 1)
+        ib = min(int(round(k * period / averaged.dt)), len(averaged.states) - 1)
+        worst = max(worst, abs(float(full.states[ia]) - float(averaged.states[ib])))
+    return worst
+
+
+def loop_time_to_band(traj, xstar, band):
+    """Per-sample reference for time_to_band."""
+    ts, xs = traj.strobe()
+    inside = np.abs(xs - xstar) <= band
+    return next((float(ts[k]) for k in range(len(ts)) if inside[k:].all()), math.inf)
+
+
+class TestVectorisedIndexing:
+    # dt values that put strobe and closeness sample times on half steps,
+    # where round-half-to-even decides the index
+    CASES = ((1e-3, 4e-4, 2000), (0.01, 0.004, 3001), (1e-4, 1e-4 / 3, 5000))
+
+    def test_matches_per_sample_loops(self):
+        rng = np.random.default_rng(3)
+        for eps, dt, n in self.CASES:
+            t = np.arange(n) * dt
+            x = 1.0 + np.exp(-3.0 * t / t[-1]) * rng.uniform(-1.0, 1.0, n)
+            traj = synthetic_traj(t, x, eps)
+            stride = eps / dt
+            m = int(math.floor(round(t[-1] / eps, 9)))
+            idx = [min(int(round(k * stride)), n - 1) for k in range(m + 1)]
+            ts, xs = traj.strobe()
+            assert ts.tobytes() == t[idx].tobytes() and xs.tobytes() == x[idx].tobytes()
+            for band in (0.01, 0.2, 0.5, 2.0):
+                assert analysis.time_to_band(traj, 1.0, band) == loop_time_to_band(traj, 1.0, band)
+            coarse = synthetic_traj(t[::2], x[::2], 0.0)
+            assert closeness(traj, coarse) == loop_closeness(traj, coarse)
+            assert closeness(coarse, traj) == loop_closeness(coarse, traj)
+
+
 class TestContraction:
     def test_fourth_order_system_contracts(self):
         quartic = costs.make_power_cost(1.0, 1.0, 4)

@@ -40,6 +40,26 @@ class TestBasis:
         assert len(basis_labels(3, 2)) == 3
         assert len(basis_labels(3, 3)) == 8
 
+    def test_four_letter_labels_pinned(self):
+        # the greedy sweep's picks, fixed so that a faster rank test cannot change them
+        assert basis_labels(3, 4) == (
+            (1, 2, 1, 3), (1, 2, 2, 2), (1, 2, 2, 3), (1, 2, 3, 2), (1, 2, 3, 3), (1, 3, 2, 2),
+            (1, 3, 2, 3), (1, 3, 3, 2), (1, 3, 3, 3), (2, 3, 3, 3), (1, 2, 1, 1), (1, 2, 1, 2),
+            (1, 2, 3, 1), (1, 3, 1, 1), (1, 3, 1, 2), (1, 3, 1, 3), (2, 3, 2, 2), (2, 3, 2, 3),
+        )
+        assert basis_labels(4, 4) == (
+            (1, 2, 1, 3), (1, 2, 1, 4), (1, 2, 2, 2), (1, 2, 2, 3), (1, 2, 2, 4), (1, 2, 3, 2),
+            (1, 2, 3, 3), (1, 2, 3, 4), (1, 2, 4, 2), (1, 2, 4, 3), (1, 2, 4, 4), (1, 3, 1, 4),
+            (1, 3, 2, 2), (1, 3, 2, 3), (1, 3, 2, 4), (1, 3, 3, 2), (1, 3, 3, 3), (1, 3, 3, 4),
+            (1, 3, 4, 2), (1, 3, 4, 3), (1, 3, 4, 4), (1, 4, 2, 2), (1, 4, 2, 3), (1, 4, 2, 4),
+            (1, 4, 3, 2), (1, 4, 3, 3), (1, 4, 3, 4), (1, 4, 4, 2), (1, 4, 4, 3), (1, 4, 4, 4),
+            (2, 3, 2, 4), (2, 3, 3, 3), (2, 3, 3, 4), (2, 3, 4, 3), (2, 3, 4, 4), (2, 4, 3, 3),
+            (2, 4, 3, 4), (2, 4, 4, 3), (2, 4, 4, 4), (3, 4, 4, 4), (1, 2, 1, 1), (1, 2, 1, 2),
+            (1, 2, 3, 1), (1, 2, 4, 1), (1, 3, 1, 1), (1, 3, 1, 2), (1, 3, 1, 3), (1, 3, 4, 1),
+            (1, 4, 1, 1), (1, 4, 1, 2), (1, 4, 1, 3), (1, 4, 1, 4), (2, 3, 2, 2), (2, 3, 2, 3),
+            (2, 3, 4, 2), (2, 4, 2, 2), (2, 4, 2, 3), (2, 4, 2, 4), (3, 4, 3, 3), (3, 4, 3, 4),
+        )
+
     def test_expand_bracket_antisymmetry(self):
         # [[e1,e2],e2] = e122 - 2 e212 + e221
         assert expand_bracket((1, 2, 2)) == {(1, 2, 2): 1, (2, 1, 2): -2, (2, 2, 1): 1}

@@ -39,6 +39,35 @@ class TestEvalExamples:
             assert eval_dither(a, t) == eval_dither(b, t)
 
 
+def every_spec(epsilon):
+    specs = [s for kind in ALL_PAIR_KINDS + ["triple123"] for kappa in (1, 3)
+             for s in all_channels(kind, epsilon, kappa)]
+    specs += [DitherSpec("custom-harmonic", 1, epsilon, 2, amplitude=1.5, harmonic=3,
+                         waveform=w, bracket_length=4, demean=dm)
+              for w in ("cos", "sin", "abscos") for dm in (True, False)]
+    return specs
+
+
+class TestArrayEval:
+    @pytest.mark.parametrize("grid", ["rk4_table", "linspace"])
+    def test_array_equals_scalar_bitwise(self, grid):
+        eps = 1e-4
+        if grid == "rk4_table":
+            m = 2 * 512
+            ts = np.arange(m) * (eps / m)
+        else:
+            ts = np.linspace(0.0, eps, 4097)
+        for spec in every_spec(eps):
+            values = eval_dither(spec, ts)
+            scalar = np.array([eval_dither(spec, t) for t in ts.tolist()])
+            assert values.shape == ts.shape
+            assert values.tobytes() == scalar.tobytes(), spec
+
+    def test_scalar_time_gives_float(self):
+        for spec in every_spec(1e-3):
+            assert type(eval_dither(spec, 2.5e-4)) is float
+
+
 class TestInvariants:
     @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
     def test_periodicity(self, kind):

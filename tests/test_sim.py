@@ -248,6 +248,12 @@ class TestIntegrateLbs:
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.3)
 
+    def test_overflow_is_divergence(self):
+        # the first stage overflows float range before the post-step check
+        with pytest.raises(DivergenceError) as err:
+            sim.integrate_lbs(QUARTIC, [(1, 1.0)], 1e60, 1.0, 10)
+        assert math.isfinite(err.value.last_time)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             sim.integrate_lbs(QUAD, [(4, 1.0)], 0.0, 1.0, 100)
