@@ -1,0 +1,126 @@
+"""Build, cache and load the compiled RK4 kernel of _kernel.c.
+
+load() compiles the kernel with the C compiler `cc` on first use and caches
+the shared library in $XDG_CACHE_HOME/liees (else ~/.cache/liees), keyed by
+the SHA-256 of the source, the flags and the machine type.  A cache
+directory that is missing and cannot be made, is not owned by the user, or
+is writable by others is not used: the library is then built in a private
+temporary directory for this process only.  Any failure (no compiler, a
+failed compile, a library that does not load) makes load() return None and
+the caller integrates in Python.  The result is memoised per process.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+
+# CPython's own SHA-256: hashlib's OpenSSL backend adds about 3 MB of resident
+# memory to every process that integrates, only to hash this small source.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# Bitwise equality with the Python stepper needs unfused multiply-adds and
+# IEEE semantics: never -ffast-math.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+COMPILER = "cc"
+# Failure codes liees_rk4_power returns (0 is success).
+EXCEEDED, OVERFLOW = 1, 2
+
+
+def _cache_dir() -> str | None:
+    """The user's kernel cache directory, or None when it is unsafe or unusable."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):
+        return None
+    path = os.path.join(base, "liees")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return None
+    if st.st_uid != os.getuid() or st.st_mode & 0o022 or not os.access(path, os.W_OK):
+        return None
+    return path
+
+
+def _compile(source: str, target: str) -> None:
+    cc = shutil.which(COMPILER)
+    if cc is None:
+        raise OSError(f"no {COMPILER!r} on PATH")
+    subprocess.run([cc, *FLAGS, "-o", target, source, "-lm"], check=True,
+                   stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+
+
+def _build(directory: str, name: str) -> str:
+    """Compile into a private subdirectory, then rename into place atomically."""
+    work = tempfile.mkdtemp(dir=directory)
+    try:
+        tmp = os.path.join(work, name)
+        _compile(SOURCE, tmp)
+        final = os.path.join(directory, name)
+        os.replace(tmp, final)
+        return final
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _bind(path: str):
+    import ctypes
+
+    lib = ctypes.CDLL(path)
+    fn = lib.liees_rk4_power
+    dbl, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [dbl, dbl, dbl, ptr, ptr, i64, dbl, dbl, i64, i64, dbl, ptr,
+                   ctypes.POINTER(i64), ctypes.POINTER(dbl)]
+    fn.restype = ctypes.c_int
+
+    def rk4_power(alpha, xstar, m, P, Q, x0, h, n_out, dec, limit):
+        """Run the kernel; returns (states, status, failing step, state before it)."""
+        P = np.ascontiguousarray(P, dtype=np.float64)
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
+        out = np.empty(n_out + 1)
+        k = i64(0)
+        last_x = dbl(0.0)
+        status = fn(alpha, xstar, m, P.ctypes.data, Q.ctypes.data, len(Q),
+                    x0, h, n_out, dec, limit, out.ctypes.data,
+                    ctypes.byref(k), ctypes.byref(last_x))
+        return out, status, k.value, last_x.value
+
+    return rk4_power
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """The compiled kernel as a callable, or None when it cannot be built or loaded."""
+    try:
+        with open(SOURCE, "rb") as fh:
+            key = sha256(fh.read())
+        key.update("\0".join((*FLAGS, os.uname().machine)).encode())
+        name = f"rk4-{key.hexdigest()[:32]}.so"
+        cache = _cache_dir()
+        if cache is not None:
+            path = os.path.join(cache, name)
+            if not os.path.exists(path):
+                path = _build(cache, name)
+            return _bind(path)
+        private = tempfile.mkdtemp()
+        try:
+            return _bind(_build(private, name))
+        finally:
+            shutil.rmtree(private, ignore_errors=True)
+    except Exception:
+        return None

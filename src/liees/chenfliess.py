@@ -292,17 +292,17 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     ts = np.linspace(0.0, eps, m + 1)
     us = [eval_dither(d, ts) for d in dithers]
 
-    suffix: dict = {(): np.ones(m + 1)}
-
-    def suffix_integral(word: tuple) -> np.ndarray:
-        if word in suffix:
-            return suffix[word]
-        inner = suffix_integral(word[1:])
-        val = _cumtrapz(us[word[0] - 1] * inner, dt)
-        suffix[word] = val
-        return val
-
-    entries = {w: float(suffix_integral(w)[-1]) for w in words_up_to(n, depth)}
+    # Words come shortest first, so the suffix w[1:] of each word is already
+    # integrated.  Only suffixes shorter than depth are ever reused.  (A
+    # memoising recursive closure would form a reference cycle that keeps
+    # every array alive until the next garbage collection.)
+    suffix = {(): np.ones(m + 1)}
+    entries = {}
+    for w in words_up_to(n, depth):
+        val = _cumtrapz(us[w[0] - 1] * suffix[w[1:]], dt)
+        entries[w] = float(val[-1])
+        if len(w) < depth:
+            suffix[w] = val
     return Signature(depth=depth, n_channels=n, epsilon=eps,
                      quadrature_steps=m, entries=entries)
 

@@ -2,8 +2,8 @@
 rate fits, and the bundled verification suites.
 
 Subcommands: run, compare, coeffs, rate, verify.  Exit codes: 0 success,
-2 configuration/validation error, 3 numeric failure (verify: 1 on any
-failed check).  The environment variable LIEES_QUAD_STEPS overrides the
+2 configuration, validation or I/O error, 3 numeric failure (verify: 1 on
+any failed check).  The environment variable LIEES_QUAD_STEPS overrides the
 signature quadrature resolution.
 """
 
@@ -48,6 +48,9 @@ def _field(cfg: dict, path: str, typ, problems: list[str], required=True, defaul
             problems.append(f"missing field {path!r}")
         return default
     val = node[parts[-1]]
+    if isinstance(val, bool) and typ is not bool:
+        problems.append(f"field {path!r} must be {typ.__name__}, got bool")
+        return default
     if typ is float and isinstance(val, int):
         val = float(val)
     if not isinstance(val, typ):
@@ -63,7 +66,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"])
 
     problems: list[str] = []
@@ -256,7 +259,11 @@ def cmd_coeffs(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     verdict = None
     if args.target:
-        target = tuple(int(c) for c in args.target.split(",") if c)
+        try:
+            target = tuple(int(c) for c in args.target.split(",") if c)
+        except ValueError:
+            raise InvalidParameterError(
+                f"--target must be comma-separated integers, got {args.target!r}") from None
         report = chenfliess.verify_excitation(specs, target, tol=args.tol,
                                               quadrature_steps=quad)
         verdict = {
@@ -491,6 +498,9 @@ def main(argv=None) -> int:
     except LieesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -86,8 +86,10 @@ def make_power_cost(alpha: float, xstar: float, m: int) -> CostFunction:
         p = m - order
         return lambda x, c=coeff, p=p: c * (x - xstar) ** p
 
+    J = lambda x: alpha * (x - xstar) ** m
+    J.power = (alpha, xstar, m)
     return CostFunction(
-        eval=lambda x: alpha * (x - xstar) ** m,
+        eval=J,
         analytic_derivs=tuple(_deriv(k) for k in range(1, 5)),
         xstar=xstar,
         jstar=0.0,

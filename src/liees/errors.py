@@ -26,11 +26,16 @@ class ResolutionError(LieesError):
 
 
 class DivergenceError(LieesError):
-    """Integrated state left the admissible range; carries the last finite time."""
+    """Integrated state left the admissible range.
 
-    def __init__(self, message: str, last_time: float):
+    last_time is the start of the failing step and last_x the finite state
+    there (None when the raiser does not know it).
+    """
+
+    def __init__(self, message: str, last_time: float, last_x: float | None = None):
         super().__init__(message)
         self.last_time = last_time
+        self.last_x = last_x
 
 
 class ConstructionError(LieesError):

@@ -12,6 +12,16 @@ are), F[c] is J and P, Q are precomputed tables.  Other shapes get one
 right-hand-side function per column, with Q = 1 and P = 0.  The averaged
 system of integrate_lbs has no time dependence: two columns holding the same
 function, Q = 1 and P = 0.
+
+When the shapes are affine, the cost comes from make_power_cost and x0 is a
+float (every system a config can build), integrate runs the same stepper compiled from C
+(liees/_kernel.c), specialised to J(x) = alpha * (x - xstar)^m.  It performs
+the same floating-point operations in the same order, so its states,
+divergence times and messages are bitwise equal to the Python path.  The
+kernel is built with `cc` on the first such call and cached in
+$XDG_CACHE_HOME/liees (else ~/.cache/liees); without a compiler, or if the
+build or load fails, integrate silently uses the Python stepper.  The path
+taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
 """
 
 from __future__ import annotations
@@ -234,13 +244,20 @@ def _dither_tables(system: ESSystem, steps: int):
     return [eval_dither(d, ts) for d in system.dithers]
 
 
+def _diverged(overflow: bool, k: int, h: float, last_x: float) -> DivergenceError:
+    """The error for a failure in step k, which started from state last_x."""
+    t = k * h
+    what = "state overflow" if overflow else f"state exceeded {DIVERGENCE_LIMIT:g}"
+    return DivergenceError(f"{what} at t={t:.6g}", last_time=t, last_x=last_x)
+
+
 def _rk4(F, P, Q, x0: float, h: float, n_out: int, dec: int, store) -> None:
     """Classical RK4 on x' = F[c](x) * Q[c] + P[c], storing every dec-th state.
 
     Column c indexes the step/half-step grid: step i evaluates columns 2i,
     2i+1, 2i+1 and 2i+2, wrapping at len(Q).  Raises DivergenceError when the
     state leaves (-1e12, 1e12) or a stage overflows; last_time is the start of
-    the diverging step.
+    the diverging step and last_x the state there.
     """
     hh = 0.5 * h
     h6 = h / 6.0
@@ -258,14 +275,47 @@ def _rk4(F, P, Q, x0: float, h: float, n_out: int, dec: int, store) -> None:
                 k3 = fb(x + hh * k2) * qb + pb
                 c = (c + 2) % m
                 k4 = F[c](x + h * k3) * Q[c] + P[c]
-                x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                if not (-lim < x < lim):
-                    t = (i * dec + j) * h
-                    raise DivergenceError(f"state exceeded {lim:g} at t={t:.6g}", last_time=t)
+                xn = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                if not (-lim < xn < lim):
+                    raise _diverged(False, i * dec + j, h, x)
+                x = xn
             store(x)
     except OverflowError:
-        t = (i * dec + j) * h
-        raise DivergenceError(f"state overflow at t={t:.6g}", last_time=t) from None
+        raise _diverged(True, i * dec + j, h, x) from None
+
+
+def _as_double(v) -> float | None:
+    """v as a C double when Python converts it to one in arithmetic with floats, else None."""
+    if type(v) in (int, float):
+        try:
+            return float(v)
+        except OverflowError:
+            return None
+    return None
+
+
+def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int) -> np.ndarray | None:
+    """The states from the compiled power-cost kernel, or None when it does not apply.
+
+    It applies when J carries make_power_cost's .power tag, x0 is a float and
+    alpha, xstar and m convert to doubles: then Python evaluates J in doubles
+    too.
+    """
+    power = getattr(J, "power", None)
+    if power is None or type(x0) is not float:
+        return None
+    args = [_as_double(v) for v in power]
+    if None in args:
+        return None
+    from . import _kernel
+
+    kernel = _kernel.load()
+    if kernel is None:
+        return None
+    xs, status, k, last_x = kernel(*args, P, Q, x0, h, n_out, dec, DIVERGENCE_LIMIT)
+    if status:
+        raise _diverged(status == _kernel.OVERFLOW, k, h, last_x)
+    return xs
 
 
 def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
@@ -283,11 +333,15 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
     h = eps / S
     J = system.cost.eval
 
+    n_out = n_periods * S // dec
+    xs = None
     affine = [getattr(g, "affine", None) for g in system.shapes]
     if all(a is not None for a in affine):
+        P = sum(a[0] * u for a, u in zip(affine, tables))
+        Q = sum(a[1] * u for a, u in zip(affine, tables))
+        xs = _integrate_compiled(J, P, Q, x0, h, n_out, dec)
         F = [J] * (2 * S)
-        P = sum(a[0] * u for a, u in zip(affine, tables)).tolist()
-        Q = sum(a[1] * u for a, u in zip(affine, tables)).tolist()
+        P, Q = P.tolist(), Q.tolist()
     else:
         shapes = system.shapes
 
@@ -301,14 +355,17 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
         P = [0.0] * (2 * S)
         Q = [1.0] * (2 * S)
 
-    states = [x0]
-    _rk4(F, P, Q, x0, h, n_periods * S // dec, dec, states.append)
-    xs = np.array(states)
+    if xs is None:
+        backend, states = "python", [x0]
+        _rk4(F, P, Q, x0, h, n_out, dec, states.append)
+        xs = np.array(states)
+    else:
+        backend, states = "c", xs.tolist()
     times = np.arange(len(states)) * (h * dec)
     cost_values = np.array([J(v) for v in states])
     meta = dict(system.meta)
     meta.update({"x0": x0, "steps_per_period": S, "decimation": dec,
-                 "epsilon": eps, "periods": n_periods})
+                 "epsilon": eps, "periods": n_periods, "kernel": backend})
     return Trajectory(times=times, states=xs, cost_values=cost_values,
                       epsilon=eps, meta=meta)
 
@@ -350,14 +407,21 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
     times, xs, js = [], [], []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip()
         if header != "t,x,J":
             raise InvalidParameterError(f"unexpected trajectory header {header!r}")
-        for line in fh:
-            t, x, j = line.strip().split(",")
-            times.append(float(t))
-            xs.append(float(x))
-            js.append(float(j))
+        for row, line in enumerate(fh, start=2):
+            try:
+                t, x, j = map(float, line.strip().split(","))
+            except ValueError:
+                raise InvalidParameterError(
+                    f"{path}: line {row}: expected three numbers t,x,J, got {line.strip()!r}"
+                ) from None
+            times.append(t)
+            xs.append(x)
+            js.append(j)
+    if not times:
+        raise InvalidParameterError(f"{path}: no trajectory rows after the header")
     return Trajectory(times=np.array(times), states=np.array(xs),
                       cost_values=np.array(js), epsilon=epsilon, meta={"source": path})

@@ -1,5 +1,6 @@
 """Signatures, logarithm projection, excitation checks, endpoint prediction."""
 
+import gc
 import math
 
 import pytest
@@ -95,6 +96,17 @@ class TestSignature:
         sig = compute_signature(make_pair(kind, 1.0), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         assert shuffle_residual(sig) <= 1e-6
+
+    def test_frees_its_arrays_without_the_collector(self):
+        # the suffix arrays (about 16 MB for a triple at 16k steps) must go
+        # when the call returns, not at some later garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            compute_signature(make_triple(1.0), depth=4, quadrature_steps=QUAD_STEPS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_resolution_error(self):
         with pytest.raises(ResolutionError):

@@ -144,3 +144,47 @@ class TestVerifySuites:
         assert cli.main(["verify", "excitation"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+def _missing_traj(tmp_path):
+    return ["rate", "--traj", str(tmp_path / "missing.csv"), "--xstar", "1",
+            "--epsilon", "1e-4"]
+
+
+def _traj_csv(text):
+    def argv(tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        return ["rate", "--traj", str(path), "--xstar", "1", "--epsilon", "1e-4"]
+    return argv
+
+
+def _config(**overrides):
+    def argv(tmp_path):
+        return ["run", "--config", str(small_config(tmp_path, **overrides))]
+    return argv
+
+
+def _binary_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    return ["run", "--config", str(path)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_missing_traj, "I/O error: [Errno 2] No such file or directory"),
+    (_traj_csv("t,x,J\n0,0,1\n\n1e-4,0.1,0.6\n"), "line 3: expected three numbers t,x,J"),
+    (_traj_csv("t,x,J\n"), "no trajectory rows after the header"),
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4", "--target", "a,b"],
+     "validation error: --target must be comma-separated integers, got 'a,b'"),
+    (_config(**{"cost.alpha": True}),
+     "config error: field 'cost.alpha' must be float, got bool"),
+    (_config(**{"cost.m": True}), "config error: field 'cost.m' must be int, got bool"),
+    (_binary_config, "config error: cannot read config"),
+], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
+        "bool-alpha", "bool-degree", "binary-config"])
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
+    assert cli.main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

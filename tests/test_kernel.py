@@ -1,0 +1,156 @@
+"""The compiled RK4 kernel: bitwise agreement with sim._rk4, and its loader."""
+
+import importlib.resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liees import _kernel, cli, costs, sim
+from liees.errors import DivergenceError
+from liees.sim import IntegratorConfig, build_two_input
+
+QUARTIC = costs.make_power_cost(1.0, 1.0, 4)
+
+needs_kernel = pytest.mark.skipif(_kernel.load() is None,
+                                  reason="the compiled kernel cannot be built here")
+
+
+@pytest.fixture
+def fresh_loader():
+    """Clear the loader's memo before and after the test."""
+    _kernel.load.cache_clear()
+    yield
+    _kernel.load.cache_clear()
+
+
+def outcome(system, x0, config):
+    """States and cost values as bytes, or the divergence as (message, time, state)."""
+    try:
+        traj = sim.integrate(system, x0, config)
+    except DivergenceError as err:
+        return ("diverged", str(err), err.last_time, err.last_x), None
+    return ("ok", traj.states.tobytes(), traj.cost_values.tobytes()), traj.meta["kernel"]
+
+
+def both_paths(system, x0, config):
+    compiled, path_c = outcome(system, x0, config)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        python, path_py = outcome(system, x0, config)
+    assert path_py in ("python", None)
+    assert path_c in ("c", None)
+    return compiled, python
+
+
+def fig1_we():
+    ref = importlib.resources.files("liees") / "configs" / "fig1_we.json"
+    return cli.build_from_config(cli.load_config(str(ref)))
+
+
+@needs_kernel
+@pytest.mark.parametrize("eps, x0, kind", [
+    (1e-3, -2.0, "state exceeded 1e+12"),
+    (1e-4, 1e80, "state overflow at t=0"),
+    (1e-2, 0.0, "state overflow"),
+    (1e-3, 3.0, "state overflow"),
+])
+def test_divergence_matches_python(eps, x0, kind):
+    system = build_two_input(QUARTIC, 4, 1, eps, 1.0)
+    config = IntegratorConfig(total_time=0.5, steps_per_period=512, decimation=512)
+    compiled, python = both_paths(system, x0, config)
+    assert compiled[0] == "diverged" and kind in compiled[1]
+    assert compiled == python
+    assert np.isfinite(compiled[3])
+
+
+def test_python_path_sets_last_x(monkeypatch):
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    system = build_two_input(QUARTIC, 4, 1, 1e-4, 1.0)
+    config = IntegratorConfig(total_time=1e-3, steps_per_period=512, decimation=512)
+    with pytest.raises(DivergenceError) as err:
+        sim.integrate(system, 1e80, config)
+    assert (err.value.last_time, err.value.last_x) == (0.0, 1e80)
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(design=st.sampled_from([(2, None), (3, None), (4, None), (2, "classic")]),
+       kappa=st.integers(1, 3),
+       eps=st.floats(1e-4, 1e-2),
+       x0=st.floats(-3.0, 3.0),
+       dec=st.sampled_from([1, 16, 96, 384]),
+       periods=st.integers(1, 12),
+       m=st.integers(2, 6),
+       alpha=st.floats(0.05, 4.0),
+       xstar=st.floats(-2.0, 2.0))
+def test_kernel_equals_python_stepper(design, kappa, eps, x0, dec, periods, m, alpha, xstar):
+    N, kind = design
+    system = build_two_input(costs.make_power_cost(alpha, xstar, m), N, kappa, eps, 1.0,
+                             kind=kind)
+    config = IntegratorConfig(total_time=periods * eps, steps_per_period=384, decimation=dec)
+    compiled, python = both_paths(system, x0, config)
+    assert compiled == python
+
+
+def test_ineligible_systems_use_python():
+    config = IntegratorConfig(total_time=2e-3, steps_per_period=256, decimation=256)
+    abs_cost = build_two_input(costs.make_abs_cost(1.0), 2, 1, 1e-3, 1.0)
+    assert sim.integrate(abs_cost, 0.0, config).meta["kernel"] == "python"
+    quad = build_two_input(QUARTIC, 2, 1, 1e-3, 1.0)
+    callable_shapes = sim.ESSystem(cost=QUARTIC, channels=tuple(
+        (lambda z, g=g: g(z), d) for g, d in quad.channels))
+    assert sim.integrate(callable_shapes, 0.0, config).meta["kernel"] == "python"
+
+
+@needs_kernel
+def test_no_compiler_falls_back(tmp_path, monkeypatch, fresh_loader):
+    system = fig1_we()
+    config = IntegratorConfig(total_time=0.01, steps_per_period=512, decimation=16)
+    compiled = sim.integrate(system, 0.0, config)
+    assert compiled.meta["kernel"] == "c"
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    _kernel.load.cache_clear()
+    assert _kernel.load() is None
+    python = sim.integrate(system, 0.0, config)
+    assert python.meta["kernel"] == "python"
+    assert python.states.tobytes() == compiled.states.tobytes()
+    assert python.cost_values.tobytes() == compiled.cost_values.tobytes()
+
+
+def test_failed_compile_falls_back(tmp_path, monkeypatch, fresh_loader):
+    fake = tmp_path / _kernel.COMPILER
+    fake.write_text("#!/bin/sh\nexit 1\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert _kernel.load() is None
+    assert not [p for p in (tmp_path / "cache" / "liees").iterdir()]
+
+
+@needs_kernel
+def test_cached_library_is_reused(tmp_path, monkeypatch, fresh_loader):
+    calls = []
+    compile_ = _kernel._compile
+    monkeypatch.setattr(_kernel, "_compile", lambda *a: calls.append(a) or compile_(*a))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    first = _kernel.load()
+    assert first is not None and len(calls) == 1
+    assert _kernel.load() is first
+    _kernel.load.cache_clear()
+    assert _kernel.load() is not None
+    assert len(calls) == 1
+    assert [p.name for p in (tmp_path / "liees").iterdir()] == [calls[0][1].split("/")[-1]]
+
+
+@needs_kernel
+def test_unsafe_cache_dir_is_not_used(tmp_path, monkeypatch, fresh_loader):
+    shared = tmp_path / "liees"
+    shared.mkdir()
+    shared.chmod(0o777)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernel.load() is not None
+    assert list(shared.iterdir()) == []
