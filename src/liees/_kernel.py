@@ -35,8 +35,9 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # IEEE semantics: never -ffast-math.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILER = "cc"
-# Failure codes liees_rk4_power returns (0 is success).
-EXCEEDED, OVERFLOW = 1, 2
+# Codes liees_rk4_power returns besides 0 (success): the state diverged, a
+# stage overflowed, or only the cost of the last state overflowed.
+EXCEEDED, OVERFLOW, COST_OVERFLOW = 1, 2, 3
 
 
 def _cache_dir() -> str | None:
@@ -84,21 +85,22 @@ def _bind(path: str):
     lib = ctypes.CDLL(path)
     fn = lib.liees_rk4_power
     dbl, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [dbl, dbl, dbl, ptr, ptr, i64, dbl, dbl, i64, i64, dbl, ptr,
+    fn.argtypes = [dbl, dbl, dbl, ptr, ptr, i64, dbl, dbl, i64, i64, dbl, ptr, ptr,
                    ctypes.POINTER(i64), ctypes.POINTER(dbl)]
     fn.restype = ctypes.c_int
 
     def rk4_power(alpha, xstar, m, P, Q, x0, h, n_out, dec, limit):
-        """Run the kernel; returns (states, status, failing step, state before it)."""
+        """Run the kernel; returns (states, costs, status, failing step, state before it)."""
         P = np.ascontiguousarray(P, dtype=np.float64)
         Q = np.ascontiguousarray(Q, dtype=np.float64)
         out = np.empty(n_out + 1)
+        jout = np.empty(n_out + 1)
         k = i64(0)
         last_x = dbl(0.0)
         status = fn(alpha, xstar, m, P.ctypes.data, Q.ctypes.data, len(Q),
-                    x0, h, n_out, dec, limit, out.ctypes.data,
+                    x0, h, n_out, dec, limit, out.ctypes.data, jout.ctypes.data,
                     ctypes.byref(k), ctypes.byref(last_x))
-        return out, status, k.value, last_x.value
+        return out, jout, status, k.value, last_x.value
 
     return rk4_power
 

@@ -223,12 +223,10 @@ def cmd_compare(args) -> int:
         raise ConfigError([f"total_time mismatch: {cfg_a['total_time']} vs {cfg_b['total_time']}"])
     _, ta = run_experiment(cfg_a, args.out_dir)
     _, tb = run_experiment(cfg_b, args.out_dir)
-    n = min(len(ta.times), len(tb.times))
     with open(args.out, "w") as fh:
         fh.write("t,x_a,x_b,J_a,J_b\n")
-        for i in range(n):
-            fh.write(f"{ta.times[i]:.17g},{ta.states[i]:.17g},{tb.states[i]:.17g},"
-                     f"{ta.cost_values[i]:.17g},{tb.cost_values[i]:.17g}\n")
+        sim.write_csv_rows(fh, (ta.times, ta.states, tb.states, ta.cost_values, tb.cost_values),
+                           "%.17g,%.17g,%.17g,%.17g,%.17g\n")
     band = args.band
     verdict = {
         "band": band,
@@ -250,7 +248,12 @@ def cmd_coeffs(args) -> int:
         specs = dither.make_triple(eps, args.kappa)
     else:
         specs = dither.make_pair(kind, eps, args.kappa)
+    fastest = max(d.fastest_harmonic for d in specs)
     quad = args.quadrature_steps or None
+    if quad is not None and quad < 16 * fastest:
+        raise InvalidParameterError(
+            f"--quadrature-steps must be 0 (the default) or at least {16 * fastest}, "
+            f"16 per cycle of the fastest harmonic ({fastest}/period), got {quad}")
     sig = chenfliess.compute_signature(specs, depth=4, quadrature_steps=quad)
     coeffs = chenfliess.log_signature(sig)
     lines = ["bracket_word,coefficient"]

@@ -16,8 +16,8 @@ function, Q = 1 and P = 0.
 When the shapes are affine, the cost comes from make_power_cost and x0 is a
 float (every system a config can build), integrate runs the same stepper compiled from C
 (liees/_kernel.c), specialised to J(x) = alpha * (x - xstar)^m.  It performs
-the same floating-point operations in the same order, so its states,
-divergence times and messages are bitwise equal to the Python path.  The
+the same floating-point operations in the same order, so its states, cost
+values, divergence times and messages are bitwise equal to the Python path.  The
 kernel is built with `cc` on the first such call and cached in
 $XDG_CACHE_HOME/liees (else ~/.cache/liees); without a compiler, or if the
 build or load fails, integrate silently uses the Python stepper.  The path
@@ -26,6 +26,7 @@ taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -53,11 +54,17 @@ __all__ = [
     "build_mixed",
     "integrate",
     "integrate_lbs",
+    "write_csv_rows",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
 
 DIVERGENCE_LIMIT = 1e12
+# Rows per block of trajectory CSV formatted or parsed at once: memory stays
+# flat in the number of rows beyond the arrays themselves.
+CSV_BLOCK = 1024
+# Largest deviation of a CSV time step from the mean step, relative to it.
+SPACING_RTOL = 1e-6
 
 
 def const_shape(c: float) -> Callable[[float], float]:
@@ -294,12 +301,14 @@ def _as_double(v) -> float | None:
     return None
 
 
-def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int) -> np.ndarray | None:
-    """The states from the compiled power-cost kernel, or None when it does not apply.
+def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int):
+    """The states and their costs from the compiled power-cost kernel, or None
+    when it does not apply.
 
     It applies when J carries make_power_cost's .power tag, x0 is a float and
     alpha, xstar and m convert to doubles: then Python evaluates J in doubles
-    too.
+    too.  When the cost of the last state overflows, the costs are evaluated
+    again by J, which raises OverflowError as on the Python path.
     """
     power = getattr(J, "power", None)
     if power is None or type(x0) is not float:
@@ -312,10 +321,12 @@ def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int) -> np.ndarr
     kernel = _kernel.load()
     if kernel is None:
         return None
-    xs, status, k, last_x = kernel(*args, P, Q, x0, h, n_out, dec, DIVERGENCE_LIMIT)
-    if status:
+    xs, js, status, k, last_x = kernel(*args, P, Q, x0, h, n_out, dec, DIVERGENCE_LIMIT)
+    if status == _kernel.COST_OVERFLOW:
+        js = np.array([J(v) for v in xs.tolist()])
+    elif status:
         raise _diverged(status == _kernel.OVERFLOW, k, h, last_x)
-    return xs
+    return xs, js
 
 
 def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
@@ -334,12 +345,12 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
     J = system.cost.eval
 
     n_out = n_periods * S // dec
-    xs = None
+    compiled = None
     affine = [getattr(g, "affine", None) for g in system.shapes]
     if all(a is not None for a in affine):
         P = sum(a[0] * u for a, u in zip(affine, tables))
         Q = sum(a[1] * u for a, u in zip(affine, tables))
-        xs = _integrate_compiled(J, P, Q, x0, h, n_out, dec)
+        compiled = _integrate_compiled(J, P, Q, x0, h, n_out, dec)
         F = [J] * (2 * S)
         P, Q = P.tolist(), Q.tolist()
     else:
@@ -355,14 +366,13 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
         P = [0.0] * (2 * S)
         Q = [1.0] * (2 * S)
 
-    if xs is None:
+    if compiled is None:
         backend, states = "python", [x0]
         _rk4(F, P, Q, x0, h, n_out, dec, states.append)
-        xs = np.array(states)
+        xs, cost_values = np.array(states), np.array([J(v) for v in states])
     else:
-        backend, states = "c", xs.tolist()
-    times = np.arange(len(states)) * (h * dec)
-    cost_values = np.array([J(v) for v in states])
+        backend, (xs, cost_values) = "c", compiled
+    times = np.arange(len(xs)) * (h * dec)
     meta = dict(system.meta)
     meta.update({"x0": x0, "steps_per_period": S, "decimation": dec,
                  "epsilon": eps, "periods": n_periods, "kernel": backend})
@@ -397,31 +407,78 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
                       meta={"builder": "lbs", "terms": terms, "x0": x0})
 
 
+def write_csv_rows(fh, columns, row_format: str) -> None:
+    """Write the rows zip(*columns), each formatted by row_format % row.
+
+    Rows are formatted CSV_BLOCK at a time from Python floats: "%.17g" of a
+    float gives the same text as format(np.float64, ".17g").  Like zip, it
+    stops at the shortest column.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = min(len(c) for c in columns)
+    for s in range(0, n, CSV_BLOCK):
+        rows = zip(*[c[s:s + CSV_BLOCK].tolist() for c in columns])
+        fh.write("".join([row_format % r for r in rows]))
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """CSV with header t,x,J and 17 significant digits per value."""
     with open(path, "w") as fh:
         fh.write("t,x,J\n")
-        for t, x, j in zip(traj.times, traj.states, traj.cost_values):
-            fh.write(f"{t:.17g},{x:.17g},{j:.17g}\n")
+        write_csv_rows(fh, (traj.times, traj.states, traj.cost_values), "%.17g,%.17g,%.17g\n")
+
+
+def _parse_rows(lines: list[str], first_row: int, path: str) -> np.ndarray:
+    """The numbers of lines (rows first_row, ...) as an array of shape (len(lines), 3)."""
+    if all(line.count(",") == 2 for line in lines):
+        fields = ",".join(lines).split(",")
+        try:
+            return np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 3)
+        except ValueError:
+            pass
+    rows = []
+    for row, line in enumerate(lines, start=first_row):
+        try:
+            t, x, j = map(float, line.strip().split(","))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{path}: line {row}: expected three numbers t,x,J, got {line.strip()!r}"
+            ) from None
+        rows.append((t, x, j))
+    return np.array(rows)
+
+
+def _check_spacing(times: np.ndarray, path: str) -> None:
+    """Reject times whose steps differ from the mean step by more than SPACING_RTOL of it."""
+    n = len(times)
+    if n < 2:
+        return
+    step = np.diff(times)
+    dt = (times[-1] - times[0]) / (n - 1)
+    bad = ~(np.abs(step - dt) <= SPACING_RTOL * dt) if dt > 0 else ~(step > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidParameterError(
+            f"{path}: line {i + 3}: times must be evenly spaced and increasing, "
+            f"got step {step[i]:.17g} against the mean step {dt:.17g}"
+        )
 
 
 def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
-    times, xs, js = [], [], []
+    """Read a t,x,J CSV; rows are parsed CSV_BLOCK at a time and times must be even."""
+    blocks = []
     with open(path, errors="replace") as fh:
         header = fh.readline().strip()
         if header != "t,x,J":
             raise InvalidParameterError(f"unexpected trajectory header {header!r}")
-        for row, line in enumerate(fh, start=2):
-            try:
-                t, x, j = map(float, line.strip().split(","))
-            except ValueError:
-                raise InvalidParameterError(
-                    f"{path}: line {row}: expected three numbers t,x,J, got {line.strip()!r}"
-                ) from None
-            times.append(t)
-            xs.append(x)
-            js.append(j)
-    if not times:
+        row = 2
+        while lines := list(itertools.islice(fh, CSV_BLOCK)):
+            blocks.append(_parse_rows(lines, row, path))
+            row += len(lines)
+    if not blocks:
         raise InvalidParameterError(f"{path}: no trajectory rows after the header")
-    return Trajectory(times=np.array(times), states=np.array(xs),
-                      cost_values=np.array(js), epsilon=epsilon, meta={"source": path})
+    times, xs, js = np.concatenate([b.T for b in blocks], axis=1)
+    del blocks
+    _check_spacing(times, path)
+    return Trajectory(times=times, states=xs, cost_values=js, epsilon=epsilon,
+                      meta={"source": path})

@@ -82,6 +82,12 @@ class TestCompare:
         assert code == 0
         rows = out.read_text().splitlines()
         assert rows[0] == "t,x_a,x_b,J_a,J_b"
+        _, ta = cli.run_experiment(cli.load_config(str(pa)), str(tmp_path))
+        _, tb = cli.run_experiment(cli.load_config(str(pb)), str(tmp_path))
+        columns = zip(ta.times, ta.states, tb.states, ta.cost_values, tb.cost_values)
+        oracle = "".join(f"{t:.17g},{xa:.17g},{xb:.17g},{ja:.17g},{jb:.17g}\n"
+                         for t, xa, xb, ja, jb in columns)
+        assert out.read_text() == "t,x_a,x_b,J_a,J_b\n" + oracle
         for row in rows[1:10]:
             _, xa, xb, ja, jb = row.split(",")
             assert xa == xb and ja == jb
@@ -181,8 +187,17 @@ def _binary_config(tmp_path):
      "config error: field 'cost.alpha' must be float, got bool"),
     (_config(**{"cost.m": True}), "config error: field 'cost.m' must be int, got bool"),
     (_binary_config, "config error: cannot read config"),
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
+                       "--quadrature-steps", "-5"],
+     "validation error: --quadrature-steps must be 0 (the default) or at least 16,"),
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
+                       "--quadrature-steps", "8"],
+     "validation error: --quadrature-steps must be 0 (the default) or at least 16,"),
+    (_traj_csv("t,x,J\n0,0,1\n1e-4,0.1,0.6\n3e-4,0.2,0.3\n"),
+     "line 3: times must be evenly spaced and increasing"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
-        "bool-alpha", "bool-degree", "binary-config"])
+        "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
+        "coarse-quadrature-steps", "uneven-csv-times"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

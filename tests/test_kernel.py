@@ -94,6 +94,36 @@ def test_kernel_equals_python_stepper(design, kappa, eps, x0, dec, periods, m, a
     assert compiled == python
 
 
+@needs_kernel
+@pytest.mark.parametrize("dec", [512, 128, 1])
+def test_fig1_we_states_and_costs_match_python(dec):
+    config = IntegratorConfig(total_time=0.02, steps_per_period=512, decimation=dec)
+    compiled, python = both_paths(fig1_we(), 0.0, config)
+    assert compiled[0] == "ok"
+    assert compiled == python
+
+
+@needs_kernel
+@pytest.mark.parametrize("drift, overflows", [(29.0, False), (100.0, True)])
+def test_cost_of_last_state(drift, overflows):
+    # x' = P: the stages all sit at x0 and one step moves x by `drift`, so only
+    # the cost (x - 0)^200 of the last stored state can overflow
+    J = costs.make_power_cost(1.0, 0.0, 200).eval
+    h = 1e-3
+    P, Q = np.array([0.0, 0.0, 6.0 * drift / h, 0.0]), np.zeros(4)
+    states = [1.0]
+    sim._rk4([J] * 4, P.tolist(), Q.tolist(), 1.0, h, 1, 1, states.append)
+    if overflows:
+        with pytest.raises(OverflowError):
+            [J(v) for v in states]
+        with pytest.raises(OverflowError):
+            sim._integrate_compiled(J, P, Q, 1.0, h, 1, 1)
+        return
+    xs, js = sim._integrate_compiled(J, P, Q, 1.0, h, 1, 1)
+    assert xs.tobytes() == np.array(states).tobytes()
+    assert js.tobytes() == np.array([J(v) for v in states]).tobytes()
+
+
 def test_ineligible_systems_use_python():
     config = IntegratorConfig(total_time=2e-3, steps_per_period=256, decimation=256)
     abs_cost = build_two_input(costs.make_abs_cost(1.0), 2, 1, 1e-3, 1.0)

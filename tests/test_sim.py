@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liees import costs, sim
 from liees.dither import DitherSpec
@@ -17,6 +20,9 @@ from liees.sim import IntegratorConfig, build_mixed, build_three_input, build_tw
 
 QUARTIC = costs.make_power_cost(1.0, 1.0, 4)
 QUAD = costs.make_power_cost(1.0, 0.0, 2)
+B = sim.CSV_BLOCK
+# Row counts on both sides of the block edges.
+CSV_SIZES = st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3])
 
 
 def zero_channel(shape, epsilon):
@@ -278,3 +284,115 @@ class TestTrajectoryCsv:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidParameterError):
             sim.read_trajectory_csv(str(p))
+
+
+def oracle_csv(times, states, cost_values) -> bytes:
+    """The per-row writer the block writer replaced, over numpy scalars."""
+    rows = "".join(f"{t:.17g},{x:.17g},{j:.17g}\n"
+                   for t, x, j in zip(times, states, cost_values))
+    return ("t,x,J\n" + rows).encode()
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equal arrays, any NaN matching any NaN."""
+    return a.shape == b.shape and bool(np.all(
+        (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))))
+
+
+def float_columns(n):
+    """n float64 values: hypothesis' floats (edge cases), or random bit patterns."""
+    random_bits = st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64)
+        .view(np.float64))
+    return st.one_of(arrays(np.float64, n, elements=st.floats(width=64)), random_bits)
+
+
+def write_text(path, text):
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+class TestCsvCodec:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=CSV_SIZES)
+    def test_writer_matches_per_row_oracle(self, tmp_path_factory, data, n):
+        t, x, j = (data.draw(float_columns(n)) for _ in range(3))
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        sim.write_trajectory_csv(sim.Trajectory(t, x, j, 1.0), str(path))
+        assert path.read_bytes() == oracle_csv(t, x, j)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=CSV_SIZES, h=st.floats(1e-9, 1e3))
+    def test_read_back_is_bit_exact(self, tmp_path_factory, data, n, h):
+        t = np.arange(n) * h
+        x, j = data.draw(float_columns(n)), data.draw(float_columns(n))
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        sim.write_trajectory_csv(sim.Trajectory(t, x, j, 1.0), str(path))
+        back = sim.read_trajectory_csv(str(path), epsilon=0.5)
+        assert same_bits(back.times, t)
+        assert same_bits(back.states, x)
+        assert same_bits(back.cost_values, j)
+        assert back.epsilon == 0.5
+
+    def test_writer_stops_at_the_shortest_column(self, tmp_path):
+        t, x, j = np.arange(B + 5) * 0.1, np.ones(B + 2), np.zeros(B + 9)
+        path = tmp_path / "traj.csv"
+        sim.write_trajectory_csv(sim.Trajectory(t, x, j, 1.0), str(path))
+        assert path.read_bytes() == oracle_csv(t, x, j)
+        sim.write_trajectory_csv(sim.Trajectory(list(t), list(x), list(j), 1.0), str(path))
+        assert path.read_bytes() == oracle_csv(t, x, j)
+
+    def test_malformed_row_in_second_block_names_its_line(self, tmp_path):
+        rows = [f"{k * 1e-3!r},0.5,0.25\n" for k in range(B + 10)]
+        rows[B + 4] = "0.1,0.5\n"
+        path = write_text(tmp_path / "bad.csv", "t,x,J\n" + "".join(rows))
+        with pytest.raises(InvalidParameterError,
+                           match=f"line {B + 6}: expected three numbers t,x,J, got '0.1,0.5'"):
+            sim.read_trajectory_csv(path)
+        rows[B + 4] = "0.1,0.5,zero\n"
+        path = write_text(tmp_path / "bad.csv", "t,x,J\n" + "".join(rows))
+        with pytest.raises(InvalidParameterError, match=f"line {B + 6}: "):
+            sim.read_trajectory_csv(path)
+        # four fields then two: the block has the right number of fields
+        rows[B + 4:B + 6] = ["0.1,0.5,0.25,7\n", "0.1,0.5\n"]
+        path = write_text(tmp_path / "bad.csv", "t,x,J\n" + "".join(rows))
+        with pytest.raises(InvalidParameterError, match=f"line {B + 6}: .* got '0.1,0.5,0.25,7'"):
+            sim.read_trajectory_csv(path)
+
+    def test_line_endings_read_alike(self, tmp_path):
+        body = "".join(f"{k / 8!r},{k * 0.5 - 3!r},{k ** 2 / 7!r}\n" for k in range(B + 3))
+        lf = sim.read_trajectory_csv(write_text(tmp_path / "lf.csv", "t,x,J\n" + body))
+        for name, text in (("crlf", ("t,x,J\n" + body).replace("\n", "\r\n")),
+                           ("open", "t,x,J\n" + body.rstrip("\n"))):
+            other = sim.read_trajectory_csv(write_text(tmp_path / f"{name}.csv", text))
+            for k in ("times", "states", "cost_values"):
+                assert getattr(other, k).tobytes() == getattr(lf, k).tobytes()
+
+    def test_float_spellings_read_as_before(self, tmp_path):
+        text = "t,x,J\n 0 , 1_0.5 ,nan\n0.25,-inf, 2e-3 \n"
+        back = sim.read_trajectory_csv(write_text(tmp_path / "odd.csv", text))
+        assert same_bits(back.times, np.array([0.0, 0.25]))
+        assert same_bits(back.states, np.array([10.5, -np.inf]))
+        assert same_bits(back.cost_values, np.array([np.nan, 2e-3]))
+
+    @pytest.mark.parametrize("times, line", [
+        ([0.0, 0.1, 0.3, 0.4], 3),
+        ([k * 0.1 + (k == B + 500) * 1e-6 for k in range(2 * B)], B + 502),
+        ([0.0, 0.2, 0.1], 3),
+        ([0.0, 0.0, 0.0], 3),
+        ([1.0, 0.5, 0.0], 3),
+        ([0.0, float("nan"), 0.2], 3),
+    ])
+    def test_uneven_times_are_rejected(self, tmp_path, times, line):
+        text = "t,x,J\n" + "".join(f"{t!r},1,1\n" for t in times)
+        with pytest.raises(InvalidParameterError, match=f"line {line}: times must be evenly"):
+            sim.read_trajectory_csv(write_text(tmp_path / "uneven.csv", text))
+
+    def test_rounded_even_times_pass(self, tmp_path):
+        n = 3 * B
+        t = np.arange(n) * (1e-4 / 512) + 7.0
+        path = tmp_path / "traj.csv"
+        sim.write_trajectory_csv(sim.Trajectory(t, np.zeros(n), np.zeros(n), 1e-4), str(path))
+        assert sim.read_trajectory_csv(str(path)).times.tobytes() == t.tobytes()
+        single = write_text(tmp_path / "one.csv", "t,x,J\n3.5,1,2\n")
+        assert sim.read_trajectory_csv(single).dt == 0.0
