@@ -23,6 +23,7 @@ and is dominated by quadrature error.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -170,43 +171,78 @@ def basis_labels(n_channels: int, ell: int) -> tuple:
 # ---------------------------------------------------------------------------
 # graded tensor arithmetic
 # ---------------------------------------------------------------------------
+#
+# A truncated tensor without its empty word is a list of levels: entry k is a
+# float64 array of length n^k holding the coefficients of the words of length
+# k in itertools.product order (the row-major flattening, so the outer
+# product of levels i and j is the level of the concatenated words), or None
+# where every word of that length is absent.  Entry 0 is always None.  Each
+# coefficient accumulates from 0.0 in order of increasing split length, the
+# order of a word-by-word product over dicts whose prefixes come shortest
+# first, so the results are bitwise those of that product.
 
-def _tensor_mul(A: dict, B: dict, depth: int) -> dict:
-    out: dict = {}
-    for wa, ca in A.items():
-        for wb, cb in B.items():
-            w = wa + wb
-            if len(w) <= depth:
-                out[w] = out.get(w, 0.0) + ca * cb
+def _tensor_mul(A: list, B: list, depth: int) -> list:
+    """Truncated product of two level lists."""
+    out = [None] * (depth + 1)
+    for k in range(2, depth + 1):
+        for j in range(1, k):
+            a, b = A[j], B[k - j]
+            if a is not None and b is not None:
+                term = np.multiply.outer(a, b).ravel()
+                out[k] = 0.0 + term if out[k] is None else out[k] + term
     return out
+
+
+def _series(X: list, depth: int, term) -> list:
+    """sum of term(k, level of X^k) over k = 1..depth, truncated at depth."""
+    out = [None] + [np.zeros(len(X[1]) ** k) for k in range(1, depth + 1)]
+    power = X
+    for k in range(1, depth + 1):
+        for ell in range(k, depth + 1):
+            if power[ell] is not None:
+                out[ell] += term(k, power[ell])
+        if k < depth:
+            power = _tensor_mul(power, X, depth)
+    return out
+
+
+def _log_levels(X: list, depth: int) -> list:
+    """log(1 + X) truncated at depth."""
+    return _series(X, depth, lambda k, p: (1.0 if k % 2 else -1.0) * p / k)
+
+
+def _exp_levels(X: list, depth: int) -> list:
+    """exp(X) - 1 truncated at depth."""
+    return _series(X, depth, lambda k, p: p / float(math.factorial(k)))
+
+
+def _to_levels(entries: dict, n: int, depth: int) -> list:
+    """The level list of a dict from words to coefficients; absent words are 0.0."""
+    return [None] + [np.array([float(entries.get(w, 0.0))
+                               for w in product(range(1, n + 1), repeat=k)])
+                     for k in range(1, depth + 1)]
+
+
+def _to_dict(n: int, levels: list) -> dict:
+    return {w: v for k in range(1, len(levels))
+            for w, v in zip(product(range(1, n + 1), repeat=k), levels[k].tolist())}
+
+
+def _on_dict(series, entries: dict, depth: int) -> dict:
+    """A level-list series applied to a dict over the letters 1..largest letter;
+    words absent from entries count as 0.0."""
+    n = max((max(w) for w in entries), default=0)
+    return _to_dict(n, series(_to_levels(entries, n, depth), depth)) if n else {}
 
 
 def tensor_log(entries: dict, depth: int) -> dict:
     """log(1 + X) truncated at the given depth; entries hold X (no empty word)."""
-    out: dict = {}
-    power = dict(entries)
-    sign = 1.0
-    for k in range(1, depth + 1):
-        for w, c in power.items():
-            out[w] = out.get(w, 0.0) + sign * c / k
-        if k < depth:
-            power = _tensor_mul(power, entries, depth)
-        sign = -sign
-    return out
+    return _on_dict(_log_levels, entries, depth)
 
 
 def tensor_exp(entries: dict, depth: int) -> dict:
     """exp(X) - 1 truncated at the given depth."""
-    out: dict = {}
-    power = dict(entries)
-    fact = 1.0
-    for k in range(1, depth + 1):
-        fact *= k
-        for w, c in power.items():
-            out[w] = out.get(w, 0.0) + c / fact
-        if k < depth:
-            power = _tensor_mul(power, entries, depth)
-    return out
+    return _on_dict(_exp_levels, entries, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +369,12 @@ def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> fl
 def log_signature(sig: Signature) -> BracketCoefficients:
     """Tensor logarithm projected on the right-iterated bracket basis, per eps."""
     # word reversal converts the stored integrals into the path-ordered
-    # convention in which the logarithm pairs with same-index field brackets
-    std = {tuple(reversed(w)): v for w, v in sig.entries.items()}
-    log = tensor_log(std, sig.depth)
+    # convention in which the logarithm pairs with same-index field brackets;
+    # it reverses the axes of each level seen as an n x ... x n array
+    n = sig.n_channels
+    X = [None] + [level.reshape((n,) * k).T.ravel()
+                  for k, level in enumerate(_to_levels(sig.entries, n, sig.depth)[1:], start=1)]
+    log = _log_levels(X, sig.depth)
 
     coeffs: dict = {}
     worst_abs = 0.0
@@ -348,7 +387,7 @@ def log_signature(sig: Signature) -> BracketCoefficients:
         for j, lab in enumerate(labels):
             for w, c in expand_bracket(lab).items():
                 A[col_of[w], j] = c
-        b = np.array([log.get(w, 0.0) for w in all_words])
+        b = log[ell]
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         worst_abs = max(worst_abs, float(np.abs(b - A @ sol).max()))
         global_scale = max(global_scale, float(np.abs(b).max()))

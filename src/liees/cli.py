@@ -56,6 +56,9 @@ def _field(cfg: dict, path: str, typ, problems: list[str], required=True, defaul
     if not isinstance(val, typ):
         problems.append(f"field {path!r} must be {typ.__name__}, got {type(val).__name__}")
         return default
+    if typ is float and not math.isfinite(val):
+        problems.append(f"field {path!r} must be finite, got {val}")
+        return default
     if check is not None and not check(val):
         problems.append(f"field {path!r} out of range: {val} ({describe})")
         return default
@@ -241,8 +244,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _finite(option: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{option} must be finite, got {value}")
+    return value
+
+
 def cmd_coeffs(args) -> int:
-    eps = args.epsilon
+    eps = _finite("--epsilon", args.epsilon)
     kind = args.kind
     if kind == "triple123":
         specs = dither.make_triple(eps, args.kappa)
@@ -290,8 +299,13 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    traj = sim.read_trajectory_csv(args.traj, epsilon=args.epsilon)
-    est = analysis.fit_rate(analysis.envelope(traj, args.xstar))
+    eps = _finite("--epsilon", args.epsilon)
+    xstar = _finite("--xstar", args.xstar)
+    traj = sim.read_trajectory_csv(args.traj, epsilon=eps)
+    if 0 < eps < traj.dt:
+        raise InvalidParameterError(
+            f"--epsilon {eps:g} is shorter than the sample step {traj.dt:g} of {args.traj}")
+    est = analysis.fit_rate(analysis.envelope(traj, xstar))
     out = {
         "rate_class": est.rate_class,
         "lambda": est.lam,

@@ -165,33 +165,32 @@ def make_generating_pair(N: int, c: float = 1.0) -> tuple[Callable, Callable]:
     return g1, g2
 
 
+def _simpson_halves(fn, lo, hi, flo, fmid, fhi, whole, tol, depth, max_depth):
+    """Simpson on both halves of [lo, hi], recursing where they disagree with whole."""
+    mid = 0.5 * (lo + hi)
+    flm = fn(0.5 * (lo + mid))
+    frm = fn(0.5 * (mid + hi))
+    left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+    right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+    if depth >= max_depth:
+        raise NumericFailureError("adaptive Simpson did not converge")
+    err = left + right - whole
+    if abs(err) <= 15 * tol:
+        return left + right + err / 15.0
+    return (_simpson_halves(fn, lo, mid, flo, flm, fmid, left, tol / 2, depth + 1, max_depth)
+            + _simpson_halves(fn, mid, hi, fmid, frm, fhi, right, tol / 2, depth + 1, max_depth))
+
+
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 40) -> float:
     """Adaptive Simpson quadrature of fn over [a, b]."""
     if a == b:
         return 0.0
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = fn(lm), fn(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth >= max_depth:
-            raise NumericFailureError("adaptive Simpson did not converge")
-        if abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, tol / 2, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, tol / 2, depth + 1))
-
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    if not all(map(math.isfinite, (fa, fm, fb))):
+    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
         raise NumericFailureError("integrand not finite on the quadrature range")
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_halves(fn, a, b, fa, fm, fb, whole, tol, 0, max_depth)
 
 
 def make_wronskian_pair(phi: Callable[[float], float], a: Callable[[float], float],
@@ -249,8 +248,10 @@ def make_wronskian_pair(phi: Callable[[float], float], a: Callable[[float], floa
         if any(abs(a(z)) <= floor for z in inner):
             raise InvalidParameterError("seed a(z) vanishes inside the working range")
 
+    integrand = lambda s: phi(s) / a(s) ** 2
+
     def w(z: float) -> float:
-        return -adaptive_simpson(lambda s: phi(s) / a(s) ** 2, z0, z)
+        return -adaptive_simpson(integrand, z0, z)
 
     return (lambda z: a(z)), (lambda z: a(z) * w(z))
 

@@ -358,8 +358,12 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
 
         def column(us):
             def rhs(xv):
+                # left to right from 0 like sum(), without a generator per call
                 z = J(xv)
-                return sum(g(z) * u for g, u in zip(shapes, us))
+                acc = 0
+                for g, u in zip(shapes, us):
+                    acc = acc + g(z) * u
+                return acc
             return rhs
 
         F = [column(us) for us in zip(*(u.tolist() for u in tables))]
@@ -449,15 +453,28 @@ def _parse_rows(lines: list[str], first_row: int, path: str) -> np.ndarray:
 
 
 def _check_spacing(times: np.ndarray, path: str) -> None:
-    """Reject times whose steps differ from the mean step by more than SPACING_RTOL of it."""
+    """Reject times whose steps differ from the mean step by more than SPACING_RTOL of it.
+
+    The error names the first of the steps that deviate most, to within that
+    tolerance: a gap shifts the mean step away from every other step, so the
+    first deviating step says nothing about where the gap is.  A NaN step
+    deviates most; when the mean step is not positive, the first step that is
+    not positive is named.
+    """
     n = len(times)
     if n < 2:
         return
     step = np.diff(times)
     dt = (times[-1] - times[0]) / (n - 1)
-    bad = ~(np.abs(step - dt) <= SPACING_RTOL * dt) if dt > 0 else ~(step > 0)
+    if dt > 0:
+        dev = np.abs(step - dt)
+        bad = ~(dev <= SPACING_RTOL * dt)
+        nan = np.isnan(dev)
+        named = nan if nan.any() else dev >= dev.max() - SPACING_RTOL * dt
+    else:
+        bad = named = ~(step > 0)
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(np.argmax(named))
         raise InvalidParameterError(
             f"{path}: line {i + 3}: times must be evenly spaced and increasing, "
             f"got step {step[i]:.17g} against the mean step {dt:.17g}"

@@ -2,8 +2,12 @@
 
 import gc
 import math
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liees import chenfliess, costs, sim
 from liees.chenfliess import (
@@ -252,3 +256,112 @@ class TestEndpointPrediction:
         pred = chenfliess.endpoint_prediction(system, 0.3, order=3,
                                               quadrature_steps=4096)
         assert pred == 0.3
+
+
+# The dict-of-words tensor algebra that the level arrays replaced, kept as the
+# oracle: each coefficient accumulates word pair by word pair.
+
+def dict_tensor_mul(A: dict, B: dict, depth: int) -> dict:
+    out: dict = {}
+    for wa, ca in A.items():
+        for wb, cb in B.items():
+            w = wa + wb
+            if len(w) <= depth:
+                out[w] = out.get(w, 0.0) + ca * cb
+    return out
+
+
+def dict_tensor_log(entries: dict, depth: int) -> dict:
+    out: dict = {}
+    power = dict(entries)
+    sign = 1.0
+    for k in range(1, depth + 1):
+        for w, c in power.items():
+            out[w] = out.get(w, 0.0) + sign * c / k
+        if k < depth:
+            power = dict_tensor_mul(power, entries, depth)
+        sign = -sign
+    return out
+
+
+def dict_tensor_exp(entries: dict, depth: int) -> dict:
+    out: dict = {}
+    power = dict(entries)
+    fact = 1.0
+    for k in range(1, depth + 1):
+        fact *= k
+        for w, c in power.items():
+            out[w] = out.get(w, 0.0) + c / fact
+        if k < depth:
+            power = dict_tensor_mul(power, entries, depth)
+    return out
+
+
+def levels(n: int, depth: int, entries: dict, lowest: int = 1) -> list:
+    """The level list of a dict holding every word of length lowest..depth."""
+    return [None] * lowest + [np.array([entries[w] for w in product(range(1, n + 1), repeat=k)])
+                              for k in range(lowest, depth + 1)]
+
+
+def level_bytes(L: list) -> list:
+    return [None if v is None else v.tobytes() for v in L]
+
+
+# mixed signs, magnitudes 1e-8 to 1e3, and zeros of both signs
+COEFFICIENTS = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1.0, -1.0)),
+                         st.one_of(st.just(0.0), st.floats(-8, 3).map(lambda e: 10.0 ** e)))
+
+
+def seeded_coefficients(size):
+    """The same ranges with full mantissas, so that sums in another order round
+    differently."""
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        values = rng.choice((1.0, -1.0), size) * 10.0 ** rng.uniform(-8, 3, size)
+        values[rng.random(size) < 0.1] *= 0.0
+        return values.tolist()
+    return st.integers(0, 2**32 - 1).map(draw)
+
+
+@st.composite
+def truncated_tensors(draw):
+    """(n, depth, X) with every word of X present, in log_signature's order:
+    the words of compute_signature, shortest first, each reversed."""
+    n, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    words = list(chenfliess.words_up_to(n, depth))
+    size = len(words)
+    values = draw(st.one_of(st.lists(COEFFICIENTS, min_size=size, max_size=size),
+                            seeded_coefficients(size)))
+    return n, depth, {tuple(reversed(w)): v for w, v in zip(words, values)}
+
+
+class TestTensorLevels:
+    @settings(max_examples=40, deadline=None)
+    @given(truncated_tensors())
+    def test_levels_equal_the_dict_oracle_bitwise(self, tensor):
+        n, depth, X = tensor
+        XL = levels(n, depth, X)
+        assert (level_bytes(chenfliess._tensor_mul(XL, XL, depth))
+                == level_bytes(levels(n, depth, dict_tensor_mul(X, X, depth), lowest=2)))
+        for new, public, oracle in ((chenfliess._log_levels, tensor_log, dict_tensor_log),
+                                    (chenfliess._exp_levels, tensor_exp, dict_tensor_exp)):
+            want = oracle(X, depth)
+            assert level_bytes(new(XL, depth)) == level_bytes(levels(n, depth, want))
+            got = public(X, depth)
+            assert got.keys() == want.keys()
+            assert level_bytes(levels(n, depth, got)) == level_bytes(levels(n, depth, want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(truncated_tensors())
+    def test_exp_of_twice_the_log_is_the_square(self, tensor):
+        # exp(2 log(1 + X)) - 1 = (1 + X)^2 - 1 = 2X + X (x) X; level k is a sum
+        # of products of k entries, so its scale is max(1, max |X|)^k
+        n, depth, X = tensor
+        twice_log = {w: 2.0 * v for w, v in tensor_log(X, depth).items()}
+        lhs = levels(n, depth, tensor_exp(twice_log, depth))
+        XL = levels(n, depth, X)
+        square = chenfliess._tensor_mul(XL, XL, depth)
+        scale = max(1.0, max(float(np.abs(v).max()) for v in XL[1:]))
+        for k in range(1, depth + 1):
+            rhs = 2.0 * XL[k] + (0.0 if square[k] is None else square[k])
+            assert float(np.abs(lhs[k] - rhs).max()) <= 1e-12 * scale ** k, k

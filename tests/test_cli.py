@@ -157,12 +157,19 @@ def _missing_traj(tmp_path):
             "--epsilon", "1e-4"]
 
 
-def _traj_csv(text):
+def _traj_csv(text, xstar="1", epsilon="1e-4"):
     def argv(tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text(text)
-        return ["rate", "--traj", str(path), "--xstar", "1", "--epsilon", "1e-4"]
+        return ["rate", "--traj", str(path), "--xstar", xstar, "--epsilon", epsilon]
     return argv
+
+
+EVEN_CSV = "t,x,J\n0,0,1\n1e-4,0.1,0.6\n2e-4,0.2,0.3\n"
+
+
+def _coeffs_epsilon(epsilon):
+    return lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", epsilon]
 
 
 def _config(**overrides):
@@ -195,9 +202,21 @@ def _binary_config(tmp_path):
      "validation error: --quadrature-steps must be 0 (the default) or at least 16,"),
     (_traj_csv("t,x,J\n0,0,1\n1e-4,0.1,0.6\n3e-4,0.2,0.3\n"),
      "line 3: times must be evenly spaced and increasing"),
+    (_traj_csv(EVEN_CSV, epsilon="nan"), "validation error: --epsilon must be finite, got nan"),
+    (_traj_csv(EVEN_CSV, epsilon="1e-300"),
+     "validation error: --epsilon 1e-300 is shorter than the sample step 0.0001 of"),
+    (_traj_csv(EVEN_CSV, xstar="nan"), "validation error: --xstar must be finite, got nan"),
+    (_coeffs_epsilon("nan"), "validation error: --epsilon must be finite, got nan"),
+    (_coeffs_epsilon("inf"), "validation error: --epsilon must be finite, got inf"),
+    (_config(**{"integrator.total_time": float("inf")}),
+     "config error: field 'integrator.total_time' must be finite, got inf"),
+    (_config(**{"integrator.x0": float("nan")}),
+     "config error: field 'integrator.x0' must be finite, got nan"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
-        "coarse-quadrature-steps", "uneven-csv-times"])
+        "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
+        "nan-xstar", "nan-coeffs-epsilon", "inf-coeffs-epsilon", "infinite-total-time",
+        "nan-x0"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

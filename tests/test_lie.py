@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liees import costs, lie
 from liees.costs import make_power_cost
-from liees.errors import InvalidParameterError
+from liees.errors import InvalidParameterError, NumericFailureError
 from liees.lie import ScalarField, bracket2, iterated_bracket
 
 QUARTIC = make_power_cost(1.0, 1.0, 4)
@@ -111,6 +113,84 @@ class TestGeneratingPair:
             lie.make_generating_pair(5, 1.0)
         with pytest.raises(InvalidParameterError):
             lie.make_generating_pair(2, -1.0)
+
+
+def closure_simpson(fn, a, b, tol=1e-10, max_depth=40):
+    """The closure-based adaptive Simpson that the module-level recursion
+    replaced, kept as the oracle."""
+    if a == b:
+        return 0.0
+
+    def simpson(lo, hi, flo, fmid, fhi):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
+        mid = 0.5 * (lo + hi)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = fn(lm), fn(rm)
+        left = simpson(lo, mid, flo, flm, fmid)
+        right = simpson(mid, hi, fmid, frm, fhi)
+        if depth >= max_depth:
+            raise NumericFailureError("adaptive Simpson did not converge")
+        if abs(left + right - whole) <= 15 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(lo, mid, flo, flm, fmid, left, tol / 2, depth + 1)
+                + recurse(mid, hi, fmid, frm, fhi, right, tol / 2, depth + 1))
+
+    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    if not all(map(math.isfinite, (fa, fm, fb))):
+        raise NumericFailureError("integrand not finite on the quadrature range")
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def both_simpsons(fn, a, b, **kw):
+    """(value or error message, evaluation points) of the oracle and of lie.adaptive_simpson."""
+    out = []
+    for quad in (closure_simpson, lie.adaptive_simpson):
+        points = []
+
+        def logged(s):
+            points.append(s)
+            return fn(s)
+
+        try:
+            result = quad(logged, a, b, **kw).hex()
+        except NumericFailureError as exc:
+            result = str(exc)
+        out.append((result, points))
+    return out
+
+
+LIMITS = st.floats(-4.0, 4.0)
+
+
+class TestAdaptiveSimpson:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(("polynomial", "exponential")),
+           c=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7),
+           a=LIMITS, b=LIMITS, same=st.booleans())
+    def test_equals_the_closure_oracle_bitwise(self, kind, c, a, b, same):
+        if kind == "polynomial":
+            fn = lambda s: sum(ck * s ** k for k, ck in enumerate(c))
+        else:
+            fn = lambda s: c[0] * math.exp(c[-1] / 4.0 * s)
+        b = a if same else b
+        for lo, hi in ((a, b), (b, a)):
+            old, new = both_simpsons(fn, lo, hi)
+            assert new == old
+
+    @pytest.mark.parametrize("fn, a, b, kw, message", [
+        (lambda s: math.exp(8.0 * s), 0.0, 4.0, {"max_depth": 3}, "did not converge"),
+        (lambda s: 1.0 / s if s else math.inf, 0.0, 1.0, {}, "not finite"),
+        (lambda s: math.nan if s == 0.25 else s, 0.0, 1.0, {}, "did not converge"),
+        (lambda s: math.sqrt(abs(s)), -1.0, 1.0, {"tol": 1e-15, "max_depth": 8},
+         "did not converge"),
+    ])
+    def test_raises_like_the_closure_oracle(self, fn, a, b, kw, message):
+        old, new = both_simpsons(fn, a, b, **kw)
+        assert new == old
+        assert message in new[0]
 
 
 class TestWronskianPair:

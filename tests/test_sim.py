@@ -1,5 +1,6 @@
 """System builders and the full / averaged integrators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liees import costs, sim
-from liees.dither import DitherSpec
+from liees import analysis, costs, sim
+from liees.dither import DitherSpec, make_pair
 from liees.errors import (
     ConstructionError,
     DivergenceError,
@@ -215,6 +216,42 @@ class TestIntegrate:
         assert np.allclose(xa, xb, atol=1e-13)
 
 
+def phi2_system():
+    """The three-input system on a callable phi2: its g2 = a w runs an adaptive
+    Simpson quadrature at every stage."""
+    return build_three_input(QUARTIC, lambda z: 0.5 + 0.3 * z, 1e-3)
+
+
+def polynomial_shape_system():
+    d1, d2 = make_pair("first12", 1e-2, 2)
+    return sim.ESSystem(cost=costs.make_power_cost(2.0, 0.5, 2), channels=(
+        (lambda z: 1.0 + 0.5 * z, d1), (lambda z: z - 0.25 * z * z, d2)))
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestGeneralShapePath:
+    """Results of the per-column right-hand-side path, pinned bit for bit to
+    the values of the sum()-over-a-generator columns it replaced."""
+
+    def test_callable_phi2_states(self):
+        cfg = IntegratorConfig(total_time=3e-3, steps_per_period=256, decimation=1)
+        assert sha256(sim.integrate(phi2_system(), 0.7, cfg).states) == (
+            "c8c1b5a7effe51f3ab751990b0fdacfcab3fae8375ec65870fac59ca6951be5d")
+
+    def test_shapes_without_affine_states(self):
+        cfg = IntegratorConfig(total_time=5e-2, steps_per_period=128, decimation=1)
+        assert sha256(sim.integrate(polynomial_shape_system(), 1.3, cfg).states) == (
+            "405b05c67a6bc17204c95c971c0ca5437b9fdb4873591f9ac247644a7f75a7bc")
+
+    def test_callable_phi2_contraction(self):
+        rep = analysis.contraction_check(phi2_system(), [0.65, 0.85, 1.1, 1.3], 1.0, 256)
+        assert (rep.gamma.hex(), rep.sigma.hex()) == ("-0x1.3b9bca5681f08p+0",
+                                                      "0x1.5f93b3e5723dfp+0")
+
+
 class TestIntegrateLbs:
     def test_quadratic_gradient_flow(self):
         # J = x^2/2: x' = -x, exact e^{-t}
@@ -375,13 +412,16 @@ class TestCsvCodec:
         assert same_bits(back.states, np.array([10.5, -np.inf]))
         assert same_bits(back.cost_values, np.array([np.nan, 2e-3]))
 
+    # the line named is the later row of the step that deviates most from the
+    # mean step: a gap, not the first of the steps the gap shifts the mean from
     @pytest.mark.parametrize("times, line", [
-        ([0.0, 0.1, 0.3, 0.4], 3),
+        ([0.0, 0.1, 0.3, 0.4], 4),
         ([k * 0.1 + (k == B + 500) * 1e-6 for k in range(2 * B)], B + 502),
         ([0.0, 0.2, 0.1], 3),
         ([0.0, 0.0, 0.0], 3),
         ([1.0, 0.5, 0.0], 3),
         ([0.0, float("nan"), 0.2], 3),
+        ([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8], 6),
     ])
     def test_uneven_times_are_rejected(self, tmp_path, times, line):
         text = "t,x,J\n" + "".join(f"{t!r},1,1\n" for t in times)
