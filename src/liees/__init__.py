@@ -48,6 +48,7 @@ from .sim import (
     build_two_input,
     integrate,
     integrate_lbs,
+    period_map,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,16 @@
-/* Classical RK4 for x' = J(x) * Q[c] + P[c] with the power cost
- * J(x) = alpha * (x - xstar)^m: the loop of liees.sim._rk4, specialised.
+/* Classical RK4 for x' = f(x) * Q[c] + P[c]: the loop of liees.sim._rk4,
+ * specialised to two stage functions f of a power cost
+ * J(x) = alpha * (x - xstar)^m.  With no terms, f is J itself (the full
+ * system, integrate).  With terms, f is the averaged Lie-bracket field of
+ * integrate_lbs,
+ *
+ *     f(x) = -(0.0 + g_1 * (c_1 * (x - s_1)^p_1) + g_2 * (...) + ...),
+ *
+ * one (g, c, s, p) row per bracket term, c (x - s)^p being the analytic
+ * derivative of J that costs.derivative evaluates.
  *
  * Every floating-point operation happens in the order the Python stepper
- * performs it, and the power goes through libm pow exactly as CPython's
+ * performs it, and the powers go through libm pow exactly as CPython's
  * float ** int does, so the stored states and their costs are bitwise equal
  * to the Python path.  Build with -ffp-contract=off and without -ffast-math:
  * a fused multiply-add or a pow expanded into multiplications rounds
@@ -13,9 +21,12 @@
 #include <math.h>
 #include <stdint.h>
 
-enum { RK4_OK = 0, RK4_EXCEEDED = 1, RK4_OVERFLOW = 2, RK4_COST_OVERFLOW = 3 };
+enum {
+    RK4_OK = 0, RK4_EXCEEDED = 1, RK4_OVERFLOW = 2, RK4_COST_OVERFLOW = 3,
+    RK4_NONFINITE = 4
+};
 
-/* CPython's float_pow for a positive integral exponent w (odd: w is odd).
+/* CPython's float_pow for a nonnegative integral exponent w (odd: w is odd).
  * Stores v ** w in *r; returns nonzero where Python raises OverflowError,
  * which is only when pow leaves the double range for a finite base. */
 static int py_pow(double v, double w, int odd, double *r)
@@ -23,6 +34,10 @@ static int py_pow(double v, double w, int odd, double *r)
     int negate = 0;
     double ix;
 
+    if (w == 0.0) {
+        *r = 1.0;
+        return 0;
+    }
     if (isnan(v)) {
         *r = v;
         return 0;
@@ -55,65 +70,124 @@ static int py_pow(double v, double w, int odd, double *r)
     return errno != 0;
 }
 
+static int is_odd(double w)
+{
+    return fmod(fabs(w), 2.0) == 1.0;
+}
+
+/* The stage function f(y), stored in *r.  Returns RK4_OVERFLOW where Python
+ * raises OverflowError, and RK4_NONFINITE where costs.derivative raises
+ * NumericFailureError, with the index of that term in *bad.  Inlined, so that
+ * the cost's stages run as fast as in a loop of their own (a call costs about
+ * 9% per step). */
+static inline __attribute__((always_inline)) int stage(double alpha, double xstar, double m, int odd,
+                 const double *terms, int64_t nterms, double y, double *r,
+                 int64_t *bad)
+{
+    double p, acc = 0.0;
+    int64_t t;
+
+    if (nterms == 0) {
+        if (py_pow(y - xstar, m, odd, &p))
+            return RK4_OVERFLOW;
+        *r = alpha * p;
+        return RK4_OK;
+    }
+    for (t = 0; t < nterms; t++) {
+        const double *g = terms + 4 * t;
+        double d;
+        if (py_pow(y - g[2], g[3], is_odd(g[3]), &p))
+            return RK4_OVERFLOW;
+        d = g[1] * p;
+        if (!isfinite(d)) {
+            *bad = t;
+            return RK4_NONFINITE;
+        }
+        acc = acc + g[0] * d;
+    }
+    *r = -acc;
+    return RK4_OK;
+}
+
 /* Integrates n_out * dec steps of size h from x0, writing every dec-th state
  * to out[1..n_out] (out[0] = x0) and its cost J to jout[0..n_out].  Columns c
- * of P and Q index the step/half-step grid of one period and wrap at ncol.  On
- * divergence returns RK4_EXCEEDED (the state left (-limit, limit)) or
+ * of P and Q index the step/half-step grid of one period and wrap at ncol.
+ * The stage function is J when nterms is 0, else the averaged field over the
+ * nterms (g, c, s, p) rows of terms.
+ *
+ * On divergence returns RK4_EXCEEDED (the state left (-limit, limit)) or
  * RK4_OVERFLOW, with the index of the failing step in *k_fail and the state at
- * its start in *x_fail.  Every stored state but the last starts a step, whose
- * first stage evaluates its cost; when the cost of the last state overflows,
- * the states are complete and it returns RK4_COST_OVERFLOW. */
-int liees_rk4_power(double alpha, double xstar, double m,
-                    const double *P, const double *Q, int64_t ncol,
-                    double x0, double h, int64_t n_out, int64_t dec,
-                    double limit, double *out, double *jout,
-                    int64_t *k_fail, double *x_fail)
+ * its start in *x_fail.  A non-finite derivative returns RK4_NONFINITE with
+ * its term index in *k_fail and the stage argument in *x_fail.  When the cost
+ * of a stored state overflows but the integration completes, the states are
+ * complete and it returns RK4_COST_OVERFLOW. */
+int liees_rk4(double alpha, double xstar, double m,
+              const double *terms, int64_t nterms,
+              const double *P, const double *Q, int64_t ncol,
+              double x0, double h, int64_t n_out, int64_t dec,
+              double limit, double *out, double *jout,
+              int64_t *k_fail, double *x_fail)
 {
     const double hh = 0.5 * h;
     const double h6 = h / 6.0;
-    const int odd = fmod(fabs(m), 2.0) == 1.0;
-    double x = x0, p, j1, k1, k2, k3, k4, xn;
-    int64_t c = 0, i, j;
+    const int odd = is_odd(m);
+    double x = x0, y = x0, p, f1, k1, k2, k3, k4, xn;
+    int64_t c = 0, i, j, bad = 0;
+    int status, cost_overflow = 0;
+
+#define STAGE(arg, res)                                                        \
+    do {                                                                       \
+        y = (arg);                                                             \
+        status = stage(alpha, xstar, m, odd, terms, nterms, y, &(res), &bad); \
+        if (status)                                                            \
+            goto fail;                                                         \
+    } while (0)
 
     out[0] = x0;
     for (i = 0; i < n_out; i++) {
         for (j = 0; j < dec; j++) {
             const int64_t b = c + 1;
-            if (py_pow(x - xstar, m, odd, &p))
-                goto overflow;
-            j1 = alpha * p;
-            if (j == 0)
-                jout[i] = j1;
-            k1 = j1 * Q[c] + P[c];
-            if (py_pow((x + hh * k1) - xstar, m, odd, &p))
-                goto overflow;
-            k2 = (alpha * p) * Q[b] + P[b];
-            if (py_pow((x + hh * k2) - xstar, m, odd, &p))
-                goto overflow;
-            k3 = (alpha * p) * Q[b] + P[b];
+            STAGE(x, f1);
+            if (j == 0) {
+                if (nterms == 0)
+                    jout[i] = f1;
+                else if (py_pow(x - xstar, m, odd, &p))
+                    cost_overflow = 1;
+                else
+                    jout[i] = alpha * p;
+            }
+            k1 = f1 * Q[c] + P[c];
+            STAGE(x + hh * k1, k2);
+            k2 = k2 * Q[b] + P[b];
+            STAGE(x + hh * k2, k3);
+            k3 = k3 * Q[b] + P[b];
             c += 2;
             if (c >= ncol)
                 c -= ncol;
-            if (py_pow((x + h * k3) - xstar, m, odd, &p))
-                goto overflow;
-            k4 = (alpha * p) * Q[c] + P[c];
+            STAGE(x + h * k3, k4);
+            k4 = k4 * Q[c] + P[c];
             xn = x + h6 * (k1 + 2.0 * (k2 + k3) + k4);
             if (!(-limit < xn && xn < limit)) {
-                *k_fail = i * dec + j;
-                *x_fail = x;
-                return RK4_EXCEEDED;
+                status = RK4_EXCEEDED;
+                goto fail;
             }
             x = xn;
         }
         out[i + 1] = x;
     }
+#undef STAGE
     if (py_pow(x - xstar, m, odd, &p))
         return RK4_COST_OVERFLOW;
     jout[n_out] = alpha * p;
-    return RK4_OK;
+    return cost_overflow ? RK4_COST_OVERFLOW : RK4_OK;
 
-overflow:
-    *k_fail = i * dec + j;
-    *x_fail = x;
-    return RK4_OVERFLOW;
+fail:
+    if (status == RK4_NONFINITE) {
+        *k_fail = bad;
+        *x_fail = y;
+    } else {
+        *k_fail = i * dec + j;
+        *x_fail = x;
+    }
+    return status;
 }

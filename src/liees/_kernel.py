@@ -35,9 +35,10 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # IEEE semantics: never -ffast-math.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILER = "cc"
-# Codes liees_rk4_power returns besides 0 (success): the state diverged, a
-# stage overflowed, or only the cost of the last state overflowed.
-EXCEEDED, OVERFLOW, COST_OVERFLOW = 1, 2, 3
+# Codes liees_rk4 returns besides 0 (success): the state diverged, a stage
+# overflowed, only the cost of a stored state overflowed, or a derivative of
+# the averaged field was not finite.
+EXCEEDED, OVERFLOW, COST_OVERFLOW, NONFINITE = 1, 2, 3, 4
 
 
 def _cache_dir() -> str | None:
@@ -83,26 +84,29 @@ def _bind(path: str):
     import ctypes
 
     lib = ctypes.CDLL(path)
-    fn = lib.liees_rk4_power
+    fn = lib.liees_rk4
     dbl, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [dbl, dbl, dbl, ptr, ptr, i64, dbl, dbl, i64, i64, dbl, ptr, ptr,
-                   ctypes.POINTER(i64), ctypes.POINTER(dbl)]
+    fn.argtypes = [dbl, dbl, dbl, ptr, i64, ptr, ptr, i64, dbl, dbl, i64, i64, dbl,
+                   ptr, ptr, ctypes.POINTER(i64), ctypes.POINTER(dbl)]
     fn.restype = ctypes.c_int
 
-    def rk4_power(alpha, xstar, m, P, Q, x0, h, n_out, dec, limit):
-        """Run the kernel; returns (states, costs, status, failing step, state before it)."""
+    def rk4(alpha, xstar, m, terms, P, Q, x0, h, n_out, dec, limit):
+        """Run the kernel; terms holds the (g, c, s, p) rows of the averaged
+        field, or none for the cost itself.  Returns (states, costs, status, failing step
+        or term, state or stage argument there)."""
+        terms = np.ascontiguousarray(terms, dtype=np.float64).reshape(-1, 4)
         P = np.ascontiguousarray(P, dtype=np.float64)
         Q = np.ascontiguousarray(Q, dtype=np.float64)
         out = np.empty(n_out + 1)
         jout = np.empty(n_out + 1)
         k = i64(0)
         last_x = dbl(0.0)
-        status = fn(alpha, xstar, m, P.ctypes.data, Q.ctypes.data, len(Q),
-                    x0, h, n_out, dec, limit, out.ctypes.data, jout.ctypes.data,
-                    ctypes.byref(k), ctypes.byref(last_x))
+        status = fn(alpha, xstar, m, terms.ctypes.data, len(terms),
+                    P.ctypes.data, Q.ctypes.data, len(Q), x0, h, n_out, dec, limit,
+                    out.ctypes.data, jout.ctypes.data, ctypes.byref(k), ctypes.byref(last_x))
         return out, jout, status, k.value, last_x.value
 
-    return rk4_power
+    return rk4
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSignalError, InvalidParameterError
-from .sim import ESSystem, IntegratorConfig, Trajectory, integrate
+from .sim import ESSystem, Trajectory, period_map
 
 __all__ = [
     "Envelope",
@@ -195,15 +195,9 @@ def contraction_check(system: ESSystem, x0_grid, xstar: float,
     """
     eps = system.epsilon
     m = system.cost.degree if system.cost.degree is not None else 2
-    cfg = IntegratorConfig(total_time=eps, steps_per_period=steps_per_period,
-                           decimation=steps_per_period)
-    d0sq, lhs = [], []
-    for x0 in x0_grid:
-        traj = integrate(system, float(x0), cfg)
-        d0sq.append((x0 - xstar) ** 2)
-        lhs.append((float(traj.states[-1]) - xstar) ** 2)
-    d0sq = np.array(d0sq)
-    lhs = np.array(lhs)
+    ends = period_map(system, x0_grid, 1, steps_per_period).tolist()
+    d0sq = np.array([(x0 - xstar) ** 2 for x0 in x0_grid])
+    lhs = np.array([(x1 - xstar) ** 2 for x1 in ends])
 
     if len(d0sq) >= 2 and np.ptp(d0sq) > 0:
         a, b, _ = _linear_fit(d0sq, lhs)

@@ -80,11 +80,17 @@ def make_power_cost(alpha: float, xstar: float, m: int) -> CostFunction:
     m = int(m)
 
     def _deriv(order: int) -> Callable[[float], float]:
+        # .power = (c, xstar, p): the derivative is c * (x - xstar) ** p, which
+        # for c = 0.0 and p = 0 is the constant 0.0 at every x
         if order > m:
-            return lambda x: 0.0
+            fn = lambda x: 0.0
+            fn.power = (0.0, xstar, 0)
+            return fn
         coeff = alpha * math.prod(range(m - order + 1, m + 1))
         p = m - order
-        return lambda x, c=coeff, p=p: c * (x - xstar) ** p
+        fn = lambda x, c=coeff, p=p: c * (x - xstar) ** p
+        fn.power = (coeff, xstar, p)
+        return fn
 
     J = lambda x: alpha * (x - xstar) ** m
     J.power = (alpha, xstar, m)

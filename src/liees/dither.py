@@ -106,8 +106,10 @@ class DitherSpec:
     def __post_init__(self):
         if self.kind not in KIND_BRACKET_LENGTH and self.kind != "custom-harmonic":
             raise InvalidParameterError(f"unknown dither kind {self.kind!r}")
-        if self.epsilon <= 0:
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not math.isfinite(self.amplitude):
+            raise InvalidParameterError(f"amplitude must be finite, got {self.amplitude}")
         if int(self.kappa) != self.kappa or self.kappa < 1:
             raise InvalidParameterError(f"kappa must be a positive integer, got {self.kappa}")
         n_ch = 3 if self.kind == "triple123" else (1 if self.kind == "custom-harmonic" else 2)

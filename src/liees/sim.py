@@ -11,17 +11,19 @@ When every channel shape is affine in the cost value (all built-in designs
 are), F[c] is J and P, Q are precomputed tables.  Other shapes get one
 right-hand-side function per column, with Q = 1 and P = 0.  The averaged
 system of integrate_lbs has no time dependence: two columns holding the same
-function, Q = 1 and P = 0.
+function, Q = 1 and P = 0.  period_map runs the stepper of one system from
+many starts, building the tables and the right-hand side once.
 
-When the shapes are affine, the cost comes from make_power_cost and x0 is a
-float (every system a config can build), integrate runs the same stepper compiled from C
-(liees/_kernel.c), specialised to J(x) = alpha * (x - xstar)^m.  It performs
-the same floating-point operations in the same order, so its states, cost
-values, divergence times and messages are bitwise equal to the Python path.  The
-kernel is built with `cc` on the first such call and cached in
-$XDG_CACHE_HOME/liees (else ~/.cache/liees); without a compiler, or if the
-build or load fails, integrate silently uses the Python stepper.  The path
-taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
+When the cost comes from make_power_cost and x0 is a float, integrate (with
+affine shapes: every system a config can build), period_map and
+integrate_lbs run the same stepper compiled from C (liees/_kernel.c), whose
+stage function is J(x) = alpha * (x - xstar)^m or the averaged field
+-sum_j gamma_j J^(j)(x).  It performs the same floating-point operations in
+the same order, so its states, cost values, divergence times and messages are
+bitwise equal to the Python path.  The kernel is built with `cc` on the first
+such call and cached in $XDG_CACHE_HOME/liees (else ~/.cache/liees); without
+a compiler, or if the build or load fails, the Python stepper runs silently.
+The path taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
     ConstructionError,
     DivergenceError,
     InvalidParameterError,
+    NumericFailureError,
     ResolutionError,
 )
 from .lie import make_generating_pair
@@ -53,6 +56,7 @@ __all__ = [
     "build_three_input",
     "build_mixed",
     "integrate",
+    "period_map",
     "integrate_lbs",
     "write_csv_rows",
     "write_trajectory_csv",
@@ -301,27 +305,34 @@ def _as_double(v) -> float | None:
     return None
 
 
-def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int):
-    """The states and their costs from the compiled power-cost kernel, or None
-    when it does not apply.
+def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int, field=()):
+    """The states and their costs from the compiled kernel, or None when it
+    does not apply.
 
-    It applies when J carries make_power_cost's .power tag, x0 is a float and
-    alpha, xstar and m convert to doubles: then Python evaluates J in doubles
-    too.  When the cost of the last state overflows, the costs are evaluated
+    The stage function is J, or with field the averaged field of integrate_lbs
+    over its (order, gain, derivative) rows.  The kernel applies when J and
+    every derivative carry make_power_cost's .power tag, x0 is a float and
+    every parameter converts to a double: then Python evaluates in doubles
+    too.  When the cost of a stored state overflows, the costs are evaluated
     again by J, which raises OverflowError as on the Python path.
     """
-    power = getattr(J, "power", None)
-    if power is None or type(x0) is not float:
+    tags = [getattr(f, "power", None) for f in (J, *(d for _, _, d in field))]
+    if None in tags or type(x0) is not float:
         return None
-    args = [_as_double(v) for v in power]
-    if None in args:
+    args = [_as_double(v) for v in tags[0]]
+    rows = [_as_double(v) for (_, g, _), tag in zip(field, tags[1:]) for v in (g, *tag)]
+    if None in args or None in rows:
         return None
     from . import _kernel
 
     kernel = _kernel.load()
     if kernel is None:
         return None
-    xs, js, status, k, last_x = kernel(*args, P, Q, x0, h, n_out, dec, DIVERGENCE_LIMIT)
+    xs, js, status, k, last_x = kernel(*args, rows, P, Q, x0, h, n_out, dec, DIVERGENCE_LIMIT)
+    if status == _kernel.NONFINITE:
+        # the error costs.derivative raises at the stage argument last_x
+        raise NumericFailureError(
+            f"analytic derivative of order {field[k][0]} at x={last_x} is not finite")
     if status == _kernel.COST_OVERFLOW:
         js = np.array([J(v) for v in xs.tolist()])
     elif status:
@@ -329,31 +340,27 @@ def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int):
     return xs, js
 
 
-def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 over whole periods; raises DivergenceError past 1e12."""
-    eps = system.epsilon
-    S = config.steps_per_period
-    if S < 16 * system.fastest_harmonic:
-        raise ResolutionError(
-            f"{S} steps/period resolve the fastest harmonic "
-            f"({system.fastest_harmonic}/period) with fewer than 16 samples"
-        )
-    n_periods = max(1, int(round(config.total_time / eps)))
-    tables = _dither_tables(system, S)
-    dec = config.decimation
-    h = eps / S
-    J = system.cost.eval
+class _Stepper:
+    """A system's right-hand side on the step/half-step grid of one period at
+    S steps, built once for any number of starts: the dither tables, then P
+    and Q for affine shapes or one right-hand-side function per column for
+    other shapes."""
 
-    n_out = n_periods * S // dec
-    compiled = None
-    affine = [getattr(g, "affine", None) for g in system.shapes]
-    if all(a is not None for a in affine):
-        P = sum(a[0] * u for a, u in zip(affine, tables))
-        Q = sum(a[1] * u for a, u in zip(affine, tables))
-        compiled = _integrate_compiled(J, P, Q, x0, h, n_out, dec)
-        F = [J] * (2 * S)
-        P, Q = P.tolist(), Q.tolist()
-    else:
+    def __init__(self, system: ESSystem, S: int):
+        if S < 16 * system.fastest_harmonic:
+            raise ResolutionError(
+                f"{S} steps/period resolve the fastest harmonic "
+                f"({system.fastest_harmonic}/period) with fewer than 16 samples"
+            )
+        self.h = system.epsilon / S
+        self.J = J = system.cost.eval
+        tables = _dither_tables(system, S)
+        affine = [getattr(g, "affine", None) for g in system.shapes]
+        if all(a is not None for a in affine):
+            self.P = sum(a[0] * u for a, u in zip(affine, tables))
+            self.Q = sum(a[1] * u for a, u in zip(affine, tables))
+            self.lists = None       # the Python stepper's F, P, Q, built when first needed
+            return
         shapes = system.shapes
 
         def column(us):
@@ -366,17 +373,33 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
                 return acc
             return rhs
 
-        F = [column(us) for us in zip(*(u.tolist() for u in tables))]
-        P = [0.0] * (2 * S)
-        Q = [1.0] * (2 * S)
+        self.P = None
+        self.lists = ([column(us) for us in zip(*(u.tolist() for u in tables))],
+                      [0.0] * (2 * S), [1.0] * (2 * S))
 
-    if compiled is None:
-        backend, states = "python", [x0]
-        _rk4(F, P, Q, x0, h, n_out, dec, states.append)
-        xs, cost_values = np.array(states), np.array([J(v) for v in states])
-    else:
-        backend, (xs, cost_values) = "c", compiled
-    times = np.arange(len(xs)) * (h * dec)
+    def run(self, x0, n_out: int, dec: int):
+        """(states, costs, kernel) of n_out * dec steps from x0, storing every
+        dec-th state."""
+        if self.P is not None:
+            compiled = _integrate_compiled(self.J, self.P, self.Q, x0, self.h, n_out, dec)
+            if compiled is not None:
+                return (*compiled, "c")
+            if self.lists is None:
+                self.lists = ([self.J] * len(self.Q), self.P.tolist(), self.Q.tolist())
+        states = [x0]
+        _rk4(*self.lists, x0, self.h, n_out, dec, states.append)
+        return np.array(states), np.array([self.J(v) for v in states]), "python"
+
+
+def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
+    """Fixed-step RK4 over whole periods; raises DivergenceError past 1e12."""
+    eps = system.epsilon
+    S = config.steps_per_period
+    stepper = _Stepper(system, S)
+    n_periods = max(1, int(round(config.total_time / eps)))
+    dec = config.decimation
+    xs, cost_values, backend = stepper.run(x0, n_periods * S // dec, dec)
+    times = np.arange(len(xs)) * (stepper.h * dec)
     meta = dict(system.meta)
     meta.update({"x0": x0, "steps_per_period": S, "decimation": dec,
                  "epsilon": eps, "periods": n_periods, "kernel": backend})
@@ -384,10 +407,36 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
                       epsilon=eps, meta=meta)
 
 
+def period_map(system: ESSystem, xs, periods: int = 1,
+               steps_per_period: int = 4096) -> np.ndarray:
+    """The states after `periods` periods from each start in xs.
+
+    Entry i is bitwise equal to integrate(system, float(xs[i]),
+    IntegratorConfig(periods * eps, steps_per_period)).states[-1]: the same
+    stepper runs from every start, on dither tables and a right-hand side
+    built once per call.  A start that makes integrate raise makes period_map
+    raise the same error, the first in the order of xs.
+    """
+    if type(periods) is not int or periods < 1:
+        raise InvalidParameterError(f"periods must be a positive int, got {periods!r}")
+    S = steps_per_period
+    IntegratorConfig(total_time=periods * system.epsilon, steps_per_period=S)  # checks S
+    stepper = _Stepper(system, S)
+    return np.array([stepper.run(float(x), periods, S)[0][-1] for x in xs])
+
+
+# The averaged system has no time dependence: two columns, Q = 1 and P = 0.
+_LBS_P, _LBS_Q = np.zeros(2), np.ones(2)
+
+
 def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]],
                   x0: float, total_time: float, steps: int,
                   record_epsilon: float | None = None) -> Trajectory:
-    """RK4 on the averaged system x' = -sum_j gamma_j J^(j)(x), orders j <= 3."""
+    """RK4 on the averaged system x' = -sum_j gamma_j J^(j)(x), orders j <= 3.
+
+    Like integrate, it runs the compiled kernel when the cost comes from
+    make_power_cost and x0 is a float, and records the path in meta["kernel"].
+    """
     terms = [(int(j), float(g)) for j, g in bracket_terms]
     for j, g in terms:
         if not 1 <= j <= 3:
@@ -397,18 +446,26 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
     if steps < 1 or total_time <= 0:
         raise InvalidParameterError("need steps >= 1 and total_time > 0")
 
-    def rhs(xv: float) -> float:
-        return -sum(g * derivative(cost, j, xv) for j, g in terms)
-
     h = total_time / steps
-    states = [x0]
-    _rk4([rhs, rhs], [0.0, 0.0], [1.0, 1.0], x0, h, steps, 1, states.append)
-    xs = np.array(states)
-    times = np.arange(len(states)) * h
-    return Trajectory(times=times, states=xs,
-                      cost_values=np.array([cost.eval(v) for v in states]),
+    derivs = cost.analytic_derivs
+    field = [(j, g, derivs[j - 1] if j <= len(derivs) else None) for j, g in terms]
+    compiled = _integrate_compiled(cost.eval, _LBS_P, _LBS_Q, x0, h, steps, 1, field)
+    if compiled is None:
+        def rhs(xv: float) -> float:
+            # left to right from 0.0: the kernel's order, and sum()'s before Python 3.12
+            acc = 0.0
+            for j, g in terms:
+                acc = acc + g * derivative(cost, j, xv)
+            return -acc
+
+        backend, states = "python", [x0]
+        _rk4([rhs, rhs], _LBS_P.tolist(), _LBS_Q.tolist(), x0, h, steps, 1, states.append)
+        xs, cost_values = np.array(states), np.array([cost.eval(v) for v in states])
+    else:
+        backend, (xs, cost_values) = "c", compiled
+    return Trajectory(times=np.arange(len(xs)) * h, states=xs, cost_values=cost_values,
                       epsilon=record_epsilon if record_epsilon is not None else h,
-                      meta={"builder": "lbs", "terms": terms, "x0": x0})
+                      meta={"builder": "lbs", "terms": terms, "x0": x0, "kernel": backend})
 
 
 def write_csv_rows(fh, columns, row_format: str) -> None:

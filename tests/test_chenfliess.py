@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liees import chenfliess, costs, sim
@@ -21,7 +21,7 @@ from liees.chenfliess import (
     tensor_log,
     verify_excitation,
 )
-from liees.dither import DitherSpec, make_pair, make_triple
+from liees.dither import DitherSpec, eval_dither, make_pair, make_triple
 from liees.errors import InvalidParameterError, ResolutionError
 
 QUAD_STEPS = 1 << 14
@@ -100,6 +100,53 @@ class TestSignature:
         sig = compute_signature(make_pair(kind, 1.0), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         assert shuffle_residual(sig) <= 1e-6
+
+    # Chen's identity (Reizenstein and Graham, "The iisignature library", ACM
+    # TOMS 46, 2020): the signature of a path run twice is the square of its
+    # signature.  The relative tolerance was fixed before measuring, at 40
+    # times the (2 pi / 512)^2 / 12 ~ 1.3e-5 trapezoid error per level at 512
+    # steps per period of the fastest harmonic.  The first run showed that a
+    # level whose entries all vanish (level 1 of a zero-mean design) differs
+    # by roundoff only, so each level also gets an absolute floor of CHEN_ATOL
+    # times L^k / k!, the bound on level k of the signature of a path of
+    # length L.  Measured worst: 1.4e-4 of the tolerance.
+    CHEN_RTOL = 5e-4
+    CHEN_ATOL = 1e-12
+
+    @staticmethod
+    def chen_design(kind, eps, kappa):
+        """A two-channel design whose signals depend on t only through
+        kappa t / eps: every pair kind scales its amplitude as kappa^(1 - 1/N).
+        The rectified design has a channel of nonzero mean, so that every
+        level of the square carries products of lower levels."""
+        if kind != "rectified":
+            return make_pair(kind, eps, kappa)
+        amp = math.sqrt(kappa)
+        return (DitherSpec("custom-harmonic", 1, eps, kappa, amplitude=amp, waveform="abscos",
+                           demean=False, bracket_length=2),
+                DitherSpec("custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=2,
+                           waveform="sin", bracket_length=2))
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(["first12", "classic", "second122", "third1222", "rectified"]),
+           kappa=st.integers(1, 3), eps=st.floats(1e-4, 1.0))
+    @example(kind="rectified", kappa=2, eps=1e-2)
+    def test_chen_identity_over_two_periods(self, kind, kappa, eps):
+        # the design at period 2 eps with every frequency doubled (kappa ->
+        # 2 kappa) is the eps design run for two periods
+        depth = chenfliess.MAX_DEPTH
+        one, two = self.chen_design(kind, eps, kappa), self.chen_design(kind, 2 * eps, 2 * kappa)
+        steps = 512 * max(d.fastest_harmonic for d in one)
+        S = chenfliess._to_levels(compute_signature(one, depth, steps).entries, 2, depth)
+        S2 = chenfliess._to_levels(compute_signature(two, depth, 2 * steps).entries, 2, depth)
+        SS = chenfliess._tensor_mul(S, S, depth)
+        ts = np.linspace(0.0, 2 * eps, 2 * steps + 1)
+        length = sum(np.abs(eval_dither(d, ts)).mean() * 2 * eps for d in two)
+        for k in range(1, depth + 1):
+            chen = 2.0 * S[k] + (SS[k] if SS[k] is not None else 0.0)
+            tol = (self.CHEN_RTOL * np.max(np.abs(S2[k]))
+                   + self.CHEN_ATOL * length ** k / math.factorial(k))
+            assert np.max(np.abs(S2[k] - chen)) <= tol, k
 
     def test_frees_its_arrays_without_the_collector(self):
         # the suffix arrays (about 16 MB for a triple at 16k steps) must go

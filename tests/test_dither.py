@@ -142,6 +142,16 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             DitherSpec("first12", 1, -1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            DitherSpec("first12", 1, epsilon)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude(self, amplitude):
+        with pytest.raises(InvalidParameterError, match="amplitude"):
+            DitherSpec("custom-harmonic", 1, 1.0, amplitude=amplitude, bracket_length=2)
+
     def test_bad_kappa(self):
         with pytest.raises(InvalidParameterError):
             DitherSpec("first12", 1, 1.0, kappa=0)

@@ -1,14 +1,15 @@
 """The compiled RK4 kernel: bitwise agreement with sim._rk4, and its loader."""
 
 import importlib.resources
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liees import _kernel, cli, costs, sim
-from liees.errors import DivergenceError
+from liees.errors import DivergenceError, NumericFailureError
 from liees.sim import IntegratorConfig, build_two_input
 
 QUARTIC = costs.make_power_cost(1.0, 1.0, 4)
@@ -25,20 +26,24 @@ def fresh_loader():
     _kernel.load.cache_clear()
 
 
-def outcome(system, x0, config):
-    """States and cost values as bytes, or the divergence as (message, time, state)."""
+def outcome(integrator, *args):
+    """States and cost values as bytes, or the failure as (type, message,
+    time, state), the floats as hex so that NaNs compare equal."""
     try:
-        traj = sim.integrate(system, x0, config)
-    except DivergenceError as err:
-        return ("diverged", str(err), err.last_time, err.last_x), None
+        traj = integrator(*args)
+    except (DivergenceError, NumericFailureError) as err:
+        where = [getattr(err, a, None) for a in ("last_time", "last_x")]
+        return (type(err).__name__, str(err),
+                *[v.hex() if isinstance(v, float) else v for v in where]), None
     return ("ok", traj.states.tobytes(), traj.cost_values.tobytes()), traj.meta["kernel"]
 
 
-def both_paths(system, x0, config):
-    compiled, path_c = outcome(system, x0, config)
+def both_paths(integrator, *args):
+    """The outcomes of integrator(*args) on the compiled and the Python path."""
+    compiled, path_c = outcome(integrator, *args)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_kernel, "load", lambda: None)
-        python, path_py = outcome(system, x0, config)
+        python, path_py = outcome(integrator, *args)
     assert path_py in ("python", None)
     assert path_c in ("c", None)
     return compiled, python
@@ -59,10 +64,10 @@ def fig1_we():
 def test_divergence_matches_python(eps, x0, kind):
     system = build_two_input(QUARTIC, 4, 1, eps, 1.0)
     config = IntegratorConfig(total_time=0.5, steps_per_period=512, decimation=512)
-    compiled, python = both_paths(system, x0, config)
-    assert compiled[0] == "diverged" and kind in compiled[1]
+    compiled, python = both_paths(sim.integrate, system, x0, config)
+    assert compiled[0] == "DivergenceError" and kind in compiled[1]
     assert compiled == python
-    assert np.isfinite(compiled[3])
+    assert np.isfinite(float.fromhex(compiled[3]))
 
 
 def test_python_path_sets_last_x(monkeypatch):
@@ -90,7 +95,7 @@ def test_kernel_equals_python_stepper(design, kappa, eps, x0, dec, periods, m, a
     system = build_two_input(costs.make_power_cost(alpha, xstar, m), N, kappa, eps, 1.0,
                              kind=kind)
     config = IntegratorConfig(total_time=periods * eps, steps_per_period=384, decimation=dec)
-    compiled, python = both_paths(system, x0, config)
+    compiled, python = both_paths(sim.integrate, system, x0, config)
     assert compiled == python
 
 
@@ -98,9 +103,61 @@ def test_kernel_equals_python_stepper(design, kappa, eps, x0, dec, periods, m, a
 @pytest.mark.parametrize("dec", [512, 128, 1])
 def test_fig1_we_states_and_costs_match_python(dec):
     config = IntegratorConfig(total_time=0.02, steps_per_period=512, decimation=dec)
-    compiled, python = both_paths(fig1_we(), 0.0, config)
+    compiled, python = both_paths(sim.integrate, fig1_we(), 0.0, config)
     assert compiled[0] == "ok"
     assert compiled == python
+
+
+GAINS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0)
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 6),
+       terms=st.lists(st.tuples(st.integers(1, 3), GAINS), min_size=1, max_size=2),
+       alpha=st.floats(0.05, 4.0),
+       xstar=st.floats(-2.0, 2.0),
+       offset=st.sampled_from([0.0]) | st.floats(-3.0, 3.0),
+       total_time=st.floats(0.01, 2.0),
+       steps=st.integers(1, 300))
+@example(m=2, terms=[(3, 1.0)], alpha=1.0, xstar=1.0, offset=0.5, total_time=1.0, steps=10)
+@example(m=3, terms=[(3, 1.0), (1, 0.5)], alpha=1.0, xstar=1.0, offset=-0.5,
+         total_time=1.0, steps=10)
+@example(m=4, terms=[(1, 0.0), (3, 2.0)], alpha=1.0, xstar=1.0, offset=0.0,
+         total_time=1.0, steps=10)
+def test_lbs_kernel_equals_python_stepper(m, terms, alpha, xstar, offset, total_time, steps):
+    # orders above m give a zero field, order m a constant one; x0 == x* is offset 0
+    cost = costs.make_power_cost(alpha, xstar, m)
+    compiled, python = both_paths(sim.integrate_lbs, cost, terms, xstar + offset,
+                                  total_time, steps)
+    assert compiled == python
+
+
+@needs_kernel
+@pytest.mark.parametrize("cost, terms, x0, total_time, steps, kind", [
+    (QUARTIC, [(2, 1.0)], 0.0, 1.0, 10, "DivergenceError: state exceeded 1e+12"),
+    (QUARTIC, [(1, 1.0)], 1e60, 1.0, 10, "DivergenceError: state overflow at t=0"),
+    (QUARTIC, [(1, 1.0), (3, 1.0)], -1e100, 1.0, 10, "DivergenceError: state overflow"),
+    (QUARTIC, [(1, 1.0)], math.inf, 1.0, 10, "NumericFailureError: analytic derivative"),
+    (QUARTIC, [(3, 1.0), (1, 1.0)], math.nan, 1.0, 10,
+     "NumericFailureError: analytic derivative of order 3 at x=nan"),
+    # the first stage is finite; the second, at x0 + h/2 k1, is not
+    (costs.make_power_cost(1e300, 0.0, 2), [(1, 1.0)], 1.5, 1.0, 10,
+     "NumericFailureError: analytic derivative of order 1 at x=-1.5e+299"),
+])
+def test_lbs_failures_match_python(cost, terms, x0, total_time, steps, kind):
+    compiled, python = both_paths(sim.integrate_lbs, cost, terms, x0, total_time, steps)
+    assert compiled == python
+    assert kind in ": ".join(map(str, compiled[:2]))
+
+
+def test_lbs_records_its_path(monkeypatch):
+    args = ([(1, 1.0)], 0.0, 1.0, 10)
+    fd_only = costs.CostFunction(eval=QUARTIC.eval, xstar=1.0, jstar=0.0, degree=4)
+    assert sim.integrate_lbs(fd_only, *args).meta["kernel"] == "python"
+    assert sim.integrate_lbs(QUARTIC, [(1, 1.0)], 0, 1.0, 10).meta["kernel"] == "python"
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert sim.integrate_lbs(QUARTIC, *args).meta["kernel"] == "python"
 
 
 @needs_kernel
@@ -141,14 +198,19 @@ def test_no_compiler_falls_back(tmp_path, monkeypatch, fresh_loader):
     compiled = sim.integrate(system, 0.0, config)
     assert compiled.meta["kernel"] == "c"
 
+    lbs_args = (system.cost, [(3, 1.0)], 0.0, 0.01, 400)
+    lbs = sim.integrate_lbs(*lbs_args)
+    assert lbs.meta["kernel"] == "c"
+
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path))
     _kernel.load.cache_clear()
     assert _kernel.load() is None
-    python = sim.integrate(system, 0.0, config)
-    assert python.meta["kernel"] == "python"
-    assert python.states.tobytes() == compiled.states.tobytes()
-    assert python.cost_values.tobytes() == compiled.cost_values.tobytes()
+    for slow, fast in ((sim.integrate(system, 0.0, config), compiled),
+                       (sim.integrate_lbs(*lbs_args), lbs)):
+        assert slow.meta["kernel"] == "python"
+        assert slow.states.tobytes() == fast.states.tobytes()
+        assert slow.cost_values.tobytes() == fast.cost_values.tobytes()
 
 
 def test_failed_compile_falls_back(tmp_path, monkeypatch, fresh_loader):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liees import analysis, costs, sim
+from liees import _kernel, analysis, costs, sim
 from liees.dither import DitherSpec, make_pair
 from liees.errors import (
     ConstructionError,
@@ -250,6 +250,61 @@ class TestGeneralShapePath:
         rep = analysis.contraction_check(phi2_system(), [0.65, 0.85, 1.1, 1.3], 1.0, 256)
         assert (rep.gamma.hex(), rep.sigma.hex()) == ("-0x1.3b9bca5681f08p+0",
                                                       "0x1.5f93b3e5723dfp+0")
+
+
+def end_state_or_error(system, x0, cfg):
+    """integrate's last state, or its DivergenceError as (message, time, state)."""
+    try:
+        return float(sim.integrate(system, x0, cfg).states[-1]).hex()
+    except DivergenceError as err:
+        return (str(err), err.last_time, err.last_x)
+
+
+class TestPeriodMap:
+    """period_map against integrate, start by start, on both paths."""
+
+    @pytest.fixture(params=["c", "python"])
+    def path(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        elif _kernel.load() is None:
+            pytest.skip("the compiled kernel cannot be built here")
+        return request.param
+
+    @pytest.mark.parametrize("system, starts, S, periods", [
+        (build_two_input(QUARTIC, 4, 1, 1e-3, 1.0), [0, 0.6, 1.0, 1.6], 256, 3),
+        (build_mixed(QUARTIC, 5, 1, 0.7, 0.4, 1e-2), [0.3, 1.2], 512, 1),
+        (polynomial_shape_system(), [0.9, 1.3], 128, 2),
+    ])
+    def test_each_start_equals_integrate(self, path, system, starts, S, periods):
+        cfg = IntegratorConfig(total_time=periods * system.epsilon, steps_per_period=S,
+                               decimation=S)
+        ends = sim.period_map(system, starts, periods, S)
+        assert ends.dtype == np.float64 and len(ends) == len(starts)
+        assert [v.hex() for v in ends.tolist()] == [
+            end_state_or_error(system, float(x), cfg) for x in starts]
+        assert sim.integrate(system, 0.6, cfg).meta["kernel"] in (path, "python")
+
+    def test_diverging_start_raises_its_error(self, path):
+        system = build_two_input(QUARTIC, 4, 1, 1e-3, 1.0)
+        cfg = IntegratorConfig(total_time=2e-3, steps_per_period=256, decimation=256)
+        starts = [0.5, 1e80, 1.2, -2.0]
+        with pytest.raises(DivergenceError) as err:
+            sim.period_map(system, starts, 2, 256)
+        assert (str(err.value), err.value.last_time, err.value.last_x) == (
+            end_state_or_error(system, 1e80, cfg))
+        assert isinstance(end_state_or_error(system, -2.0, cfg), tuple)
+
+    def test_validation(self):
+        system = build_two_input(QUARTIC, 2, 1, 1e-3, 1.0)
+        for periods in (0, 1.5, True):
+            with pytest.raises(InvalidParameterError):
+                sim.period_map(system, [0.5], periods, 256)
+        with pytest.raises(InvalidParameterError):
+            sim.period_map(system, [0.5], 1, 8)
+        with pytest.raises(ResolutionError):
+            sim.period_map(build_two_input(QUARTIC, 2, 8, 1e-3, 1.0), [0.5], 1, 64)
+        assert sim.period_map(system, [], 1, 256).shape == (0,)
 
 
 class TestIntegrateLbs:
