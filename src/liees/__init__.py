@@ -4,10 +4,11 @@ extremum-seeking control.
 Submodules: costs (objectives, differentiation, assumption checkers), dither
 (bracket-exciting inputs), lie (numeric brackets and field families),
 chenfliess (iterated integrals and excitation verification), sim (system
-builders and integrators), analysis (rate fits and closeness metrics), cli.
+builders and integrators), analysis (rate fits and closeness metrics), verify
+(the property checks of `liees verify` and the acceptance tests), cli.
 """
 
-from . import analysis, chenfliess, cli, costs, dither, lie, sim
+from . import analysis, chenfliess, cli, costs, dither, lie, sim, verify
 from .analysis import Envelope, RateEstimate, closeness, envelope, fit_rate, time_to_band
 from .chenfliess import (
     BracketCoefficients,

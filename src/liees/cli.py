@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from . import analysis, chenfliess, costs, dither, lie, sim
+from . import analysis, chenfliess, costs, dither, sim, verify
 from .errors import (
     ConstructionError,
     DivergenceError,
@@ -143,19 +143,6 @@ def build_from_config(cfg: dict) -> sim.ESSystem:
                            cfg["gamma1"], cfg["gamma3"], cfg["epsilon"])
 
 
-def _lbs_terms(cfg: dict) -> list[tuple[int, float]]:
-    b = cfg["builder"]
-    if b == "classic_durr":
-        return [(1, 1.0)]
-    if b == "fourth_order_we":
-        return [(3, 1.0)]
-    if b == "two_input":
-        return [(cfg["N"] - 1, cfg["gain"])]
-    if b == "three_input":
-        return [(2, cfg["phi2"] ** 2)]
-    return [(1, cfg["gamma1"]), (3, cfg["gamma3"])]
-
-
 def run_experiment(cfg: dict, out_dir: str = ".") -> tuple[dict, sim.Trajectory]:
     """Build, integrate, optionally fit; returns the summary dict and the trajectory."""
     system = build_from_config(cfg)
@@ -175,29 +162,34 @@ def run_experiment(cfg: dict, out_dir: str = ".") -> tuple[dict, sim.Trajectory]
     }
     if cfg["fit"]:
         est = analysis.fit_rate(analysis.envelope(traj, cfg["xstar"]))
-        summary["rate"] = {
-            "rate_class": est.rate_class,
-            "lambda": est.lam,
-            "power_exponent": est.power_exponent,
-            "r_squared": est.r_squared,
-            "rho": est.rho,
-            "ambiguous": est.ambiguous,
-        }
+        summary["rate"] = dict(_rate_fields(est), ambiguous=est.ambiguous)
         summary["time_to_band_0.05"] = _json_num(
             analysis.time_to_band(traj, cfg["xstar"], 0.05))
     if cfg["lbs_compare"]:
         n_periods = traj.meta["periods"]
-        lbs = sim.integrate_lbs(system.cost, _lbs_terms(cfg), cfg["x0"],
+        lbs = sim.integrate_lbs(system.cost, system.meta["lbs_terms"], cfg["x0"],
                                 n_periods * cfg["epsilon"], 4 * n_periods,
                                 record_epsilon=cfg["epsilon"])
         summary["lbs_closeness"] = analysis.closeness(traj, lbs)
     if cfg["trajectory_csv"]:
         sim.write_trajectory_csv(traj, os.path.join(out_dir, cfg["trajectory_csv"]))
     if cfg["summary_json"]:
-        with open(os.path.join(out_dir, cfg["summary_json"]), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(summary, os.path.join(out_dir, cfg["summary_json"]))
     return summary, traj
+
+
+def _rate_fields(est: analysis.RateEstimate) -> dict:
+    return {"rate_class": est.rate_class, "lambda": est.lam,
+            "power_exponent": est.power_exponent, "r_squared": est.r_squared, "rho": est.rho}
+
+
+def _dump_json(obj, path: str = "") -> str:
+    """obj as indented, key-sorted JSON; also written to path, if given, with a newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def _json_num(v):
@@ -213,7 +205,7 @@ def cmd_run(args) -> int:
     if args.decimate:
         cfg["decimation"] = args.decimate
     summary, _ = run_experiment(cfg, args.out)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_dump_json(summary))
     return 0
 
 
@@ -236,11 +228,7 @@ def cmd_compare(args) -> int:
         "time_to_band_a": _json_num(analysis.time_to_band(ta, cfg_a["xstar"], band)),
         "time_to_band_b": _json_num(analysis.time_to_band(tb, cfg_b["xstar"], band)),
     }
-    vpath = os.path.splitext(args.out)[0] + ".json"
-    with open(vpath, "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(verdict, indent=2, sort_keys=True))
+    print(_dump_json(verdict, os.path.splitext(args.out)[0] + ".json"))
     return 0
 
 
@@ -287,14 +275,10 @@ def cmd_coeffs(args) -> int:
     if args.out:
         with open(args.out + ".csv", "w") as fh:
             fh.write(csv_text)
-        if verdict is not None:
-            with open(args.out + ".json", "w") as fh:
-                json.dump(verdict, fh, indent=2, sort_keys=True)
-                fh.write("\n")
     else:
         sys.stdout.write(csv_text)
     if verdict is not None:
-        print(json.dumps(verdict, indent=2, sort_keys=True))
+        print(_dump_json(verdict, args.out and args.out + ".json"))
     return 0
 
 
@@ -306,151 +290,17 @@ def cmd_rate(args) -> int:
         raise InvalidParameterError(
             f"--epsilon {eps:g} is shorter than the sample step {traj.dt:g} of {args.traj}")
     est = analysis.fit_rate(analysis.envelope(traj, xstar))
-    out = {
-        "rate_class": est.rate_class,
-        "lambda": est.lam,
-        "power_exponent": est.power_exponent,
-        "r_squared": est.r_squared,
-        "rho": est.rho,
-    }
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_dump_json(_rate_fields(est), args.out))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-def _suite_brackets() -> list[tuple[str, bool, str]]:
-    checks = []
-    quad = costs.make_power_cost(1.0, 0.0, 2)
-    quart = costs.make_power_cost(1.0, 1.0, 4)
-    shapes = [lie.ScalarField(lambda z: z, quart), lie.ScalarField(lambda z: 1.0, quart),
-              lie.ScalarField(math.sin, quart), lie.ScalarField(math.cos, quart)]
-    worst_anti = 0.0
-    for f in shapes:
-        for g in shapes:
-            for x in (0.2, 0.8, 1.7):
-                ab = lie.bracket2(f, g, x)
-                ba = lie.bracket2(g, f, x)
-                worst_anti = max(worst_anti, abs(ab + ba) / max(abs(ab), abs(ba), 1.0))
-    checks.append(("bracket antisymmetry <= 1e-9", worst_anti <= 1e-9, f"{worst_anti:.2e}"))
-
-    # [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 at sampled points
-    worst_jac = 0.0
-    f, g, h = shapes[0], shapes[2], shapes[3]
-    for x in (0.3, 0.9, 1.6):
-        scale = 0.0
-        total = 0.0
-        for (a, b, c) in ((f, g, h), (g, h, f), (h, f, g)):
-            val = lie.iterated_bracket([a, b, c], (1, 2, 3), x)
-            total += val
-            scale = max(scale, abs(val))
-        worst_jac = max(worst_jac, abs(total) / max(scale, 1.0))
-    checks.append(("Jacobi identity <= 1e-6", worst_jac <= 1e-6, f"{worst_jac:.2e}"))
-
-    ok_pairs = True
-    detail = []
-    for N, cost, x in ((2, quad, 1.3), (3, quad, 0.4), (4, quart, 0.2)):
-        g1, g2 = lie.make_generating_pair(N, 1.0)
-        fields = [lie.ScalarField(g1, cost), lie.ScalarField(g2, cost)]
-        val = lie.iterated_bracket(fields, (1,) + (2,) * (N - 1), x)
-        target = -costs.derivative(cost, N - 1, x)
-        rel = abs(val - target) / max(abs(target), 1.0)
-        detail.append(f"N={N}:{rel:.1e}")
-        ok_pairs &= rel <= 1e-3
-    checks.append(("generating pair bracket = -c J^(N-1)", ok_pairs, " ".join(detail)))
-
-    g1, g2, g3, g4 = lie.make_quadruple_family(lambda z: 1.0)
-    fields = [lie.ScalarField(g, quart) for g in (g1, g2, g3, g4)]
-    val = lie.iterated_bracket(fields, (1, 2, 3, 4), 0.0)
-    rel = abs(val - 24.0) / 24.0
-    checks.append(("quadruple family bracket = -phi3^2 J'''", rel <= 1e-3, f"{rel:.1e}"))
-    return checks
-
-
-def _suite_excitation(quad_steps: int | None) -> list[tuple[str, bool, str]]:
-    checks = []
-    cases = [
-        ("first12", dither.make_pair("first12", 1e-6), (1, 2)),
-        ("second122", dither.make_pair("second122", 1e-4), (1, 2, 2)),
-        ("third1222", dither.make_pair("third1222", 1e-4), (1, 2, 2, 2)),
-        ("triple123", dither.make_triple(1e-4), (1, 2, 3)),
-    ]
-    for name, specs, target in cases:
-        rep = chenfliess.verify_excitation(specs, target, tol=1e-3,
-                                           quadrature_steps=quad_steps)
-        checks.append((f"excitation {name} -> {target}", rep.ok,
-                       f"target {rep.target_coeff:.4f} max_off {rep.max_offtarget:.1e}"))
-    eps = 1.0
-    sig = chenfliess.compute_signature(dither.make_pair("classic", eps), depth=2,
-                                       quadrature_steps=quad_steps or 1 << 14)
-    e12 = abs(sig.entry((1, 2)) + eps) / eps
-    e21 = abs(sig.entry((2, 1)) - eps) / eps
-    checks.append(("classic pair I12 = -eps, I21 = +eps (rel 1e-6)",
-                   max(e12, e21) <= 1e-6, f"{max(e12, e21):.1e}"))
-    return checks
-
-
-def _suite_lemma3() -> list[tuple[str, bool, str]]:
-    import numpy as np
-
-    checks = []
-    for cost, dom in ((costs.make_power_cost(1.0, 0.0, 2), (-1.0, 1.0)),
-                      (costs.make_power_cost(1.0, 1.0, 4), (0.0, 2.0))):
-        for phi_name, phi in (("1", lambda z: 1.0), ("sqrt2", lambda z: math.sqrt(2.0)),
-                              ("z", lambda z: z)):
-            g1, g2, g3 = lie.make_triple_family(phi, cost=cost, domain=dom)
-            fields = [lie.ScalarField(g, cost) for g in (g1, g2, g3)]
-            xs = [x for x in np.linspace(dom[0], dom[1], 50)
-                  if abs(x - cost.xstar) > 0.1]
-            resid = 0.0
-            scale = 0.0
-            for x in xs:
-                val = lie.iterated_bracket(fields, (1, 2, 3), x)
-                target = -phi(cost.eval(x)) ** 2 * costs.derivative(cost, 2, x)
-                resid = max(resid, abs(val - target))
-                scale = max(scale, abs(target))
-            rel = resid / max(scale, 1e-12)
-            checks.append((f"lemma3 phi2={phi_name} m={cost.degree}", rel <= 1e-6, f"{rel:.1e}"))
-    return checks
-
-
-def _suite_assumptions() -> list[tuple[str, bool, str]]:
-    checks = []
-    quart = costs.make_power_cost(1.0, 1.0, 4)
-    quad = costs.make_power_cost(1.0, 0.0, 2)
-    for aid in (1, 2, 3):
-        rep = costs.check_assumption(quart, aid, (0.0, 2.0), 33)
-        checks.append((f"power(1,1,4) assumption {aid} satisfied", rep.satisfied,
-                       ",".join(rep.failures) or "ok"))
-    rep = costs.check_assumption(quad, 3, (-1.0, 1.0), 33)
-    checks.append(("power(1,0,2) assumption 3 satisfied (beta21=0)",
-                   rep.satisfied and rep.constants["beta21"] == 0.0,
-                   f"beta21={rep.constants['beta21']}"))
-    rep = costs.check_assumption(costs.make_abs_cost(), 2, (-1.0, 1.0), 33)
-    checks.append(("abs cost assumption 2 rejected", not rep.satisfied,
-                   ",".join(rep.failures) or "unexpectedly ok"))
-    return checks
-
-
 def cmd_verify(args) -> int:
-    suites = {
-        "brackets": _suite_brackets,
-        "excitation": lambda: _suite_excitation(None),
-        "lemma3": _suite_lemma3,
-        "assumptions": _suite_assumptions,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        for label, ok, detail in suites[name]():
-            all_ok &= ok
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {label} ({detail})")
+        for check in verify.SUITES[name]():
+            all_ok &= check.ok
+            print(f"[{'PASS' if check.ok else 'FAIL'}] {name}: {check.label} ({check.detail})")
     return 0 if all_ok else 1
 
 
@@ -475,8 +325,7 @@ def make_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_compare)
 
     pk = sub.add_parser("coeffs", help="bracket coefficient table for a dither design")
-    pk.add_argument("--kind", required=True,
-                    choices=["first12", "classic", "second122", "third1222", "triple123"])
+    pk.add_argument("--kind", required=True, choices=list(dither.KIND_BRACKET_LENGTH))
     pk.add_argument("--epsilon", type=float, required=True)
     pk.add_argument("--kappa", type=int, default=1)
     pk.add_argument("--target", default="", help="comma-separated bracket index")
@@ -493,7 +342,7 @@ def make_parser() -> argparse.ArgumentParser:
     pt.set_defaults(fn=cmd_rate)
 
     pv = sub.add_parser("verify", help="run bundled property suites")
-    pv.add_argument("suite", choices=["all", "brackets", "excitation", "lemma3", "assumptions"])
+    pv.add_argument("suite", choices=["all", *verify.SUITES])
     pv.set_defaults(fn=cmd_verify)
     return p
 

@@ -36,7 +36,6 @@ __all__ = [
     "make_wronskian_pair",
     "make_triple_family",
     "make_quadruple_family",
-    "shape_by_name",
     "adaptive_simpson",
 ]
 
@@ -103,26 +102,6 @@ def iterated_bracket(fields: Sequence[ScalarField], idx: BracketIndex, x: float)
     if not math.isfinite(val):
         raise NumericFailureError(f"iterated bracket {idx} at x={x} is not finite")
     return val
-
-
-def shape_by_name(name: str, gain: float = 1.0) -> Callable[[float], float]:
-    """Named shapes for configuration surfaces: linear, constant, sin, cos, neg-linear."""
-    if name == "linear":
-        fn = lambda z: gain * z
-        fn.affine = (0.0, gain)
-    elif name == "neg-linear":
-        fn = lambda z: -gain * z
-        fn.affine = (0.0, -gain)
-    elif name == "constant":
-        fn = lambda z: gain
-        fn.affine = (gain, 0.0)
-    elif name == "sin":
-        fn = lambda z: gain * math.sin(z)
-    elif name == "cos":
-        fn = lambda z: gain * math.cos(z)
-    else:
-        raise InvalidParameterError(f"unknown shape name {name!r}")
-    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,12 @@ def linear_shape(c: float) -> Callable[[float], float]:
 
 @dataclass(frozen=True)
 class ESSystem:
-    """Cost plus ordered (shape, dither) channels sharing one period."""
+    """Cost plus ordered (shape, dither) channels sharing one period.
+
+    meta holds the builder's parameters and, when the averaged system is
+    x' = -sum_j gamma_j J^(j)(x), meta["lbs_terms"]: the [(j, gamma_j), ...]
+    of integrate_lbs.
+    """
 
     cost: CostFunction
     channels: tuple
@@ -180,7 +185,7 @@ def build_two_input(cost: CostFunction, N: int, kappa: int = 1,
     d1, d2 = make_pair(kind, epsilon, kappa)
     return ESSystem(cost=cost, channels=((g1, d1), (g2, d2)),
                     meta={"builder": "two_input", "N": N, "kappa": kappa, "gain": gain,
-                          "kind": kind})
+                          "kind": kind, "lbs_terms": [(N - 1, gain)]})
 
 
 def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
@@ -200,11 +205,13 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
             raise ConstructionError("phi2 is numerically zero: the target bracket is null")
         g1, g2, g3 = make_triple_family(phi2, cost=cost)
         shapes = (g1, g2, g3)
+        meta = {}
     else:
         phi = float(phi2)
         if abs(phi) < 1e-12:
             raise ConstructionError("phi2 is zero: the target bracket is null")
         shapes = (const_shape(1.0), linear_shape(-phi), const_shape(-phi))
+        meta = {"lbs_terms": [(2, phi ** 2)]}
 
     dithers = make_triple(epsilon, kappa)
     report = verify_excitation(dithers, (1, 2, 3), tol=excitation_tol)
@@ -217,7 +224,7 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
     return ESSystem(cost=cost, channels=tuple(zip(shapes, dithers)),
                     meta={"builder": "three_input", "kappa": kappa, "epsilon": epsilon,
                           "excitation": {"target_coeff": report.target_coeff,
-                                         "max_offtarget": report.max_offtarget}})
+                                         "max_offtarget": report.max_offtarget}, **meta})
 
 
 def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
@@ -244,7 +251,8 @@ def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
     d3, d4 = make_pair("third1222", epsilon, kappa1222)
     return ESSystem(cost=cost, channels=((w1, d1), (w2, d2), (g3, d3), (g4, d4)),
                     meta={"builder": "mixed", "kappa12": kappa12, "kappa1222": kappa1222,
-                          "gamma1": gamma1, "gamma3": gamma3})
+                          "gamma1": gamma1, "gamma3": gamma3,
+                          "lbs_terms": [(1, gamma1), (3, gamma3)]})
 
 
 def _dither_tables(system: ESSystem, steps: int):

@@ -12,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from liees import analysis, chenfliess, cli, costs, lie
+from liees import analysis, chenfliess, cli, costs, lie, verify
 from liees.analysis import closeness, envelope, fit_rate
-from liees.chenfliess import compute_signature, verify_excitation
+from liees.chenfliess import compute_signature
 from liees.dither import make_pair
-from liees.lie import ScalarField, iterated_bracket
 from liees.sim import IntegratorConfig, build_mixed, build_two_input, integrate, integrate_lbs
 
 QUARTIC = costs.make_power_cost(1.0, 1.0, 4)
@@ -66,26 +65,15 @@ def test_criterion_1_fig1_reproduction(fig1_runs, capsys):
 
 
 def test_criterion_2_excitation_verification(capsys):
-    # depth > N contamination of the first-order pair scales as sqrt(eps),
-    # so its check runs at the smallest period; higher kinds are exact
-    cases = [
-        ("first12", make_pair("first12", 1e-6), (1, 2)),
-        ("second122", make_pair("second122", 1e-4), (1, 2, 2)),
-        ("third1222", make_pair("third1222", 1e-4), (1, 2, 2, 2)),
-    ]
-    details = []
-    for name, specs, target in cases:
-        rep = verify_excitation(specs, target, tol=1e-3, quadrature_steps=1 << 14)
-        assert rep.ok, (name, rep)
-        details.append(f"{name}:{rep.target_coeff:.4f}")
-
-    eps = 1.0
-    sig = compute_signature(make_pair("classic", eps), depth=2, quadrature_steps=1 << 14)
-    assert sig.entry((1, 2)) == pytest.approx(-eps, rel=1e-6)
-    assert sig.entry((2, 1)) == pytest.approx(+eps, rel=1e-6)
+    # the checks of `liees verify excitation`, at a finer quadrature; the
+    # line reports the two-channel designs and the classic pair
+    checks = verify.excitation(quadrature_steps=1 << 14)
+    assert all(c.ok for c in checks), checks
+    first12, second122, third1222, _, classic = checks
+    details = [f"{c.label.split()[1]}:{c.values[0]:.4f}" for c in (first12, second122, third1222)]
     with capsys.disabled():
         print(f"\nACCEPTANCE 2 PASS: excitation ok ({', '.join(details)}); "
-              f"classic I12={sig.entry((1, 2)):.8f}")
+              f"classic I12={classic.values[0]:.8f}")
 
 
 def test_criterion_3_remainder_scaling(capsys):
@@ -106,23 +94,9 @@ def test_criterion_3_remainder_scaling(capsys):
 
 
 def test_criterion_4_lemma3_identity(capsys):
-    worst_overall = 0.0
-    for cost, dom in ((costs.make_power_cost(1.0, 0.0, 2), (-1.0, 1.0)),
-                      (QUARTIC, (0.0, 2.0))):
-        for phi in (lambda z: 1.0, lambda z: math.sqrt(2.0), lambda z: z):
-            g1, g2, g3 = lie.make_triple_family(phi, cost=cost, domain=dom)
-            fields = [ScalarField(g, cost) for g in (g1, g2, g3)]
-            xs = [x for x in np.linspace(dom[0], dom[1], 50)
-                  if abs(x - cost.xstar) > 0.1]
-            resid, scale = 0.0, 0.0
-            for x in xs:
-                val = iterated_bracket(fields, (1, 2, 3), x)
-                target = -phi(cost.eval(x)) ** 2 * costs.derivative(cost, 2, x)
-                resid = max(resid, abs(val - target))
-                scale = max(scale, abs(target))
-            rel = resid / scale
-            assert rel <= 1e-6, (cost.degree, rel)
-            worst_overall = max(worst_overall, rel)
+    checks = verify.lemma3()
+    assert all(c.ok for c in checks), checks
+    worst_overall = max(c.values[0] for c in checks)
     with capsys.disabled():
         print(f"\nACCEPTANCE 4 PASS: lemma-3 identity residual {worst_overall:.2e} <= 1e-6")
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liees import analysis, costs, sim
 from liees.analysis import Envelope, closeness, contraction_check, envelope, fit_rate
@@ -76,6 +78,34 @@ class TestFitRate:
         assert est.rate_class == "exponential"
         assert est.rho == pytest.approx(0.003, rel=0.05)
         assert est.lam == pytest.approx(1.5, rel=0.05)
+
+    # Recovery from noisy envelopes.  The tolerances were fixed before the
+    # first run, at the bounds of the noise-free tests above: lambda and rho
+    # within 5%, p within 10%.  The noise multiplies each sample by
+    # exp(sigma xi), xi standard normal, sigma up to 2%.  Measured worst over
+    # 400 draws each: lambda 0.26%, rho 0.46%, p 3.0% (p in [-1.5, -0.2]).
+    @staticmethod
+    def noisy(d, sigma, seed):
+        return d * np.exp(sigma * np.random.default_rng(seed).standard_normal(len(d)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.floats(0.5, 5.0), amp=st.floats(0.5, 2.0), floor=st.floats(1e-3, 1e-2),
+           sigma=st.floats(0.0, 0.02), seed=st.integers(0, 2**32 - 1))
+    def test_noisy_exponential_with_floor(self, lam, amp, floor, sigma, seed):
+        t = np.arange(1, 2001) * (30.0 / lam / 2000)    # 30 decay times, most on the floor
+        est = fit_rate(Envelope(t, self.noisy(amp * np.exp(-lam * t) + floor, sigma, seed)))
+        assert est.rate_class == "exponential"
+        assert est.lam == pytest.approx(lam, rel=0.05)
+        assert est.rho == pytest.approx(floor, rel=0.05)
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.floats(-1.5, -0.2), c=st.floats(0.5, 5.0),
+           sigma=st.floats(0.0, 0.02), seed=st.integers(0, 2**32 - 1))
+    def test_noisy_polynomial(self, p, c, sigma, seed):
+        t = np.arange(1, 20001) * 0.05
+        est = fit_rate(Envelope(t, self.noisy((1 + c * t) ** p, sigma, seed)))
+        assert est.rate_class == "polynomial"
+        assert abs(est.power_exponent - p) <= 0.1 * abs(p)
 
     def test_insufficient_signal(self):
         t = np.arange(1, 30) * 0.01

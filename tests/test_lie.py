@@ -260,22 +260,6 @@ class TestTripleFamily:
         fields = [ScalarField(g, HALF_SQUARE) for g in (g1, g2, g3)]
         assert iterated_bracket(fields, (1, 2, 3), 1.0) == pytest.approx(-0.25, abs=1e-6)
 
-    @pytest.mark.parametrize("cost,dom", [(make_power_cost(1.0, 0.0, 2), (-1.0, 1.0)),
-                                          (QUARTIC, (0.0, 2.0))])
-    @pytest.mark.parametrize("phi", [lambda z: 1.0, lambda z: math.sqrt(2.0), lambda z: z])
-    def test_lemma_identity_grid(self, cost, dom, phi):
-        # residual measured relative to the identity's magnitude on the grid
-        g1, g2, g3 = lie.make_triple_family(phi, cost=cost, domain=dom)
-        fields = [ScalarField(g, cost) for g in (g1, g2, g3)]
-        xs = [x for x in np.linspace(dom[0], dom[1], 50) if abs(x - cost.xstar) > 0.1]
-        worst, scale = 0.0, 0.0
-        for x in xs:
-            val = iterated_bracket(fields, (1, 2, 3), x)
-            target = -phi(cost.eval(x)) ** 2 * costs.derivative(cost, 2, x)
-            worst = max(worst, abs(val - target))
-            scale = max(scale, abs(target))
-        assert worst <= 1e-6 * scale
-
 
 class TestQuadrupleFamily:
     def test_unit_phi_on_quartic(self):

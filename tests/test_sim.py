@@ -62,6 +62,16 @@ class TestBuilders:
         assert system.arity == 3
         assert system.meta["excitation"]["target_coeff"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_averaged_terms_recorded(self):
+        # the [(order, gain)] of x' = -sum gain J^(order) that integrate_lbs takes
+        assert build_two_input(QUAD, 3, 1, 1e-3, 0.5).meta["lbs_terms"] == [(2, 0.5)]
+        classic = build_two_input(QUARTIC, 2, 1, 1e-3, 1.0, kind="classic")
+        assert classic.meta["lbs_terms"] == [(1, 1.0)]
+        assert build_three_input(QUAD, -1.5, 1e-3, 1).meta["lbs_terms"] == [(2, 2.25)]
+        assert "lbs_terms" not in build_three_input(QUAD, lambda z: 1.5, 1e-3, 1).meta
+        mixed = build_mixed(QUARTIC, 5, 1, 0.25, 0.75, 1e-4)
+        assert mixed.meta["lbs_terms"] == [(1, 0.25), (3, 0.75)]
+
     def test_three_input_zero_phi_rejected(self):
         with pytest.raises(ConstructionError):
             build_three_input(QUAD, 0.0, 1e-3, 1)
@@ -84,17 +94,6 @@ class TestBuilders:
         with pytest.raises(InvalidParameterError):
             sim.ESSystem(cost=QUAD, channels=((sim.linear_shape(1.0), d1),
                                               (sim.const_shape(1.0), d2)))
-
-    def test_shape_names(self):
-        from liees.lie import shape_by_name
-
-        assert shape_by_name("linear", 2.0)(3.0) == 6.0
-        assert shape_by_name("neg-linear")(3.0) == -3.0
-        assert shape_by_name("constant", 0.5)(9.9) == 0.5
-        assert shape_by_name("sin")(0.0) == 0.0
-        assert shape_by_name("cos")(0.0) == 1.0
-        with pytest.raises(InvalidParameterError):
-            shape_by_name("cubic")
 
 
 class TestAveragedDrift:
