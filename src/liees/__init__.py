@@ -21,7 +21,6 @@ from .chenfliess import (
 from .costs import CostFunction, check_assumption, derivative, make_power_cost
 from .dither import DitherSpec, check_resonances, eval_dither, make_pair, make_triple, period_mean
 from .errors import (
-    CalibrationError,
     ConstructionError,
     DivergenceError,
     InsufficientSignalError,

@@ -24,7 +24,6 @@ and is dominated by quadrature error.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -295,7 +294,8 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
 
     The integrals accumulate progressively: the suffix antiderivative of each
     word is the running trapezoid integral of (channel sample * inner suffix),
-    so suffixes shared between words are computed once.
+    so suffixes shared between words are computed once.  The grid has
+    quadrature_steps intervals, by default max(4096, 512 * fastest harmonic).
     """
     if not dithers:
         raise InvalidParameterError("need at least one dither channel")
@@ -306,16 +306,7 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
         raise InvalidParameterError("all dither channels must share one period")
     fastest = max(d.fastest_harmonic for d in dithers)
     if quadrature_steps is None:
-        env = os.environ.get("LIEES_QUAD_STEPS")
-        if env is not None:
-            try:
-                quadrature_steps = int(env)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"LIEES_QUAD_STEPS must be an integer, got {env!r}"
-                )
-        else:
-            quadrature_steps = max(4096, 512 * fastest)
+        quadrature_steps = max(4096, 512 * fastest)
     if quadrature_steps < 16 * fastest:
         raise ResolutionError(
             f"{quadrature_steps} steps resolve the fastest harmonic ({fastest}/period) "
@@ -346,8 +337,11 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
 def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> float:
     """Worst violation of entry(w1) entry(w2) = sum of shuffle entries.
 
-    Scaled per pair by the depth-matched magnitude eps^(|w|/N_min) so the
-    residual is comparable across word lengths.
+    Each pair's defect is divided by the largest of |lhs|, |rhs| and the
+    largest absolute entry of the signature (1 when every entry is 0).  The
+    scale is one number for all word lengths, not a per-length magnitude, so
+    on a correct signature whose largest entry is small against the scale of
+    its path, quadrature error alone can read as a large residual.
     """
     if pairs is None:
         ws = [w for w in sig.entries if len(w) <= sig.depth - 1]

@@ -3,8 +3,7 @@ rate fits, and the bundled verification suites.
 
 Subcommands: run, compare, coeffs, rate, verify.  Exit codes: 0 success,
 2 configuration, validation or I/O error, 3 numeric failure (verify: 1 on
-any failed check).  The environment variable LIEES_QUAD_STEPS overrides the
-signature quadrature resolution.
+any failed check).
 """
 
 from __future__ import annotations

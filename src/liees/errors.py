@@ -17,10 +17,6 @@ class NumericFailureError(LieesError):
     """A numeric routine produced a nonfinite or non-convergent result."""
 
 
-class CalibrationError(LieesError):
-    """Sign or field calibration against the bracket oracle failed."""
-
-
 class ResolutionError(LieesError):
     """Sampling resolution is too coarse for the fastest harmonic present."""
 

@@ -1,16 +1,20 @@
 """Numeric Lie brackets of scalar-state fields g(J(x)) and field-family constructors.
 
 For scalar state the bracket is [f, g](x) = g'(x) f(x) - f'(x) g(x).  Spatial
-derivatives use the central-difference policy of the costs module; nested
-brackets are differentiated numerically again, with the step widened tenfold
-per nesting level because each level's output carries the previous level's
-finite-difference noise (a literal sqrt-widening per level overshoots the
-truncation error of the Richardson stencil).
+derivatives use the Richardson central difference of costs.fd_derivative;
+nested brackets are differentiated numerically again, with the step widened
+tenfold per nesting level because each level's output carries the previous
+level's finite-difference noise (a literal sqrt-widening per level overshoots
+the truncation error of the Richardson stencil).
 
-The constructors realize the derivative-generating families:
+The constructors build the derivative-generating families in closed form; the
+numeric bracket oracle checks them in one place, liees.verify (and the tests):
 
-  make_generating_pair(N, c): (g1, g2) with length-N bracket -c J^(N-1); the
-      sign of g1(z) = s c z is calibrated numerically (s = (-1)^N).
+  const_shape(c), linear_shape(c): the affine shapes c and c z, tagged
+      .affine = (P, Q) with shape(z) = P + Q z so integrators precompute them.
+  make_generating_pair(N, c): (g1, g2) = (s c z, 1) with length-N bracket
+      -c J^(N-1): each bracket with the constant g2 differentiates once and
+      flips the sign, so s = (-1)^N.
   make_wronskian_pair(phi, a): (g1, g2) with [g1otJ, g2otJ] = -phi(J) grad J.
   make_triple_family(phi2, a): adds g3 = -phi2 so the triple bracket is
       -phi2(J)^2 J''.
@@ -24,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .costs import FD_BASE_STEP, CostFunction, make_power_cost
-from .errors import CalibrationError, InvalidParameterError, NumericFailureError
+from .costs import FD_BASE_STEP, CostFunction, fd_derivative
+from .errors import InvalidParameterError, NumericFailureError
 
 __all__ = [
     "ScalarField",
@@ -36,6 +40,8 @@ __all__ = [
     "make_wronskian_pair",
     "make_triple_family",
     "make_quadruple_family",
+    "const_shape",
+    "linear_shape",
     "adaptive_simpson",
 ]
 
@@ -61,19 +67,10 @@ def _fd_step(x: float, level: int) -> float:
     return base * _NEST_WIDEN ** (level - 1)
 
 
-def _deriv(fn: Callable[[float], float], x: float, level: int) -> float:
-    h = _fd_step(x, level)
-    d_h = (fn(x + h) - fn(x - h)) / (2 * h)
-    d_h2 = (fn(x + h / 2) - fn(x - h / 2)) / h
-    val = (4 * d_h2 - d_h) / 3
-    if not math.isfinite(val):
-        raise NumericFailureError(f"bracket derivative at x={x} is not finite")
-    return val
-
-
 def _bracket_fn(f: Callable, g: Callable, level: int) -> Callable[[float], float]:
     def value(x: float) -> float:
-        return _deriv(g, x, level) * f(x) - _deriv(f, x, level) * g(x)
+        return (fd_derivative(g, x, 1, _fd_step(x, level)) * f(x)
+                - fd_derivative(f, x, 1, _fd_step(x, level)) * g(x))
 
     return value
 
@@ -108,40 +105,29 @@ def iterated_bracket(fields: Sequence[ScalarField], idx: BracketIndex, x: float)
 # generating families
 # ---------------------------------------------------------------------------
 
+def const_shape(c: float) -> Callable[[float], float]:
+    fn = lambda z: c
+    fn.affine = (c, 0.0)
+    return fn
+
+
+def linear_shape(c: float) -> Callable[[float], float]:
+    fn = lambda z: c * z
+    fn.affine = (0.0, c)
+    return fn
+
+
 def make_generating_pair(N: int, c: float = 1.0) -> tuple[Callable, Callable]:
     """Shapes (g1(z) = s c z, g2(z) = 1) whose length-N bracket is -c J^(N-1).
 
-    The sign s is calibrated against the numeric bracket oracle on a power
-    test cost rather than taken from a closed-form prefactor.
+    The length-N bracket of (s c J, 1) is (-1)^(N-1) s c J^(N-1), so s = (-1)^N.
     """
     if N not in (2, 3, 4):
         raise InvalidParameterError(f"N must be 2, 3 or 4, got {N}")
     if c <= 0:
         raise InvalidParameterError(f"gain c must be positive, got {c}")
-
-    test_cost = make_power_cost(1.0, 0.0, N)
-    x_test = 0.7
-    target = -c * test_cost.analytic_derivs[N - 2](x_test)
-    idx = (1,) + (2,) * (N - 1)
-    best = None
-    for s in (1.0, -1.0):
-        g1 = lambda z, s=s: s * c * z
-        g2 = lambda z: 1.0
-        fields = [ScalarField(g1, test_cost), ScalarField(g2, test_cost)]
-        val = iterated_bracket(fields, idx, x_test)
-        err = abs(val - target)
-        if best is None or err < best[0]:
-            best = (err, s, abs(val))
-    err, s, mag = best
-    if mag < 1e-12 or err > 1e-3 * max(abs(target), 1.0):
-        raise CalibrationError(
-            f"generating pair calibration failed for N={N}: residual {err:.3e}"
-        )
-    g1 = lambda z, s=s: s * c * z
-    g1.affine = (0.0, s * c)
-    g2 = lambda z: 1.0
-    g2.affine = (1.0, 0.0)
-    return g1, g2
+    s = 1.0 if N % 2 == 0 else -1.0
+    return linear_shape(s * c), const_shape(1.0)
 
 
 def _simpson_halves(fn, lo, hi, flo, fmid, fhi, whole, tol, depth, max_depth):
@@ -251,10 +237,9 @@ def make_quadruple_family(phi3: Callable[[float], float],
                           cost: CostFunction | None = None) -> tuple[Callable, ...]:
     """(g1..g4) with [[[g1oJ, g2oJ], g3oJ], g4oJ] = -phi3(J)^2 J'''.
 
-    g1..g3 form the triple family for sqrt(phi3); the closing field is
-    calibrated over g4 = -phi3 and +phi3 against the bracket oracle on a
-    quartic test cost (the derivation gives -phi3 exactly, the oracle guards
-    against a sign regression).
+    g1..g3 form the triple family for sqrt(phi3), whose triple bracket is
+    B = -phi3(J) J''; with G = -phi3(J) the phi3' terms of G' B - B' G cancel,
+    leaving -phi3(J)^2 J'''.
     """
     probe = [phi3(z) for z in (0.0, 0.25, 1.0, 2.0)]
     if any(v < 0 for v in probe):
@@ -262,19 +247,4 @@ def make_quadruple_family(phi3: Callable[[float], float],
 
     phi2 = lambda z: math.sqrt(phi3(z))
     g1, g2, g3 = make_triple_family(phi2, a, domain, cost)
-
-    test_cost = make_power_cost(1.0, 0.0, 4)
-    x_test = 0.8
-    target = -phi3(test_cost.eval(x_test)) ** 2 * test_cost.analytic_derivs[2](x_test)
-    best = None
-    for s in (-1.0, 1.0):
-        g4 = lambda z, s=s: s * phi3(z)
-        fields = [ScalarField(g, test_cost) for g in (g1, g2, g3, g4)]
-        val = iterated_bracket(fields, (1, 2, 3, 4), x_test)
-        err = abs(val - target)
-        if best is None or err < best[0]:
-            best = (err, s)
-    err, s = best
-    if err > 1e-3 * max(abs(target), 1.0):
-        raise CalibrationError(f"quadruple family calibration failed: residual {err:.3e}")
-    return g1, g2, g3, (lambda z, s=s: s * phi3(z))
+    return g1, g2, g3, (lambda z: -phi3(z))

@@ -44,7 +44,7 @@ from .errors import (
     NumericFailureError,
     ResolutionError,
 )
-from .lie import make_generating_pair
+from .lie import ScalarField, const_shape, linear_shape, make_generating_pair, make_triple_family
 
 __all__ = [
     "ESSystem",
@@ -69,18 +69,6 @@ DIVERGENCE_LIMIT = 1e12
 CSV_BLOCK = 1024
 # Largest deviation of a CSV time step from the mean step, relative to it.
 SPACING_RTOL = 1e-6
-
-
-def const_shape(c: float) -> Callable[[float], float]:
-    fn = lambda z: c
-    fn.affine = (c, 0.0)
-    return fn
-
-
-def linear_shape(c: float) -> Callable[[float], float]:
-    fn = lambda z: c * z
-    fn.affine = (0.0, c)
-    return fn
 
 
 @dataclass(frozen=True)
@@ -121,8 +109,6 @@ class ESSystem:
 
     @property
     def fields(self):
-        from .lie import ScalarField
-
         return [ScalarField(g, self.cost) for g, _ in self.channels]
 
     @property
@@ -132,7 +118,11 @@ class ESSystem:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings; decimation keeps every k-th step (k | steps)."""
+    """Fixed-step RK4 settings; decimation keeps every k-th step (k | steps).
+
+    integrate runs round(total_time / epsilon) whole periods (ties to even), at
+    least one, so total_time need not be a multiple of the period.
+    """
 
     total_time: float
     steps_per_period: int = 4096
@@ -177,11 +167,8 @@ def build_two_input(cost: CostFunction, N: int, kappa: int = 1,
                     epsilon: float = 1e-4, gain: float = 1.0,
                     kind: str | None = None) -> ESSystem:
     """Generating pair of order N matched with the bracket-exciting dither pair of order N."""
-    if N not in (2, 3, 4):
-        raise InvalidParameterError(f"N must be 2, 3 or 4, got {N}")
-    default_kind = {2: "first12", 3: "second122", 4: "third1222"}[N]
-    kind = kind or default_kind
     g1, g2 = make_generating_pair(N, gain)
+    kind = kind or {2: "first12", 3: "second122", 4: "third1222"}[N]
     d1, d2 = make_pair(kind, epsilon, kappa)
     return ESSystem(cost=cost, channels=((g1, d1), (g2, d2)),
                     meta={"builder": "two_input", "N": N, "kappa": kappa, "gain": gain,
@@ -189,15 +176,14 @@ def build_two_input(cost: CostFunction, N: int, kappa: int = 1,
 
 
 def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
-                      kappa: int = 1, excitation_tol: float = 1e-3) -> ESSystem:
+                      kappa: int = 1) -> ESSystem:
     """Triple family fields with the three-dither [[g1,g2],g3] exciter.
 
     phi2 may be a positive constant (fast affine path, fields (1, -phi2 z,
     -phi2)) or a callable shape.  The dither triple is gated by
-    verify_excitation before the system is returned.
+    verify_excitation at tolerance 1e-3 before the system is returned.
     """
     from .chenfliess import verify_excitation
-    from .lie import make_triple_family
 
     if callable(phi2):
         probe = max(abs(phi2(z)) for z in np.linspace(0.0, 4.0, 33))
@@ -214,7 +200,7 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
         meta = {"lbs_terms": [(2, phi ** 2)]}
 
     dithers = make_triple(epsilon, kappa)
-    report = verify_excitation(dithers, (1, 2, 3), tol=excitation_tol)
+    report = verify_excitation(dithers, (1, 2, 3), tol=1e-3)
     if not report.ok:
         raise ConstructionError(
             f"dither triple failed excitation verification "
@@ -400,7 +386,12 @@ class _Stepper:
 
 
 def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 over whole periods; raises DivergenceError past 1e12."""
+    """Fixed-step RK4 over whole periods; raises DivergenceError past 1e12.
+
+    The run is round(config.total_time / eps) periods (ties to even), at least
+    one, recorded in meta["periods"]: total_time 0.4 eps runs one period and
+    2.6 eps three.
+    """
     eps = system.epsilon
     S = config.steps_per_period
     stepper = _Stepper(system, S)

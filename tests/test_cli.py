@@ -52,6 +52,13 @@ class TestRun:
         sb = (tmp_path / "b.json.summary.json").read_text()
         assert sa == sb
 
+    def test_tiny_gain_runs(self, tmp_path, capsys):
+        # a valid gain far below any bracket test's resolution still builds and runs
+        path = small_config(tmp_path, **{"system.gain": 1e-13, "analysis.fit": False})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "cfg.json.summary.json").read_text())
+        assert summary["periods"] == 500
+
     def test_invalid_degree_exits_two(self, tmp_path, capsys):
         path = small_config(tmp_path, **{"cost.m": 1})
         assert cli.main(["run", "--config", str(path)]) == 2
@@ -243,11 +250,13 @@ def _binary_config(tmp_path):
      "config error: field 'integrator.total_time' must be finite, got inf"),
     (_config(**{"integrator.x0": float("nan")}),
      "config error: field 'integrator.x0' must be finite, got nan"),
+    (_config(system={"builder": "three_input", "phi2": 1.0, "kappa": 32}),
+     "validation error: dither triple failed excitation verification"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
         "nan-xstar", "nan-coeffs-epsilon", "inf-coeffs-epsilon", "infinite-total-time",
-        "nan-x0"])
+        "nan-x0", "unexcited-three-input"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -103,10 +103,15 @@ class TestGeneratingPair:
             assert iterated_bracket(fields, (1, 2, 2), x) == pytest.approx(-2.0, abs=1e-6)
 
     def test_signs_follow_oracle(self):
-        # the calibrated sign is (-1)^N: positive linear shape for N=2,4
-        for N, expected in ((2, 1.0), (3, -1.0), (4, 1.0)):
-            g1, _ = lie.make_generating_pair(N, 1.0)
-            assert math.copysign(1.0, g1(1.0)) == expected
+        # the closed-form sign s = (-1)^N, which the bracket tests above confirm:
+        # g1 = (s c) z and g2 = 1 with their .affine tags, bitwise, at any gain
+        for N, s in ((2, 1.0), (3, -1.0), (4, 1.0)):
+            for c in (1.0, 0.37, 1e-13, 5e8):
+                g1, g2 = lie.make_generating_pair(N, c)
+                assert g1.affine == (0.0, s * c) and g2.affine == (1.0, 0.0)
+                for z in (-3.5, 0.0, 0.3, 2.7, 1e6):
+                    assert g1(z).hex() == ((s * c) * z).hex()
+                    assert g2(z) == 1.0
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -279,6 +284,12 @@ class TestQuadrupleFamily:
         fields = [ScalarField(g, QUARTIC) for g in fam]
         # -phi3^2 J''' = -16 * (-24) = 384 at x=0
         assert iterated_bracket(fields, (1, 2, 3, 4), 0.0) == pytest.approx(384.0, rel=1e-3)
+
+    def test_closing_field_is_minus_phi3(self):
+        phi3 = lambda z: 2.0 + math.sin(z) ** 2
+        g4 = lie.make_quadruple_family(phi3)[3]
+        for z in (-1.3, 0.0, 0.25, 0.7, 2.0, 40.0):
+            assert g4(z).hex() == (-phi3(z)).hex()
 
     def test_negative_phi_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liees import _kernel, analysis, costs, sim
+from liees import _kernel, analysis, costs, lie, sim
 from liees.dither import DitherSpec, make_pair
 from liees.errors import (
     ConstructionError,
@@ -71,6 +71,17 @@ class TestBuilders:
         assert "lbs_terms" not in build_three_input(QUAD, lambda z: 1.5, 1e-3, 1).meta
         mixed = build_mixed(QUARTIC, 5, 1, 0.25, 0.75, 1e-4)
         assert mixed.meta["lbs_terms"] == [(1, 0.25), (3, 0.75)]
+
+    def test_builders_evaluate_no_bracket(self, monkeypatch):
+        # the families are closed-form: the bracket oracle is for checks only
+        def no_bracket(*args):
+            raise AssertionError("a builder evaluated a bracket")
+
+        monkeypatch.setattr(lie, "iterated_bracket", no_bracket)
+        for N in (2, 3, 4):
+            assert build_two_input(QUARTIC, N, 1, 1e-4, 1e-13).arity == 2
+        assert build_mixed(QUARTIC, 5, 1, 1.0, 1e-14, 1e-4).arity == 4
+        assert len(lie.make_quadruple_family(lambda z: 1.0 + z * z)) == 4
 
     def test_three_input_zero_phi_rejected(self):
         with pytest.raises(ConstructionError):
@@ -185,6 +196,17 @@ class TestIntegrate:
                                                         steps_per_period=512,
                                                         decimation=512))
         assert err.value.last_time >= 0.0
+
+    def test_whole_periods_rounded(self):
+        # total_time need not be a multiple of eps: round(total_time / eps), at least one
+        eps = 1e-3
+        system = build_two_input(QUAD, 2, 1, eps, 1.0)
+        for total, periods in ((0.4 * eps, 1), (2.6 * eps, 3)):
+            cfg = IntegratorConfig(total_time=total, steps_per_period=64, decimation=64)
+            traj = sim.integrate(system, 0.5, cfg)
+            assert traj.meta["periods"] == periods
+            assert len(traj.states) == periods + 1
+            assert traj.times[-1] == pytest.approx(periods * eps)
 
     def test_decimation_must_divide(self):
         with pytest.raises(InvalidParameterError):
