@@ -275,10 +275,8 @@ class BracketCoefficients:
     def coefficient(self, index: tuple) -> float:
         return self.coefficients[tuple(index)]
 
-    def labels(self, length: int | None = None):
-        if length is None:
-            return sorted(self.coefficients, key=lambda w: (len(w), w))
-        return [w for w in sorted(self.coefficients) if len(w) == length]
+    def labels(self):
+        return sorted(self.coefficients, key=lambda w: (len(w), w))
 
 
 def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
@@ -423,13 +421,12 @@ def _canonical_target(target: tuple, n_channels: int) -> tuple[tuple, float]:
 
 def verify_excitation(dithers: Sequence[DitherSpec], target: tuple, tol: float = 1e-3,
                       quadrature_steps: int | None = None) -> ExcitationReport:
-    """Check that exactly the target bracket is excited up to depth max(4, len)."""
+    """Check that exactly the target bracket is excited up to depth MAX_DEPTH."""
     target = tuple(target)
     if not 2 <= len(target) <= MAX_DEPTH:
         raise InvalidParameterError(f"target length must be 2..{MAX_DEPTH}, got {len(target)}")
-    depth = max(MAX_DEPTH, len(target))
     label, sign = _canonical_target(target, len(dithers))
-    sig = compute_signature(dithers, depth, quadrature_steps)
+    sig = compute_signature(dithers, MAX_DEPTH, quadrature_steps)
     coeffs = log_signature(sig)
     target_coeff = sign * coeffs.coefficient(label)
     worst, worst_w = 0.0, None

@@ -2,8 +2,9 @@
 rate fits, and the bundled verification suites.
 
 Subcommands: run, compare, coeffs, rate, verify.  Exit codes: 0 success,
-2 configuration, validation or I/O error, 3 numeric failure (verify: 1 on
-any failed check).
+2 configuration, validation or I/O error (a step or quadrature count too
+coarse for the design included), 3 numeric failure (verify: 1 on any failed
+check).
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    band = _positive("--band", args.band)
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
     if cfg_a["epsilon"] != cfg_b["epsilon"]:
@@ -221,7 +223,6 @@ def cmd_compare(args) -> int:
         fh.write("t,x_a,x_b,J_a,J_b\n")
         sim.write_csv_rows(fh, (ta.times, ta.states, tb.states, ta.cost_values, tb.cost_values),
                            "%.17g,%.17g,%.17g,%.17g,%.17g\n")
-    band = args.band
     verdict = {
         "band": band,
         "time_to_band_a": _json_num(analysis.time_to_band(ta, cfg_a["xstar"], band)),
@@ -237,8 +238,15 @@ def _finite(option: str, value: float) -> float:
     return value
 
 
+def _positive(option: str, value: float) -> float:
+    if _finite(option, value) <= 0:
+        raise InvalidParameterError(f"{option} must be positive, got {value}")
+    return value
+
+
 def cmd_coeffs(args) -> int:
     eps = _finite("--epsilon", args.epsilon)
+    tol = _positive("--tol", args.tol)
     kind = args.kind
     if kind == "triple123":
         specs = dither.make_triple(eps, args.kappa)
@@ -263,7 +271,7 @@ def cmd_coeffs(args) -> int:
         except ValueError:
             raise InvalidParameterError(
                 f"--target must be comma-separated integers, got {args.target!r}") from None
-        report = chenfliess.verify_excitation(specs, target, tol=args.tol,
+        report = chenfliess.verify_excitation(specs, target, tol=tol,
                                               quadrature_steps=quad)
         verdict = {
             "target": list(report.target),
@@ -354,10 +362,11 @@ def main(argv=None) -> int:
         for prob in exc.problems:
             print(f"config error: {prob}", file=sys.stderr)
         return 2
-    except (InvalidParameterError, InvalidDomainError, ConstructionError) as exc:
+    except (InvalidParameterError, InvalidDomainError, ConstructionError,
+            ResolutionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, DivergenceError, ResolutionError) as exc:
+    except (NumericFailureError, DivergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except LieesError as exc:

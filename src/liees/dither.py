@@ -231,6 +231,9 @@ def make_triple(epsilon: float, kappa: int = 1) -> tuple[DitherSpec, DitherSpec,
     return tuple(DitherSpec("triple123", ch, epsilon, kappa) for ch in (1, 2, 3))
 
 
+_RESONANCE_ORDER = 4
+
+
 @dataclass
 class ResonanceReport:
     """Integer resonances n1*a + n2*b = 0 of order |n1|+|n2| <= 4 across two frequency sets."""
@@ -240,8 +243,7 @@ class ResonanceReport:
     ok: bool
 
 
-def check_resonances(freqs_a: Sequence[int], freqs_b: Sequence[int],
-                     max_order: int = 4) -> ResonanceReport:
+def check_resonances(freqs_a: Sequence[int], freqs_b: Sequence[int]) -> ResonanceReport:
     """Search all cross pairs for small integer resonances."""
     if not freqs_a or not freqs_b:
         raise InvalidParameterError("frequency lists must be nonempty")
@@ -251,11 +253,11 @@ def check_resonances(freqs_a: Sequence[int], freqs_b: Sequence[int],
     pairs = [(a, b) for a in freqs_a for b in freqs_b]
     violations = []
     for a, b in pairs:
-        for n1 in range(-max_order, max_order + 1):
-            for n2 in range(-max_order, max_order + 1):
+        for n1 in range(-_RESONANCE_ORDER, _RESONANCE_ORDER + 1):
+            for n2 in range(-_RESONANCE_ORDER, _RESONANCE_ORDER + 1):
                 if n1 == 0 and n2 == 0:
                     continue
-                if abs(n1) + abs(n2) > max_order:
+                if abs(n1) + abs(n2) > _RESONANCE_ORDER:
                     continue
                 if n1 * a + n2 * b == 0:
                     violations.append(((a, b), (n1, n2)))

@@ -15,10 +15,11 @@ numeric bracket oracle checks them in one place, liees.verify (and the tests):
   make_generating_pair(N, c): (g1, g2) = (s c z, 1) with length-N bracket
       -c J^(N-1): each bracket with the constant g2 differentiates once and
       flips the sign, so s = (-1)^N.
-  make_wronskian_pair(phi, a): (g1, g2) with [g1otJ, g2otJ] = -phi(J) grad J.
-  make_triple_family(phi2, a): adds g3 = -phi2 so the triple bracket is
+  make_wronskian_pair(phi): (g1, g2) = (1, -int_0^z phi) with
+      [g1oJ, g2oJ] = -phi(J) grad J.
+  make_triple_family(phi2): adds g3 = -phi2 so the triple bracket is
       -phi2(J)^2 J''.
-  make_quadruple_family(phi3, a): triple family with phi2 = sqrt(phi3) plus
+  make_quadruple_family(phi3): triple family with phi2 = sqrt(phi3) plus
       g4 = -phi3, giving length-4 bracket -phi3(J)^2 J'''.
 """
 
@@ -56,7 +57,6 @@ class ScalarField:
 
     shape: Callable[[float], float]
     cost: CostFunction
-    name: str = ""
 
     def __call__(self, x: float) -> float:
         return self.shape(self.cost.eval(x))
@@ -158,83 +158,19 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
     return _simpson_halves(fn, a, b, fa, fm, fb, whole, tol, 0, max_depth)
 
 
-def make_wronskian_pair(phi: Callable[[float], float], a: Callable[[float], float],
-                        domain: tuple[float, float] | None = None,
-                        cost: CostFunction | None = None) -> tuple[Callable, Callable]:
-    """Shapes (g1 = a, g2 = b) with Wronskian g1 g2' - g1' g2 = -phi.
-
-    b(z) = a(z) (C - int_{z0}^{z} phi(s)/a(s)^2 ds) with C = 0.  The base
-    point z0 is 0 when a does not vanish between 0 and the working z-range;
-    otherwise it is moved to the |a|-maximizing point of the range (for
-    a = sin on (0, pi) this lands on pi/2 and reproduces b = cos).  The
-    working z-range is the image of the cost over the given x-domain, or a
-    default interval around 0.
-    """
-    if domain is not None and cost is not None:
-        lo, hi = domain
-        zs = [cost.eval(lo + (hi - lo) * k / 64) for k in range(65)]
-        z_lo, z_hi = min(zs), max(zs)
-    else:
-        z_lo, z_hi = -1.0, 1.0
-
-    span_lo, span_hi = min(z_lo, 0.0), max(z_hi, 0.0)
-    samples = [span_lo + (span_hi - span_lo) * k / 256 for k in range(257)]
-    floor = 1e-8 * max(max(abs(a(z)) for z in samples), 1.0)
-    if all(abs(a(z)) > floor for z in samples):
-        z0 = 0.0
-    else:
-        zr = [z_lo + (z_hi - z_lo) * k / 256 for k in range(257)]
-        z0 = max(zr, key=lambda z: abs(a(z)))
-        if abs(a(z0)) <= floor:
-            raise InvalidParameterError("seed a(z) vanishes on the whole working range")
-        # refine to the true |a| extremum (where a' changes sign) so the
-        # integration constant C = 0 is taken at a stationary base point;
-        # a value-based search stalls at sqrt(eps) on the flat maximum
-        step = (z_hi - z_lo) / 256
-        lo_r, hi_r = max(z_lo, z0 - step), min(z_hi, z0 + step)
-
-        def da(z: float) -> float:
-            hz = 1e-6 * max(1.0, abs(z))
-            return (a(z + hz) - a(z - hz)) / (2 * hz)
-
-        sa0 = math.copysign(1.0, a(z0))
-        dlo, dhi = sa0 * da(lo_r), sa0 * da(hi_r)
-        if dlo > 0 > dhi:
-            for _ in range(80):
-                mid = 0.5 * (lo_r + hi_r)
-                if sa0 * da(mid) > 0:
-                    lo_r = mid
-                else:
-                    hi_r = mid
-            z0 = 0.5 * (lo_r + hi_r)
-        else:
-            z0 = lo_r if abs(a(lo_r)) > abs(a(hi_r)) else hi_r
-        inner = [z0 + (z - z0) * k / 64 for z in (z_lo, z_hi) for k in range(65)]
-        if any(abs(a(z)) <= floor for z in inner):
-            raise InvalidParameterError("seed a(z) vanishes inside the working range")
-
-    integrand = lambda s: phi(s) / a(s) ** 2
-
-    def w(z: float) -> float:
-        return -adaptive_simpson(integrand, z0, z)
-
-    return (lambda z: a(z)), (lambda z: a(z) * w(z))
+def make_wronskian_pair(phi: Callable[[float], float]) -> tuple[Callable, Callable]:
+    """Shapes (g1, g2) = (1, -int_0^z phi) with Wronskian g1 g2' - g1' g2 = -phi."""
+    return const_shape(1.0), (lambda z: -adaptive_simpson(phi, 0.0, z))
 
 
-def make_triple_family(phi2: Callable[[float], float],
-                       a: Callable[[float], float] = lambda z: 1.0,
-                       domain: tuple[float, float] | None = None,
-                       cost: CostFunction | None = None) -> tuple[Callable, Callable, Callable]:
+def make_triple_family(phi2: Callable[[float], float]) -> tuple[Callable, Callable, Callable]:
     """(g1, g2, g3) with [[g1oJ, g2oJ], g3oJ] = -phi2(J)^2 J''."""
-    g1, g2 = make_wronskian_pair(phi2, a, domain, cost)
+    g1, g2 = make_wronskian_pair(phi2)
     g3 = lambda z: -phi2(z)
     return g1, g2, g3
 
 
-def make_quadruple_family(phi3: Callable[[float], float],
-                          a: Callable[[float], float] = lambda z: 1.0,
-                          domain: tuple[float, float] | None = None,
-                          cost: CostFunction | None = None) -> tuple[Callable, ...]:
+def make_quadruple_family(phi3: Callable[[float], float]) -> tuple[Callable, ...]:
     """(g1..g4) with [[[g1oJ, g2oJ], g3oJ], g4oJ] = -phi3(J)^2 J'''.
 
     g1..g3 form the triple family for sqrt(phi3), whose triple bracket is
@@ -246,5 +182,5 @@ def make_quadruple_family(phi3: Callable[[float], float],
         raise InvalidParameterError("phi3 must be nonnegative")
 
     phi2 = lambda z: math.sqrt(phi3(z))
-    g1, g2, g3 = make_triple_family(phi2, a, domain, cost)
+    g1, g2, g3 = make_triple_family(phi2)
     return g1, g2, g3, (lambda z: -phi3(z))

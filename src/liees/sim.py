@@ -180,7 +180,8 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
     """Triple family fields with the three-dither [[g1,g2],g3] exciter.
 
     phi2 may be a positive constant (fast affine path, fields (1, -phi2 z,
-    -phi2)) or a callable shape.  The dither triple is gated by
+    -phi2)) or a callable shape (fields (1, -int_0^z phi2, -phi2) of
+    make_triple_family, on the Python stepper).  The dither triple is gated by
     verify_excitation at tolerance 1e-3 before the system is returned.
     """
     from .chenfliess import verify_excitation
@@ -189,7 +190,7 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
         probe = max(abs(phi2(z)) for z in np.linspace(0.0, 4.0, 33))
         if probe < 1e-12:
             raise ConstructionError("phi2 is numerically zero: the target bracket is null")
-        g1, g2, g3 = make_triple_family(phi2, cost=cost)
+        g1, g2, g3 = make_triple_family(phi2)
         shapes = (g1, g2, g3)
         meta = {}
     else:

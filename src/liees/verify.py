@@ -113,7 +113,7 @@ def lemma3() -> list[Check]:
                       (costs.make_power_cost(1.0, 1.0, 4), (0.0, 2.0))):
         for phi_name, phi in (("1", lambda z: 1.0), ("sqrt2", lambda z: math.sqrt(2.0)),
                               ("z", lambda z: z)):
-            g1, g2, g3 = lie.make_triple_family(phi, cost=cost, domain=dom)
+            g1, g2, g3 = lie.make_triple_family(phi)
             fields = [lie.ScalarField(g, cost) for g in (g1, g2, g3)]
             xs = [x for x in np.linspace(dom[0], dom[1], 50)
                   if abs(x - cost.xstar) > 0.1]

@@ -173,7 +173,7 @@ def test_criterion_7_property_suites(capsys):
     assert abs(slope + 4.0) <= 0.3
 
     # Wronskian defining relation
-    g1, g2 = lie.make_wronskian_pair(lambda z: z, lambda z: 1.0)
+    g1, g2 = lie.make_wronskian_pair(lambda z: z)
     for z in np.linspace(-1.5, 1.5, 9):
         d2 = costs.fd_derivative(g2, z, 1)
         d1 = costs.fd_derivative(g1, z, 1)

@@ -216,6 +216,14 @@ def _config(**overrides):
     return argv
 
 
+def _compare_band(band):
+    def argv(tmp_path):
+        return ["compare", "--config-a", str(small_config(tmp_path, "a.json")),
+                "--config-b", str(small_config(tmp_path, "b.json")),
+                "--out", str(tmp_path / "cmp.csv"), "--band", band]
+    return argv
+
+
 def _binary_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_bytes(b"\xff\xfe\x00")
@@ -252,11 +260,20 @@ def _binary_config(tmp_path):
      "config error: field 'integrator.x0' must be finite, got nan"),
     (_config(system={"builder": "three_input", "phi2": 1.0, "kappa": 32}),
      "validation error: dither triple failed excitation verification"),
+    (_config(system={"builder": "three_input", "phi2": 1.0},
+             **{"integrator.steps_per_period": 64, "output.decimation": 64}),
+     "validation error: 64 steps/period resolve the fastest harmonic (15/period)"),
+    (_compare_band("nan"), "validation error: --band must be finite, got nan"),
+    (_compare_band("-1"), "validation error: --band must be positive, got -1.0"),
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
+                       "--target", "1,2", "--tol", "nan"],
+     "validation error: --tol must be finite, got nan"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
         "nan-xstar", "nan-coeffs-epsilon", "inf-coeffs-epsilon", "infinite-total-time",
-        "nan-x0", "unexcited-three-input"])
+        "nan-x0", "unexcited-three-input", "coarse-three-input-steps", "nan-band",
+        "negative-band", "nan-tol"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -200,27 +200,19 @@ class TestAdaptiveSimpson:
 
 class TestWronskianPair:
     def test_constant_seed_gives_negative_identity(self):
-        g1, g2 = lie.make_wronskian_pair(lambda z: 1.0, lambda z: 1.0)
+        g1, g2 = lie.make_wronskian_pair(lambda z: 1.0)
         for z in np.linspace(-2, 2, 9):
             assert g1(z) == 1.0
             assert g2(z) == pytest.approx(-z, abs=1e-12)
 
-    def test_sin_seed_gives_cos(self):
-        # w' = -1/sin^2, base at pi/2 where cot vanishes: b = sin cot = cos
-        cost = make_power_cost(1.0, 0.0, 2)
-        g1, g2 = lie.make_wronskian_pair(lambda z: 1.0, math.sin,
-                                         domain=(0.75, 1.7), cost=cost)
-        for z in np.linspace(0.6, 2.8, 12):
-            assert g2(z) == pytest.approx(math.cos(z), abs=1e-8)
-
     def test_linear_phi(self):
-        g1, g2 = lie.make_wronskian_pair(lambda z: z, lambda z: 1.0)
+        g1, g2 = lie.make_wronskian_pair(lambda z: z)
         for z in np.linspace(-1.5, 1.5, 7):
             assert g2(z) == pytest.approx(-z * z / 2.0, abs=1e-10)
 
     def test_linear_phi_bracket_identity(self):
         # [g1 o J, g2 o J] = -J grad J, cross-checked through bracket2
-        g1, g2 = lie.make_wronskian_pair(lambda z: z, lambda z: 1.0)
+        g1, g2 = lie.make_wronskian_pair(lambda z: z)
         f1, f2 = ScalarField(g1, HALF_SQUARE), ScalarField(g2, HALF_SQUARE)
         for x in (0.4, 1.0, 1.8):
             expected = -HALF_SQUARE.eval(x) * x
@@ -228,22 +220,12 @@ class TestWronskianPair:
 
     def test_wronskian_residual(self):
         # g1 g2' - g1' g2 + phi = 0 pointwise
-        cases = [
-            (lambda z: 1.0, lambda z: 1.0, None, None),
-            (lambda z: z, lambda z: 1.0, None, None),
-            (lambda z: 1.0, math.sin, (0.75, 1.7), make_power_cost(1.0, 0.0, 2)),
-        ]
-        for phi, a, dom, cost in cases:
-            g1, g2 = lie.make_wronskian_pair(phi, a, dom, cost)
-            zs = np.linspace(0.6, 1.6, 9) if dom else np.linspace(-1.5, 1.5, 9)
-            for z in zs:
+        for phi in (lambda z: 1.0, lambda z: z):
+            g1, g2 = lie.make_wronskian_pair(phi)
+            for z in np.linspace(-1.5, 1.5, 9):
                 d2 = costs.fd_derivative(g2, z, 1)
                 d1 = costs.fd_derivative(g1, z, 1)
                 assert abs(g1(z) * d2 - d1 * g2(z) + phi(z)) <= 1e-8
-
-    def test_vanishing_seed_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            lie.make_wronskian_pair(lambda z: 1.0, lambda z: 0.0)
 
 
 class TestTripleFamily:
