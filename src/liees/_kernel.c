@@ -9,22 +9,96 @@
  * one (g, c, s, p) row per bracket term, c (x - s)^p being the analytic
  * derivative of J that costs.derivative evaluates.
  *
- * Every floating-point operation happens in the order the Python stepper
- * performs it, and the powers go through libm pow exactly as CPython's
- * float ** int does, so the stored states and their costs are bitwise equal
- * to the Python path.  Build with -ffp-contract=off and without -ffast-math:
- * a fused multiply-add or a pow expanded into multiplications rounds
- * differently.
+ * Every floating-point operation outside the powers happens in the order the
+ * Python stepper performs it, so the stored states and their costs are
+ * bitwise equal to the Python path as long as each power v^n is the double
+ * CPython's float ** int returns, which is libm pow(v, n).  Most powers are
+ * not computed by pow here:
+ *
+ *   - For n = 2, 3, 4 and 2^-64 <= |v| <= 2^64, pow_small forms |v|^n as a
+ *     double-double hi + lo with Dekker's split product (no fused
+ *     multiply-add), within 2^-103 relative of the exact power y, and
+ *     returns hi = RN(y) when |lo| <= 0.45 ulp(hi) and hi is not a power of
+ *     two.  Then y lies at least 0.05 ulp from a rounding midpoint, so every
+ *     double other than hi is more than 0.55 ulp from y.  glibc's pow (2.28
+ *     and later, sysdeps/ieee754/dbl-64/e_pow.c) documents a worst-case
+ *     error of 0.54 ulp, so it returns hi too: the two paths give the same
+ *     bits.  The band needs only 0.04 ulp plus the double-double's error;
+ *     0.05 leaves room for both.
+ *   - Within that band of a midpoint, for a power of two hi, for every other
+ *     exponent (0, 1, n > 4, non-integral) and for 0, +-1, NaN, inf and |v|
+ *     outside [2^-64, 2^64] (where v^n could overflow or underflow), the
+ *     kernel calls pow and reads errno exactly as CPython does.
+ *
+ * The sign of v is taken as CPython takes it: the power of |v| is formed,
+ * then negated for a negative v and an odd n.  Build with -ffp-contract=off
+ * and without -ffast-math: a fused multiply-add in the split product or in
+ * the stepper, or a pow expanded into multiplications, rounds differently.
  */
 
 #include <errno.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum {
     RK4_OK = 0, RK4_EXCEEDED = 1, RK4_OVERFLOW = 2, RK4_COST_OVERFLOW = 3,
     RK4_NONFINITE = 4
 };
+
+/* a * a = *p + *e exactly, by Dekker's split of a into 26-bit halves. */
+static inline void two_sqr(double a, double *p, double *e)
+{
+    const double c = 134217729.0 * a; /* 2^27 + 1 */
+    const double ah = c - (c - a), al = a - ah;
+
+    *p = a * a;
+    *e = ((ah * ah - *p) + 2.0 * ah * al) + al * al;
+}
+
+/* a * b = *p + *e exactly, by Dekker's split product. */
+static inline void two_prod(double a, double b, double *p, double *e)
+{
+    const double ca = 134217729.0 * a, cb = 134217729.0 * b;
+    const double ah = ca - (ca - a), al = a - ah;
+    const double bh = cb - (cb - b), bl = b - bh;
+
+    *p = a * b;
+    *e = ((ah * bh - *p) + ah * bl + al * bh) + al * bl;
+}
+
+/* v^n for n = 2, 3, 4 and 2^-64 <= v <= 2^64, correctly rounded, in *r.
+ * Returns 0, leaving *r alone, when v^n lies within 0.05 ulp of a rounding
+ * midpoint or rounds to a power of two: there pow alone decides. */
+static inline int pow_small(double v, int n, double *r)
+{
+    double hi, lo, q, f, ulp;
+    uint64_t bits;
+
+    two_sqr(v, &hi, &lo); /* v^2 = hi + lo */
+    if (n != 2) {
+        if (n == 3) {
+            two_prod(hi, v, &q, &f);
+            lo = f + lo * v;
+        } else {
+            /* v^4 = q + f + 2 hi lo + lo^2, and lo^2 <= 2^-106 v^4 is dropped */
+            two_sqr(hi, &q, &f);
+            lo = f + 2.0 * hi * lo;
+        }
+        hi = q + lo;
+        lo = lo - (hi - q);
+    }
+    memcpy(&bits, &hi, sizeof bits);
+    if ((bits & 0x000fffffffffffffULL) == 0)
+        return 0;
+    /* ulp(hi): hi >= 2^-256, so the exponent less 52 stays normal */
+    bits = (bits & 0x7ff0000000000000ULL) - (52ULL << 52);
+    memcpy(&ulp, &bits, sizeof ulp);
+    if (fabs(lo) > 0.45 * ulp)
+        return 0;
+    *r = hi;
+    return 1;
+}
 
 /* CPython's float_pow for a nonnegative integral exponent w (odd: w is odd).
  * Stores v ** w in *r; returns nonzero where Python raises OverflowError,
@@ -56,6 +130,11 @@ static int py_pow(double v, double w, int odd, double *r)
     }
     if (v == 1.0) {
         *r = negate ? -1.0 : 1.0;
+        return 0;
+    }
+    if ((w == 2.0 || w == 3.0 || w == 4.0) && v >= 0x1p-64 && v <= 0x1p64
+            && pow_small(v, (int) w, &ix)) {
+        *r = negate ? -ix : ix;
         return 0;
     }
     errno = 0;

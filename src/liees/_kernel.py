@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import os
 import shutil
-import subprocess
 import tempfile
 
 import numpy as np
@@ -60,6 +59,10 @@ def _cache_dir() -> str | None:
 
 
 def _compile(source: str, target: str) -> None:
+    # imported here: subprocess and the modules it pulls in cost about 6 ms in
+    # every process that integrates, and only a cache miss compiles
+    import subprocess
+
     cc = shutil.which(COMPILER)
     if cc is None:
         raise OSError(f"no {COMPILER!r} on PATH")

@@ -90,6 +90,21 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(sol[0]), float(sol[1]), r2
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, by the same partition and the
+    same arithmetic, without the import of numpy.ma (about 15 ms) that
+    np.median makes on first use: the middle element, or (a + b) / 2.0 of the
+    two middle ones, or NaN when an entry is NaN (partition puts NaN last)."""
+    n = len(a)
+    kth = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(a, kth + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    if n % 2:
+        return float(part[n // 2])
+    return (float(part[n // 2 - 1]) + float(part[n // 2])) / 2.0
+
+
 def fit_rate(env: Envelope) -> RateEstimate:
     """Classify the envelope decay as exponential, polynomial, or stalled."""
     d = np.asarray(env.distances, dtype=float)
@@ -98,16 +113,16 @@ def fit_rate(env: Envelope) -> RateEstimate:
     if n < 20:
         raise InsufficientSignalError(f"envelope has {n} samples, need >= 20")
 
-    head = float(np.median(d[: max(1, n // 10)]))
-    tail = float(np.median(d[int(0.9 * n):]))
+    head = _median(d[: max(1, n // 10)])
+    tail = _median(d[int(0.9 * n):])
     total_dec = 1.0 - tail / head if head > 0 else 0.0
     if total_dec < STALL_THRESHOLD:
         return RateEstimate(rate_class="stalled", lam=None, power_exponent=None,
                             r_squared=0.0, rho=tail)
 
     # the tail median is a floor estimate only once the envelope has flattened
-    late = float(np.median(d[int(0.95 * n):]))
-    mid = float(np.median(d[int(0.8 * n): int(0.9 * n)]))
+    late = _median(d[int(0.95 * n):])
+    mid = _median(d[int(0.8 * n): int(0.9 * n)])
     tail_dec = 1.0 - late / mid if mid > 0 else 0.0
     plateau = tail_dec < max(0.02, 0.05 * total_dec)
     rho = tail if plateau else 0.0

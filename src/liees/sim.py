@@ -18,11 +18,18 @@ When the cost comes from make_power_cost and x0 is a float, integrate (with
 affine shapes: every system a config can build), period_map and
 integrate_lbs run the same stepper compiled from C (liees/_kernel.c), whose
 stage function is J(x) = alpha * (x - xstar)^m or the averaged field
--sum_j gamma_j J^(j)(x).  It performs the same floating-point operations in
-the same order, so its states, cost values, divergence times and messages are
-bitwise equal to the Python path.  The kernel is built with `cc` on the first
-such call and cached in $XDG_CACHE_HOME/liees (else ~/.cache/liees); without
-a compiler, or if the build or load fails, the Python stepper runs silently.
+-sum_j gamma_j J^(j)(x).  It performs the Python stepper's floating-point
+operations in the same order, except the powers v^n with n = 2, 3, 4 and
+2^-64 <= |v| <= 2^64: it forms those as a double-double, within 2^-103 of
+the exact power, and rounds them itself.  It calls libm pow, as CPython's
+float ** int does, only within 0.05 ulp of a rounding midpoint and for all
+other powers.  glibc's pow is
+within 0.54 ulp, so outside that band it returns the correctly rounded power
+too, and the states, cost values, divergence times and messages are bitwise
+equal to the Python path (the argument is in _kernel.c).  The kernel is built
+with `cc` on the first such call and cached in $XDG_CACHE_HOME/liees (else
+~/.cache/liees); without a compiler, or if the build or load fails, the
+Python stepper runs silently.
 The path taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
 """
 

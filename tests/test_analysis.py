@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liees import analysis, costs, sim
@@ -111,6 +111,22 @@ class TestFitRate:
         t = np.arange(1, 30) * 0.01
         with pytest.raises(InsufficientSignalError):
             fit_rate(Envelope(t[:10], np.exp(-t[:10])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, 1e308]),
+                        max_size=4))
+@example(n=2, seed=0, special=[1e308, 1e308])  # the two middle entries overflow their sum
+def test_median_equals_numpy(n, seed, special):
+    rng = np.random.default_rng(seed)
+    # repeated values too, so that the two middle entries can be equal
+    a = rng.standard_normal(n) if seed % 2 else rng.integers(0, 4, n) / 3.0
+    a[rng.permutation(n)[: len(special)]] = special[:n]
+    got = analysis._median(a.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(a)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCloseness:

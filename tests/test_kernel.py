@@ -181,6 +181,44 @@ def test_cost_of_last_state(drift, overflows):
     assert js.tobytes() == np.array([J(v) for v in states]).tobytes()
 
 
+def _drift_run(J, targets):
+    """Drive the kernel through the states `targets` by x' = P, with h = 6 so
+    that one step adds 2 * (P[b] + P[b]) = targets[k+1] - targets[k] exactly,
+    and return its states and stored costs.  Each difference, and so each
+    step, is exact when consecutive targets share a sign within a factor of
+    two (Sterbenz), pass through 0, or are integers below 2^53."""
+    n = len(targets) - 1
+    P = np.zeros(2 * n)
+    P[1::2] = np.diff(targets) / 4.0
+    return sim._integrate_compiled(J, P, np.zeros(2 * n), float(targets[0]), 6.0, n, 1)
+
+
+@needs_kernel
+def test_kernel_powers_equal_python():
+    # every stored cost of >= 10^6 distinct states, bitwise against CPython's
+    # float ** int: m = 2..4 take the kernel's exact-power path, 5 and 6 pow's,
+    # and |x - x*| runs across 2^-64 and 2^64 with 0, +-1 and negative values
+    rng = np.random.default_rng(10)
+    edges = [2.0 ** -64, math.nextafter(2.0 ** -64, 0.0), math.nextafter(2.0 ** -64, 1.0),
+             1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 3.0]  # 3^m is exact
+    seen = []
+    for m in range(2, 7):
+        # x* = 0, x from -2^39 through -2^-80, 0 and 2^-80 to 2^39
+        mags = np.sort(np.concatenate([np.exp2(rng.uniform(-80.0, 39.0, 110_000)), edges]))
+        near_zero = np.concatenate([-mags[::-1], [0.0], mags])
+        # x* = -+2^64, x integral in (-2^39, 2^39): x - x* at 2^64 +- 2^39, either sign
+        ints = rng.integers(-2 ** 39, 2 ** 39, 50_000).astype(float)
+        near_big = np.concatenate([ints, [0.0, 2048.0, -2048.0, 4096.0, -4096.0]])
+        for xstar, targets in ((0.0, near_zero), (-2.0 ** 64, near_big),
+                               (2.0 ** 64, 0.0 - near_big)):
+            J = costs.make_power_cost(1.0, xstar, m).eval
+            xs, js = _drift_run(J, targets)
+            assert xs.tobytes() == targets.tobytes()
+            assert js.tobytes() == np.array([J(v) for v in xs.tolist()]).tobytes()
+            seen.append(xs)
+    assert len(np.unique(np.concatenate(seen))) >= 10 ** 6
+
+
 def test_ineligible_systems_use_python():
     config = IntegratorConfig(total_time=2e-3, steps_per_period=256, decimation=256)
     abs_cost = build_two_input(costs.make_abs_cost(1.0), 2, 1, 1e-3, 1.0)
