@@ -25,10 +25,13 @@
  *     error of 0.54 ulp, so it returns hi too: the two paths give the same
  *     bits.  The band needs only 0.04 ulp plus the double-double's error;
  *     0.05 leaves room for both.
+ *   - For n = 1 the kernel returns v: v is a double, so pow, within
+ *     0.54 ulp, returns v too.  n = 0 and the bases 0, +-1, NaN and inf
+ *     take CPython's own special cases, which call no pow.
  *   - Within that band of a midpoint, for a power of two hi, for every other
- *     exponent (0, 1, n > 4, non-integral) and for 0, +-1, NaN, inf and |v|
- *     outside [2^-64, 2^64] (where v^n could overflow or underflow), the
- *     kernel calls pow and reads errno exactly as CPython does.
+ *     exponent (n > 4, non-integral) and for |v| outside [2^-64, 2^64]
+ *     (where v^n could overflow or underflow), the kernel calls pow and
+ *     reads errno exactly as CPython does.
  *
  * The sign of v is taken as CPython takes it: the power of |v| is formed,
  * then negated for a negative v and an odd n.  Build with -ffp-contract=off
@@ -130,6 +133,10 @@ static int py_pow(double v, double w, int odd, double *r)
     }
     if (v == 1.0) {
         *r = negate ? -1.0 : 1.0;
+        return 0;
+    }
+    if (w == 1.0) {
+        *r = negate ? -v : v;
         return 0;
     }
     if ((w == 2.0 || w == 3.0 || w == 4.0) && v >= 0x1p-64 && v <= 0x1p64

@@ -393,12 +393,15 @@ def log_signature(sig: Signature) -> BracketCoefficients:
 
 @dataclass
 class ExcitationReport:
+    """The verdict of verify_excitation and the coefficients it judged."""
+
     target: tuple
     target_coeff: float
     max_offtarget: float
     offtarget_index: tuple | None
     tol: float
     ok: bool
+    coefficients: BracketCoefficients
 
 
 def _canonical_target(target: tuple, n_channels: int) -> tuple[tuple, float]:
@@ -438,7 +441,7 @@ def verify_excitation(dithers: Sequence[DitherSpec], target: tuple, tol: float =
     ok = abs(target_coeff) > tol and worst < tol * abs(target_coeff)
     return ExcitationReport(target=target, target_coeff=target_coeff,
                             max_offtarget=worst, offtarget_index=worst_w,
-                            tol=tol, ok=ok)
+                            tol=tol, ok=ok, coefficients=coeffs)
 
 
 def endpoint_prediction(system, x0: float, order: int = MAX_DEPTH,

@@ -217,6 +217,11 @@ def cmd_compare(args) -> int:
         raise ConfigError([f"epsilon mismatch: {cfg_a['epsilon']} vs {cfg_b['epsilon']}"])
     if cfg_a["total_time"] != cfg_b["total_time"]:
         raise ConfigError([f"total_time mismatch: {cfg_a['total_time']} vs {cfg_b['total_time']}"])
+    # the sample step is eps * decimation / steps_per_period (decimation 0: one period)
+    eps, s_a, s_b = cfg_a["epsilon"], cfg_a["steps_per_period"], cfg_b["steps_per_period"]
+    dec_a, dec_b = cfg_a["decimation"] or s_a, cfg_b["decimation"] or s_b
+    if dec_a * s_b != dec_b * s_a:
+        raise ConfigError([f"sample step mismatch: {eps * dec_a / s_a:g} vs {eps * dec_b / s_b:g}"])
     _, ta = run_experiment(cfg_a, args.out_dir)
     _, tb = run_experiment(cfg_b, args.out_dir)
     with open(args.out, "w") as fh:
@@ -258,12 +263,6 @@ def cmd_coeffs(args) -> int:
         raise InvalidParameterError(
             f"--quadrature-steps must be 0 (the default) or at least {16 * fastest}, "
             f"16 per cycle of the fastest harmonic ({fastest}/period), got {quad}")
-    sig = chenfliess.compute_signature(specs, depth=4, quadrature_steps=quad)
-    coeffs = chenfliess.log_signature(sig)
-    lines = ["bracket_word,coefficient"]
-    for w in coeffs.labels():
-        lines.append(f"{''.join(map(str, w))},{coeffs.coefficient(w):.17g}")
-    csv_text = "\n".join(lines) + "\n"
     verdict = None
     if args.target:
         try:
@@ -271,14 +270,20 @@ def cmd_coeffs(args) -> int:
         except ValueError:
             raise InvalidParameterError(
                 f"--target must be comma-separated integers, got {args.target!r}") from None
-        report = chenfliess.verify_excitation(specs, target, tol=tol,
-                                              quadrature_steps=quad)
+        report = chenfliess.verify_excitation(specs, target, tol=tol, quadrature_steps=quad)
+        coeffs = report.coefficients
         verdict = {
             "target": list(report.target),
             "target_coeff": report.target_coeff,
             "max_offtarget": report.max_offtarget,
             "ok": report.ok,
         }
+    else:
+        coeffs = chenfliess.log_signature(chenfliess.compute_signature(specs, quadrature_steps=quad))
+    lines = ["bracket_word,coefficient"]
+    for w in coeffs.labels():
+        lines.append(f"{''.join(map(str, w))},{coeffs.coefficient(w):.17g}")
+    csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out + ".csv", "w") as fh:
             fh.write(csv_text)

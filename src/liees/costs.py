@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import InvalidDomainError, InvalidParameterError, NumericFailureError
 
@@ -23,7 +23,6 @@ __all__ = [
     "make_abs_cost",
     "derivative",
     "check_assumption",
-    "check_derivatives",
 ]
 
 # Base step for first-order central differences; higher orders widen the step
@@ -155,27 +154,6 @@ def derivative(cost: CostFunction, order: int, x: float) -> float:
             raise NumericFailureError(f"analytic derivative of order {order} at x={x} is not finite")
         return val
     return fd_derivative(cost.eval, x, order)
-
-
-def check_derivatives(cost: CostFunction, domain: tuple[float, float],
-                      points: int = 17, rtol: float = 1e-6,
-                      exclude: Sequence[float] = ()) -> bool:
-    """Verify declared analytic derivatives against finite differences on a grid.
-
-    Points within 1e-3 of any excluded (singular) location are skipped.
-    Comparison is relative to max(|analytic|, 1).
-    """
-    lo, hi = domain
-    for k in range(points):
-        x = lo + (hi - lo) * k / (points - 1)
-        if any(abs(x - s) < 1e-3 for s in exclude):
-            continue
-        for order in range(1, len(cost.analytic_derivs) + 1):
-            an = cost.analytic_derivs[order - 1](x)
-            fd = fd_derivative(cost.eval, x, order)
-            if abs(fd - an) > rtol * max(abs(an), 1.0):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

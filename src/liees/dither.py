@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "ResonanceReport",
     "eval_dither",
     "sample_dither",
-    "period_mean",
     "make_pair",
     "make_triple",
     "check_resonances",
@@ -133,11 +131,6 @@ class DitherSpec:
         return KIND_BRACKET_LENGTH[self.kind]
 
     @property
-    def amplitude_exponent(self) -> Fraction:
-        """Exponent p of the eps^(-p) amplitude scaling, p = 1 - 1/N."""
-        return Fraction(1) - Fraction(1, self.length)
-
-    @property
     def fastest_harmonic(self) -> int:
         """Number of full oscillations of the fastest component per period."""
         if self.kind in ("first12", "classic"):
@@ -202,21 +195,6 @@ def sample_dither(spec: DitherSpec, n: int, t0: float = 0.0, t1: float | None = 
     if t1 is None:
         t1 = t0 + spec.epsilon
     return eval_dither(spec, np.linspace(t0, t1, n + 1))
-
-
-def period_mean(spec: DitherSpec, quadrature_steps: int = 256) -> float:
-    """Composite-Simpson mean of the signal over one period."""
-    if quadrature_steps < 64:
-        raise InvalidParameterError(f"quadrature_steps must be >= 64, got {quadrature_steps}")
-    n = quadrature_steps + (quadrature_steps % 2)   # Simpson needs an even count
-    h = spec.epsilon / n
-    ts = np.arange(n + 1) * h
-    ts[-1] = spec.epsilon
-    u = eval_dither(spec, ts)
-    weights = np.where(np.arange(1, n) % 2, 4.0, 2.0)
-    # cumsum adds left to right (np.sum would pair), fixing the rounding order
-    total = np.cumsum(np.concatenate(([u[0] + u[-1]], weights * u[1:-1])))[-1]
-    return float(total) * h / 3.0 / spec.epsilon
 
 
 def make_pair(kind: str, epsilon: float, kappa: int = 1) -> tuple[DitherSpec, DitherSpec]:

@@ -9,10 +9,10 @@ one period and reused for every period.
 One stepper, _rk4, integrates x' = F[c](x) * Q[c] + P[c] over grid columns c.
 When every channel shape is affine in the cost value (all built-in designs
 are), F[c] is J and P, Q are precomputed tables.  Other shapes get one
-right-hand-side function per column, with Q = 1 and P = 0.  The averaged
-system of integrate_lbs has no time dependence: two columns holding the same
-function, Q = 1 and P = 0.  period_map runs the stepper of one system from
-many starts, building the tables and the right-hand side once.
+right-hand-side function per column, with Q = 1 and P = 0.  So does the
+averaged system of integrate_lbs, on two columns: it has no time dependence.
+period_map runs the stepper of one system from many starts, building the
+tables and the right-hand side once.
 
 When the cost comes from make_power_cost and x0 is a float, integrate (with
 affine shapes: every system a config can build), period_map and
@@ -21,15 +21,14 @@ stage function is J(x) = alpha * (x - xstar)^m or the averaged field
 -sum_j gamma_j J^(j)(x).  It performs the Python stepper's floating-point
 operations in the same order, except the powers v^n with n = 2, 3, 4 and
 2^-64 <= |v| <= 2^64: it forms those as a double-double, within 2^-103 of
-the exact power, and rounds them itself.  It calls libm pow, as CPython's
-float ** int does, only within 0.05 ulp of a rounding midpoint and for all
-other powers.  glibc's pow is
-within 0.54 ulp, so outside that band it returns the correctly rounded power
-too, and the states, cost values, divergence times and messages are bitwise
-equal to the Python path (the argument is in _kernel.c).  The kernel is built
-with `cc` on the first such call and cached in $XDG_CACHE_HOME/liees (else
-~/.cache/liees); without a compiler, or if the build or load fails, the
-Python stepper runs silently.
+the exact power, and rounds them itself; v^1 is v.  It calls libm pow, as
+CPython's float ** int does, only within 0.05 ulp of a rounding midpoint and
+for all other powers.  glibc's pow is within 0.54 ulp, so outside that band
+it returns the correctly rounded power too, and the states, cost values,
+divergence times and messages are bitwise equal to the Python path (the
+argument is in _kernel.c).  The kernel is built with `cc` on the first such
+call and cached in $XDG_CACHE_HOME/liees (else ~/.cache/liees); without a
+compiler, or if the build or load fails, the Python stepper runs silently.
 The path taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
 """
 
@@ -343,47 +342,20 @@ def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int, field=()):
 
 
 class _Stepper:
-    """A system's right-hand side on the step/half-step grid of one period at
-    S steps, built once for any number of starts: the dither tables, then P
-    and Q for affine shapes or one right-hand-side function per column for
-    other shapes."""
+    """x' = F[c](x) * Q[c] + P[c] on the columns of _rk4, for any number of
+    starts.  With arrays P and Q the compiled kernel may run, on J or on the
+    averaged field of the rows of field; lists holds the Python stepper's F,
+    P and Q, made from J, P and Q when first needed if not given."""
 
-    def __init__(self, system: ESSystem, S: int):
-        if S < 16 * system.fastest_harmonic:
-            raise ResolutionError(
-                f"{S} steps/period resolve the fastest harmonic "
-                f"({system.fastest_harmonic}/period) with fewer than 16 samples"
-            )
-        self.h = system.epsilon / S
-        self.J = J = system.cost.eval
-        tables = _dither_tables(system, S)
-        affine = [getattr(g, "affine", None) for g in system.shapes]
-        if all(a is not None for a in affine):
-            self.P = sum(a[0] * u for a, u in zip(affine, tables))
-            self.Q = sum(a[1] * u for a, u in zip(affine, tables))
-            self.lists = None       # the Python stepper's F, P, Q, built when first needed
-            return
-        shapes = system.shapes
-
-        def column(us):
-            def rhs(xv):
-                # left to right from 0 like sum(), without a generator per call
-                z = J(xv)
-                acc = 0
-                for g, u in zip(shapes, us):
-                    acc = acc + g(z) * u
-                return acc
-            return rhs
-
-        self.P = None
-        self.lists = ([column(us) for us in zip(*(u.tolist() for u in tables))],
-                      [0.0] * (2 * S), [1.0] * (2 * S))
+    def __init__(self, J, h: float, P, Q, lists=None, field=()):
+        self.J, self.h, self.P, self.Q, self.lists, self.field = J, h, P, Q, lists, field
 
     def run(self, x0, n_out: int, dec: int):
         """(states, costs, kernel) of n_out * dec steps from x0, storing every
         dec-th state."""
         if self.P is not None:
-            compiled = _integrate_compiled(self.J, self.P, self.Q, x0, self.h, n_out, dec)
+            compiled = _integrate_compiled(self.J, self.P, self.Q, x0, self.h, n_out, dec,
+                                           self.field)
             if compiled is not None:
                 return (*compiled, "c")
             if self.lists is None:
@@ -391,6 +363,37 @@ class _Stepper:
         states = [x0]
         _rk4(*self.lists, x0, self.h, n_out, dec, states.append)
         return np.array(states), np.array([self.J(v) for v in states]), "python"
+
+
+def _system_stepper(system: ESSystem, S: int) -> _Stepper:
+    """A system's stepper at S steps per period: the dither tables, then P and Q
+    for affine shapes or one right-hand-side function per column for others."""
+    if S < 16 * system.fastest_harmonic:
+        raise ResolutionError(
+            f"{S} steps/period resolve the fastest harmonic "
+            f"({system.fastest_harmonic}/period) with fewer than 16 samples"
+        )
+    h = system.epsilon / S
+    J = system.cost.eval
+    tables = _dither_tables(system, S)
+    affine = [getattr(g, "affine", None) for g in system.shapes]
+    if all(a is not None for a in affine):
+        return _Stepper(J, h, sum(a[0] * u for a, u in zip(affine, tables)),
+                        sum(a[1] * u for a, u in zip(affine, tables)))
+    shapes = system.shapes
+
+    def column(us):
+        def rhs(xv):
+            # left to right from 0 like sum(), without a generator per call
+            z = J(xv)
+            acc = 0
+            for g, u in zip(shapes, us):
+                acc = acc + g(z) * u
+            return acc
+        return rhs
+
+    F = [column(us) for us in zip(*(u.tolist() for u in tables))]
+    return _Stepper(J, h, None, None, (F, [0.0] * (2 * S), [1.0] * (2 * S)))
 
 
 def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
@@ -402,7 +405,7 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
     """
     eps = system.epsilon
     S = config.steps_per_period
-    stepper = _Stepper(system, S)
+    stepper = _system_stepper(system, S)
     n_periods = max(1, int(round(config.total_time / eps)))
     dec = config.decimation
     xs, cost_values, backend = stepper.run(x0, n_periods * S // dec, dec)
@@ -428,12 +431,8 @@ def period_map(system: ESSystem, xs, periods: int = 1,
         raise InvalidParameterError(f"periods must be a positive int, got {periods!r}")
     S = steps_per_period
     IntegratorConfig(total_time=periods * system.epsilon, steps_per_period=S)  # checks S
-    stepper = _Stepper(system, S)
+    stepper = _system_stepper(system, S)
     return np.array([stepper.run(float(x), periods, S)[0][-1] for x in xs])
-
-
-# The averaged system has no time dependence: two columns, Q = 1 and P = 0.
-_LBS_P, _LBS_Q = np.zeros(2), np.ones(2)
 
 
 def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]],
@@ -453,23 +452,19 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
     if steps < 1 or total_time <= 0:
         raise InvalidParameterError("need steps >= 1 and total_time > 0")
 
+    def rhs(xv: float) -> float:
+        # left to right from 0.0: the kernel's order, and sum()'s before Python 3.12
+        acc = 0.0
+        for j, g in terms:
+            acc = acc + g * derivative(cost, j, xv)
+        return -acc
+
     h = total_time / steps
     derivs = cost.analytic_derivs
     field = [(j, g, derivs[j - 1] if j <= len(derivs) else None) for j, g in terms]
-    compiled = _integrate_compiled(cost.eval, _LBS_P, _LBS_Q, x0, h, steps, 1, field)
-    if compiled is None:
-        def rhs(xv: float) -> float:
-            # left to right from 0.0: the kernel's order, and sum()'s before Python 3.12
-            acc = 0.0
-            for j, g in terms:
-                acc = acc + g * derivative(cost, j, xv)
-            return -acc
-
-        backend, states = "python", [x0]
-        _rk4([rhs, rhs], _LBS_P.tolist(), _LBS_Q.tolist(), x0, h, steps, 1, states.append)
-        xs, cost_values = np.array(states), np.array([cost.eval(v) for v in states])
-    else:
-        backend, (xs, cost_values) = "c", compiled
+    stepper = _Stepper(cost.eval, h, np.zeros(2), np.ones(2),
+                       ([rhs, rhs], [0.0, 0.0], [1.0, 1.0]), field)
+    xs, cost_values, backend = stepper.run(x0, steps, 1)
     return Trajectory(times=np.arange(len(xs)) * h, states=xs, cost_values=cost_values,
                       epsilon=record_epsilon if record_epsilon is not None else h,
                       meta={"builder": "lbs", "terms": terms, "x0": x0, "kernel": backend})

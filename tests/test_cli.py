@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from liees import cli, costs, sim
+from liees import chenfliess, cli, costs, sim
 
 
 def small_config(tmp_path, name="cfg.json", **overrides):
@@ -109,6 +109,17 @@ class TestCompare:
                          "--out", str(tmp_path / "cmp.csv")])
         assert code == 2
 
+    def test_equal_sample_steps_at_other_resolutions(self, tmp_path, capsys):
+        # decimation 0 stores once per period, as decimation 512 at 512 steps does
+        short = {"integrator.total_time": 0.02, "analysis.fit": False}
+        pa = small_config(tmp_path, "a.json", **short, **{"output.decimation": 0})
+        pb = small_config(tmp_path, "b.json", **short, **{"integrator.steps_per_period": 512,
+                                                          "output.decimation": 512})
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", "--config-a", str(pa), "--config-b", str(pb),
+                         "--out", str(out), "--out-dir", str(tmp_path)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 21
+
 
 class TestCoeffs:
     def test_third1222_table_and_verdict(self, tmp_path, capsys):
@@ -128,6 +139,19 @@ class TestCoeffs:
         assert cli.main(["coeffs", "--kind", "classic", "--epsilon", "1.0"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("bracket_word,coefficient")
+
+    def test_target_computes_one_signature(self, monkeypatch, capsys):
+        # the table is printed from the coefficients verify_excitation judged
+        argv = ["coeffs", "--kind", "second122", "--epsilon", "1e-4"]
+        assert cli.main(argv) == 0
+        table = capsys.readouterr().out
+        calls = []
+        compute = chenfliess.compute_signature
+        monkeypatch.setattr(chenfliess, "compute_signature",
+                            lambda *a, **k: calls.append(a) or compute(*a, **k))
+        assert cli.main(argv + ["--target", "1,2,2"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith(table + "{")
 
 
 class TestRate:
@@ -216,10 +240,10 @@ def _config(**overrides):
     return argv
 
 
-def _compare_band(band):
+def _compare_band(band, **overrides_b):
     def argv(tmp_path):
         return ["compare", "--config-a", str(small_config(tmp_path, "a.json")),
-                "--config-b", str(small_config(tmp_path, "b.json")),
+                "--config-b", str(small_config(tmp_path, "b.json", **overrides_b)),
                 "--out", str(tmp_path / "cmp.csv"), "--band", band]
     return argv
 
@@ -268,12 +292,14 @@ def _binary_config(tmp_path):
     (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
                        "--target", "1,2", "--tol", "nan"],
      "validation error: --tol must be finite, got nan"),
+    (_compare_band("0.05", **{"output.decimation": 128}),
+     "config error: sample step mismatch: 0.001 vs 0.0005"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
         "nan-xstar", "nan-coeffs-epsilon", "inf-coeffs-epsilon", "infinite-total-time",
         "nan-x0", "unexcited-three-input", "coarse-three-input-steps", "nan-band",
-        "negative-band", "nan-tol"])
+        "negative-band", "nan-tol", "sample-step-mismatch"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -79,10 +79,6 @@ class TestDerivative:
         err = [abs(costs.fd_derivative(math.sin, 0.7, 2, h=h) - exact) for h in (0.4, 0.2)]
         assert err[0] / err[1] >= 3.0
 
-    def test_check_derivatives_helper(self):
-        c = costs.make_power_cost(1.0, 1.0, 4)
-        assert costs.check_derivatives(c, (-1.0, 3.0))
-
 
 class TestCheckAssumption:
     def test_quartic_assumption2(self):

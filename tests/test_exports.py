@@ -1,7 +1,9 @@
-"""The package's public names resolve: every __all__ entry and every package-level import."""
+"""The package's public names resolve: every __all__ entry, every package-level
+import, and every name the benchmark's span recorder wraps."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -39,3 +41,39 @@ def test_moved_shapes_keep_their_sim_names():
 
     assert sim.const_shape is lie.const_shape
     assert sim.linear_shape is lie.linear_shape
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py swaps these names for timing wrappers by attribute
+    # lookup: a name it misses fails only the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from liees import dither, sim
+
+    for module, name, _ in tracing.SPANNED:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+    assert callable(dither.sample_dither) and callable(dither.eval_dither)
+    assert callable(sim.Trajectory.strobe)
+    for fn in tracing._LRU:
+        fn.cache_info()
+    tracing.clear_caches()
+
+    # one traced operation runs every hook and probe, then the originals return
+    from liees import chenfliess, costs
+
+    integrate = sim.integrate
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        system = sim.build_two_input(costs.make_power_cost(1.0, 1.0, 2), 2, epsilon=1e-3)
+        sim.integrate(system, 0.0, sim.IntegratorConfig(2e-3, 64, 64))
+        chenfliess.log_signature(chenfliess.compute_signature(system.dithers, 2, 256))
+        probes = tracer.run_probes()
+        summary = tracer.take(0.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert sim.integrate is integrate
+    assert probes["cost_evals"] > 0
+    assert summary["counts"]["sim.steps"] == 128
