@@ -37,11 +37,39 @@
  * then negated for a negative v and an odd n.  Build with -ffp-contract=off
  * and without -ffast-math: a fused multiply-add in the split product or in
  * the stepper, or a pow expanded into multiplications, rounds differently.
+ *
+ * The same library holds the trajectory CSV codec of liees.sim.  Its bytes
+ * and values equal those of the Python codec, which runs when this library
+ * does not load:
+ *
+ *   - liees_format_rows writes each value as C's snprintf "%.17g".  Python's
+ *     "%.17g" % v rounds the exact binary value to 17 significant digits,
+ *     ties to even, and spells the exponent e+XX/e-XX with at least two
+ *     digits; glibc's printf does the same, in the C locale.  The two differ
+ *     only in NaN: glibc writes -nan for a NaN whose sign bit is set, Python
+ *     always nan, so NaN is written as nan here.
+ *   - liees_parse_rows reads only the writer's own grammar: fields
+ *     -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf, -inf and nan, separated by
+ *     commas, with \n or \r\n line ends.  glibc's strtod and CPython's float
+ *     both round a decimal string correctly (to the nearest double, ties to
+ *     even, overflow to inf and underflow to a subnormal or zero), so they
+ *     agree on every such field; inf and nan are the constants float() returns.
+ *     The first line outside that grammar stops the parser, and the caller
+ *     reads the rest in Python.
+ *
+ * Python's codec ignores the process locale, while printf and strtod follow
+ * LC_NUMERIC, which a host program may set to a decimal comma.  So both run
+ * under a C locale object of their own (uselocale, strtod_l) and write and
+ * read the same bytes under any locale.
  */
 
+#define _GNU_SOURCE
 #include <errno.h>
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum {
@@ -276,4 +304,133 @@ fail:
         *x_fail = x;
     }
     return status;
+}
+
+
+/* The C locale, made once when the library loads; (locale_t) 0 if that
+ * failed, and then the codec entry points return -1. */
+static locale_t c_locale;
+
+__attribute__((constructor)) static void make_c_locale(void)
+{
+    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t) 0);
+}
+
+/* Writes rows i = 0..n-1 of the ncol columns cols[k * stride + i] to buf as
+ * CSV lines, each value as "%.17g" and NaN as nan, and returns the number of
+ * bytes written.  buf holds at least 25 * ncol * n bytes: a field takes at
+ * most 24 (-2.2250738585072014e-308), and snprintf's terminating zero falls
+ * on the separator that follows it. */
+int64_t liees_format_rows(const double *cols, int64_t ncol, int64_t stride, int64_t n,
+                          char *buf)
+{
+    locale_t old;
+    char *p = buf;
+    int64_t i, k;
+
+    if (c_locale == (locale_t) 0)
+        return -1;
+    old = uselocale(c_locale);
+    for (i = 0; i < n; i++) {
+        for (k = 0; k < ncol; k++) {
+            const double v = cols[k * stride + i];
+            if (isnan(v)) {
+                memcpy(p, "nan", 3);
+                p += 3;
+            } else {
+                p += snprintf(p, 25, "%.17g", v);
+            }
+            *p++ = k + 1 < ncol ? ',' : '\n';
+        }
+    }
+    uselocale(old);
+    return p - buf;
+}
+
+/* The end of the digits [0-9]+ at p, or p when there are none. */
+static const char *digits(const char *p, const char *end)
+{
+    while (p < end && *p >= '0' && *p <= '9')
+        p++;
+    return p;
+}
+
+/* The end of the field at p if it is -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf,
+ * -inf or nan, else NULL; *special is set for the last three. */
+static const char *scan_field(const char *p, const char *end, int *special)
+{
+    const char *q;
+
+    *special = 1;
+    if (end - p >= 3 && memcmp(p, "nan", 3) == 0)
+        return p + 3;
+    if (p < end && *p == '-')
+        p++;
+    if (end - p >= 3 && memcmp(p, "inf", 3) == 0)
+        return p + 3;
+    *special = 0;
+    q = digits(p, end);
+    if (q == p)
+        return NULL;
+    if (q < end && *q == '.') {
+        p = q + 1;
+        q = digits(p, end);
+        if (q == p)
+            return NULL;
+    }
+    if (q < end && *q == 'e') {
+        if (end - q < 2 || (q[1] != '+' && q[1] != '-'))
+            return NULL;
+        p = q + 2;
+        q = digits(p, end);
+        if (q == p)
+            return NULL;
+    }
+    return q;
+}
+
+/* Parses up to max_rows CSV lines of ncol fields each from text[0..len) into
+ * out, row after row, and returns the number of lines parsed, with the bytes
+ * they take (line ends included) in *used.  It stops early at a line that does
+ * not end within text, and at the first line outside the writer's grammar
+ * (see the header): -nan, for one, is not in it, as the writer never writes
+ * it. */
+int64_t liees_parse_rows(const char *text, int64_t len, int64_t ncol, double *out,
+                         int64_t max_rows, int64_t *used)
+{
+    const char *p = text, *end = text + len;
+    int64_t r, k;
+
+    if (c_locale == (locale_t) 0)
+        return -1;
+    for (r = 0; r < max_rows; r++) {
+        const char *q = p;
+        for (k = 0; k < ncol; k++) {
+            int special;
+            const char *f = q;
+            q = scan_field(f, end, &special);
+            if (q == NULL || q == end)
+                goto stop;
+            if (k + 1 < ncol) {
+                if (*q != ',')
+                    goto stop;
+            } else if (*q == '\r') {
+                if (++q == end || *q != '\n')
+                    goto stop;
+            } else if (*q != '\n') {
+                goto stop;
+            }
+            if (!special)
+                out[r * ncol + k] = strtod_l(f, NULL, c_locale);
+            else if (*f == 'n')
+                out[r * ncol + k] = NAN;
+            else
+                out[r * ncol + k] = *f == '-' ? -INFINITY : INFINITY;
+            q++;
+        }
+        p = q;
+    }
+stop:
+    *used = p - text;
+    return r;
 }

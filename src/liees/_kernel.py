@@ -1,13 +1,16 @@
-"""Build, cache and load the compiled RK4 kernel of _kernel.c.
+"""Build, cache and load the compiled library of _kernel.c: the RK4 kernel
+and the trajectory CSV codec.
 
-load() compiles the kernel with the C compiler `cc` on first use and caches
+load() compiles the library with the C compiler `cc` on first use and caches
 the shared library in $XDG_CACHE_HOME/liees (else ~/.cache/liees), keyed by
 the SHA-256 of the source, the flags and the machine type.  A cache
 directory that is missing and cannot be made, is not owned by the user, or
 is writable by others is not used: the library is then built in a private
 temporary directory for this process only.  Any failure (no compiler, a
 failed compile, a library that does not load) makes load() return None and
-the caller integrates in Python.  The result is memoised per process.
+the caller integrates, writes and reads CSV in Python.  The result is
+memoised per process; nothing is loaded before the first integration or CSV
+call, so `import liees` loads no shared library.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import os
 import shutil
 import tempfile
+import types
 
 import numpy as np
 
@@ -38,6 +42,8 @@ COMPILER = "cc"
 # overflowed, only the cost of a stored state overflowed, or a derivative of
 # the averaged field was not finite.
 EXCEEDED, OVERFLOW, COST_OVERFLOW, NONFINITE = 1, 2, 3, 4
+# Bytes the CSV writer reserves per field: "-2.2250738585072014e-308" and a separator.
+FIELD_BYTES = 25
 
 
 def _cache_dir() -> str | None:
@@ -83,7 +89,7 @@ def _build(directory: str, name: str) -> str:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _bind(path: str):
+def _bind(path: str) -> types.SimpleNamespace:
     import ctypes
 
     lib = ctypes.CDLL(path)
@@ -92,6 +98,15 @@ def _bind(path: str):
     fn.argtypes = [dbl, dbl, dbl, ptr, i64, ptr, ptr, i64, dbl, dbl, i64, i64, dbl,
                    ptr, ptr, ctypes.POINTER(i64), ctypes.POINTER(dbl)]
     fn.restype = ctypes.c_int
+    fmt = lib.liees_format_rows
+    fmt.argtypes = [ptr, i64, i64, i64, ptr]
+    fmt.restype = i64
+    parse = lib.liees_parse_rows
+    parse.argtypes = [ptr, i64, i64, ptr, i64, ctypes.POINTER(i64)]
+    parse.restype = i64
+    # both codec entry points return -1 when the library could not make its C locale
+    if fmt(None, 0, 0, 0, None) != 0:
+        raise OSError("the CSV codec has no C locale")
 
     def rk4(alpha, xstar, m, terms, P, Q, x0, h, n_out, dec, limit):
         """Run the kernel; terms holds the (g, c, s, p) rows of the averaged
@@ -109,17 +124,43 @@ def _bind(path: str):
                     out.ctypes.data, jout.ctypes.data, ctypes.byref(k), ctypes.byref(last_x))
         return out, jout, status, k.value, last_x.value
 
-    return rk4
+    def format_rows(block, n, buf):
+        """Write rows 0..n-1 of the columns block[k] as CSV lines into buf, a
+        uint8 array of at least FIELD_BYTES bytes per field; returns the
+        number of bytes written."""
+        ncol, stride = block.shape
+        if not (block.dtype == np.float64 and block.flags.c_contiguous and 0 <= n <= stride
+                and buf.dtype == np.uint8 and buf.flags.c_contiguous
+                and len(buf) >= FIELD_BYTES * ncol * n):
+            raise ValueError("format_rows: block or buffer of the wrong shape or type")
+        return fmt(block.ctypes.data, ncol, stride, n, buf.ctypes.data)
+
+    def parse_rows(text: bytes, start: int, out):
+        """Parse the lines of text[start:] into the rows of out, up to its
+        length, stopping at a line that does not end in text or that the
+        writer would not have written.  Returns (rows parsed, the offset in
+        text after them)."""
+        if not (out.dtype == np.float64 and out.ndim == 2 and out.flags.c_contiguous
+                and 0 <= start <= len(text)):
+            raise ValueError("parse_rows: output of the wrong shape or type")
+        used = i64(0)
+        view = np.frombuffer(text, np.uint8)
+        rows = parse(view.ctypes.data + start, len(text) - start, out.shape[1],
+                     out.ctypes.data, out.shape[0], ctypes.byref(used))
+        return rows, start + used.value
+
+    return types.SimpleNamespace(rk4=rk4, format_rows=format_rows, parse_rows=parse_rows)
 
 
 @functools.lru_cache(maxsize=None)
 def load():
-    """The compiled kernel as a callable, or None when it cannot be built or loaded."""
+    """The compiled library, with the entry points rk4, format_rows and
+    parse_rows, or None when it cannot be built or loaded."""
     try:
         with open(SOURCE, "rb") as fh:
             key = sha256(fh.read())
         key.update("\0".join((*FLAGS, os.uname().machine)).encode())
-        name = f"rk4-{key.hexdigest()[:32]}.so"
+        name = f"kernel-{key.hexdigest()[:32]}.so"
         cache = _cache_dir()
         if cache is not None:
             path = os.path.join(cache, name)

@@ -30,10 +30,18 @@ argument is in _kernel.c).  The kernel is built with `cc` on the first such
 call and cached in $XDG_CACHE_HOME/liees (else ~/.cache/liees); without a
 compiler, or if the build or load fails, the Python stepper runs silently.
 The path taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
+
+Trajectory CSV is written and read by the same library when it loads:
+write_csv_rows formats each value with C's "%.17g" in the C locale, and
+read_trajectory_csv parses the lines of that writer's own grammar with
+strtod in the C locale, handing every other line to Python's float.  The
+bytes written and the values read are those of the Python codec, which runs
+without the library.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -73,6 +81,8 @@ DIVERGENCE_LIMIT = 1e12
 # Rows per block of trajectory CSV formatted or parsed at once: memory stays
 # flat in the number of rows beyond the arrays themselves.
 CSV_BLOCK = 1024
+# Bytes of trajectory CSV the compiled reader reads at once.
+CSV_CHUNK = 1 << 16
 # Largest deviation of a CSV time step from the mean step, relative to it.
 SPACING_RTOL = 1e-6
 
@@ -329,7 +339,8 @@ def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int, field=()):
     kernel = _kernel.load()
     if kernel is None:
         return None
-    xs, js, status, k, last_x = kernel(*args, rows, P, Q, x0, h, n_out, dec, DIVERGENCE_LIMIT)
+    xs, js, status, k, last_x = kernel.rk4(*args, rows, P, Q, x0, h, n_out, dec,
+                                           DIVERGENCE_LIMIT)
     if status == _kernel.NONFINITE:
         # the error costs.derivative raises at the stage argument last_x
         raise NumericFailureError(
@@ -470,15 +481,32 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
                       meta={"builder": "lbs", "terms": terms, "x0": x0, "kernel": backend})
 
 
-def write_csv_rows(fh, columns, row_format: str) -> None:
-    """Write the rows zip(*columns), each formatted by row_format % row.
+def write_csv_rows(fh, columns) -> None:
+    """Write the rows zip(*columns) to the text file fh as CSV lines, each
+    value spelled as "%.17g" % float(v) spells it.
 
-    Rows are formatted CSV_BLOCK at a time from Python floats: "%.17g" of a
-    float gives the same text as format(np.float64, ".17g").  Like zip, it
-    stops at the shortest column.
+    Like zip, it stops at the shortest column.  Rows are formatted CSV_BLOCK
+    at a time, by the compiled codec's snprintf "%.17g" (nan for every NaN,
+    as Python writes it) when it loads and every column is a 1-d array of
+    bool, integer or float values, else by Python's own "%.17g"; the bytes
+    are the same either way.
     """
+    from . import _kernel
+
     columns = [np.asarray(c) for c in columns]
     n = min(len(c) for c in columns)
+    lib = _kernel.load()
+    if lib is not None and all(c.ndim == 1 and c.dtype.kind in "biuf" for c in columns):
+        block = np.empty((len(columns), CSV_BLOCK))
+        buf = np.empty(_kernel.FIELD_BYTES * block.size, np.uint8)
+        for s in range(0, n, CSV_BLOCK):
+            m = min(CSV_BLOCK, n - s)
+            for row, c in zip(block, columns):
+                row[:m] = c[s:s + m]
+            size = lib.format_rows(block, m, buf)
+            fh.write(str(memoryview(buf)[:size], "ascii"))
+        return
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     for s in range(0, n, CSV_BLOCK):
         rows = zip(*[c[s:s + CSV_BLOCK].tolist() for c in columns])
         fh.write("".join([row_format % r for r in rows]))
@@ -488,7 +516,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """CSV with header t,x,J and 17 significant digits per value."""
     with open(path, "w") as fh:
         fh.write("t,x,J\n")
-        write_csv_rows(fh, (traj.times, traj.states, traj.cost_values), "%.17g,%.17g,%.17g\n")
+        write_csv_rows(fh, (traj.times, traj.states, traj.cost_values))
 
 
 def _parse_rows(lines: list[str], first_row: int, path: str) -> np.ndarray:
@@ -540,17 +568,74 @@ def _check_spacing(times: np.ndarray, path: str) -> None:
         )
 
 
+def _read_compiled(raw, blocks: list) -> int:
+    """Parse the rows of the binary file raw that the writer's own grammar
+    covers, with the compiled codec, into blocks of CSV_BLOCK rows.
+
+    Reads CSV_CHUNK bytes at a time.  Starts only when raw is seekable and
+    its header line is exactly t,x,J, and stops at the first line outside
+    the grammar.  Returns the row number of the first line not parsed, with
+    raw at its first byte, or 0 with raw at its start when it did not start.
+    """
+    from . import _kernel
+
+    lib = _kernel.load()
+    if lib is None or not raw.seekable():
+        return 0
+    if raw.readline(8) not in (b"t,x,J\n", b"t,x,J\r\n"):
+        raw.seek(0)
+        return 0
+    row, offset, pending = 2, raw.tell(), b""
+    block, fill = np.empty((CSV_BLOCK, 3)), 0
+    while True:
+        chunk = raw.read(CSV_CHUNK)
+        text = pending + chunk
+        if not chunk and text and not text.endswith(b"\n"):
+            text += b"\n"  # the last line has no line end
+        start = 0
+        while True:
+            k, start = lib.parse_rows(text, start, block[fill:])
+            fill += k
+            row += k
+            if fill < CSV_BLOCK:
+                break
+            blocks.append(block)
+            block, fill = np.empty((CSV_BLOCK, 3)), 0
+        # the parser stopped at a line that does not end in text, or at one
+        # outside the grammar: at the end of the file every line ends
+        if not chunk or text.find(b"\n", start) >= 0:
+            break
+        pending = text[start:]
+        offset += start
+    if fill:
+        blocks.append(block[:fill])
+    raw.seek(offset + start)
+    return row
+
+
 def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
-    """Read a t,x,J CSV; rows are parsed CSV_BLOCK at a time and times must be even."""
+    """Read a t,x,J CSV; times must be evenly spaced and increasing.
+
+    Lines in the writer's own grammar ("%.17g" fields, \\n or \\r\\n line
+    ends) are parsed by the compiled codec, streamed CSV_CHUNK bytes at a
+    time, when it loads.  From the first other line on, the file is read as
+    text, CSV_BLOCK lines at a time, and each field by Python's float, which
+    also takes spellings such as " 1_0.5 ", "+1" or "Infinity" and names the
+    line of a malformed row.  The values are the same either way: both
+    round each decimal string correctly.
+    """
     blocks = []
-    with open(path, errors="replace") as fh:
-        header = fh.readline().strip()
-        if header != "t,x,J":
-            raise InvalidParameterError(f"unexpected trajectory header {header!r}")
-        row = 2
-        while lines := list(itertools.islice(fh, CSV_BLOCK)):
-            blocks.append(_parse_rows(lines, row, path))
-            row += len(lines)
+    with open(path, "rb") as raw:
+        row = _read_compiled(raw, blocks)
+        with io.TextIOWrapper(raw, errors="replace") as fh:
+            if not row:
+                header = fh.readline().strip()
+                if header != "t,x,J":
+                    raise InvalidParameterError(f"unexpected trajectory header {header!r}")
+                row = 2
+            while lines := list(itertools.islice(fh, CSV_BLOCK)):
+                blocks.append(_parse_rows(lines, row, path))
+                row += len(lines)
     if not blocks:
         raise InvalidParameterError(f"{path}: no trajectory rows after the header")
     times, xs, js = np.concatenate([b.T for b in blocks], axis=1)

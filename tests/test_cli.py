@@ -266,10 +266,10 @@ def _binary_config(tmp_path):
     (_binary_config, "config error: cannot read config"),
     (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
                        "--quadrature-steps", "-5"],
-     "validation error: --quadrature-steps must be 0 (the default) or at least 16,"),
+     "validation error: -5 steps resolve the fastest harmonic (1/period) with fewer than 16"),
     (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
                        "--quadrature-steps", "8"],
-     "validation error: --quadrature-steps must be 0 (the default) or at least 16,"),
+     "validation error: 8 steps resolve the fastest harmonic (1/period) with fewer than 16"),
     (_traj_csv("t,x,J\n0,0,1\n1e-4,0.1,0.6\n3e-4,0.2,0.3\n"),
      "line 3: times must be evenly spaced and increasing"),
     (_traj_csv(EVEN_CSV, epsilon="nan"), "validation error: --epsilon must be finite, got nan"),

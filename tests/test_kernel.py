@@ -1,15 +1,20 @@
 """The compiled RK4 kernel: bitwise agreement with sim._rk4, and its loader."""
 
 import importlib.resources
+import locale
 import math
+import os
+import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liees import _kernel, cli, costs, sim
-from liees.errors import DivergenceError, NumericFailureError
+from liees.errors import DivergenceError, InvalidParameterError, NumericFailureError
 from liees.sim import IntegratorConfig, build_two_input
 
 QUARTIC = costs.make_power_cost(1.0, 1.0, 4)
@@ -284,3 +289,204 @@ def test_unsafe_cache_dir_is_not_used(tmp_path, monkeypatch, fresh_loader):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert _kernel.load() is not None
     assert list(shared.iterdir()) == []
+
+
+# The CSV codec: the compiled writer and reader against the Python ones.
+
+def python_codec(fn, *args):
+    """fn(*args) with the loader finding no compiled library."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        return fn(*args)
+
+
+def csv_bytes(path, columns) -> bytes:
+    with open(path, "w") as fh:
+        sim.write_csv_rows(fh, columns)
+    return path.read_bytes()
+
+
+def decimal_ties():
+    """Doubles k 2^-j whose exact decimal value has 18 significant digits,
+    the last a 5: "%.17g" rounds each at an exact tie."""
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min((10 ** 18 - 1) // 5 ** j, 2 ** 53 - 1)
+        ks = {k | 1 for k in (lo, lo + 2, (lo + hi) // 2, (lo + hi) // 2 + 1, hi - 2)}
+        ties += [k / 2 ** j for k in sorted(ks) if lo <= k <= hi]
+    return ties
+
+
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF]
+POWERS = [float(f"1e{k}") for k in range(-323, 309)]
+SPECIALS = np.concatenate([
+    np.array(NAN_BITS, dtype=np.uint64).view(np.float64),
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+     math.nextafter(2.2250738585072014e-308, 0.0), math.inf, -math.inf,
+     1.7976931348623157e308, -1.7976931348623157e308],
+    POWERS, [math.nextafter(p, 0.0) for p in POWERS], [-p for p in POWERS],
+    decimal_ties(), [-t for t in decimal_ties()],
+])
+
+
+def test_decimal_ties_are_ties():
+    ties = decimal_ties()
+    assert len(ties) > 60
+    for v in ties:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    # both rounding directions of round-half-even occur
+    assert {Decimal(v).as_tuple().digits[16] % 2 for v in ties} == {0, 1}
+
+
+@needs_kernel
+@pytest.mark.parametrize("ncol", [3, 5])
+def test_writer_bytes_equal_python_on_edge_values(tmp_path, ncol):
+    values = np.concatenate([SPECIALS, SPECIALS[::-1]])
+    values = values[:len(values) // ncol * ncol]
+    for columns in (values.reshape(ncol, -1), values.reshape(-1, ncol).T):
+        compiled = csv_bytes(tmp_path / "c.csv", columns)
+        python = python_codec(csv_bytes, tmp_path / "py.csv", columns)
+        assert compiled == python
+    assert b"-nan" not in compiled and b"-2.2250738585072014e-308" in compiled
+
+
+@needs_kernel
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), ncol=st.sampled_from([3, 5]),
+       n=st.sampled_from([1, sim.CSV_BLOCK - 1, sim.CSV_BLOCK + 1]))
+def test_writer_bytes_equal_python(tmp_path_factory, data, ncol, n):
+    values = st.floats(width=64) | st.sampled_from(SPECIALS.tolist())
+    columns = [data.draw(arrays(np.float64, n, elements=values)) for _ in range(ncol)]
+    path = tmp_path_factory.mktemp("csv")
+    compiled = csv_bytes(path / "c.csv", columns)
+    assert compiled == python_codec(csv_bytes, path / "py.csv", columns)
+
+
+def read_outcome(path):
+    """The arrays read from path as bytes, or the error message."""
+    try:
+        traj = sim.read_trajectory_csv(str(path))
+    except InvalidParameterError as err:
+        return str(err)
+    return traj.times.tobytes(), traj.states.tobytes(), traj.cost_values.tobytes()
+
+
+B = sim.CSV_BLOCK
+ROWS = [f"{k * 1.25e-3:.17g},{math.sin(k) * 1e-7:.17g},{k ** 4 / 3:.17g}\n"
+        for k in range(2 * B + 3)]
+
+
+def csv_file(row=None, line=None, rows=ROWS, header="t,x,J\n", end=""):
+    """The rows, with rows[row] replaced by line, as a CSV text."""
+    rows = list(rows)
+    if row is not None:
+        rows[row] = line
+    return header + "".join(rows) + end
+
+
+CSV_FILES = {
+    "clean": csv_file(),
+    "underscore": csv_file(B + 4, f"{(B + 4) * 1.25e-3!r}, 1_0.5 ,+1\n"),
+    "spellings": csv_file(B + 4, f"{(B + 4) * 1.25e-3!r},Infinity,-nan\n"),
+    "exponents": csv_file(B + 4, f"{(B + 4) * 1.25e-3!r},1E5,.5e-3\n"),
+    "lone-cr": csv_file(B + 4, f"{(B + 4) * 1.25e-3!r},1,2\r"),
+    "too-few": csv_file(B + 4, "0.1,0.5\n"),
+    "too-many": csv_file(B + 4, "0.1,0.5,0.25,7\n"),
+    "word": csv_file(B + 4, "0.1,0.5,zero\n"),
+    "blank": csv_file(B + 4, "\n"),
+    "non-utf8": csv_file(B + 4, "0.1,\udcff,1\n"),
+    "crlf": csv_file().replace("\n", "\r\n"),
+    "crlf-rows": "t,x,J\n" + "".join(ROWS).replace("\n", "\r\n"),
+    "open-end": csv_file().rstrip("\n"),
+    "open-odd-end": csv_file().rstrip("\n") + " ",
+    "blank-end": csv_file(end="\n"),
+    "nan-inf": csv_file(rows=ROWS[:B + 4] + [f"{(B + 4) * 1.25e-3!r},nan,-inf\n",
+                                            f"{(B + 5) * 1.25e-3!r},inf,-0\n"]),
+    "huge-tiny": csv_file(B + 4, f"{(B + 4) * 1.25e-3!r},1e400,-1e-400\n"),
+    "huge-tiny-signed": csv_file(B + 4, f"{(B + 4) * 1.25e-3!r},1e+400,-1e-400\n"),
+    "subnormal-halves": csv_file(
+        B + 4, f"{(B + 4) * 1.25e-3!r},2.4703282292062327e-324,-2.4703282292062328e-324\n"),
+    "overflow-all": csv_file(rows=[f"{k}e-3,1e+400,1e-400\n" for k in range(B + 5)]),
+    "header-crlf": csv_file(header="t,x,J\r\n"),
+    "header-spaces": csv_file(header=" t,x,J \n"),
+    "header-only": "t,x,J\n",
+    "bad-header": csv_file(header="t,x,y\n"),
+    "uneven": csv_file(B + 4, f"{(B + 4) * 1.25e-3 + 1e-6!r},1,2\n"),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("chunk", [97, sim.CSV_CHUNK])
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_reader_equals_python(tmp_path, monkeypatch, name, chunk):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(CSV_FILES[name].encode(errors="surrogateescape"))
+    monkeypatch.setattr(sim, "CSV_CHUNK", chunk)
+    compiled = read_outcome(path)
+    assert compiled == python_codec(read_outcome, path)
+    if name in COMPILED_STOPS:
+        with open(path, "rb") as raw:
+            assert sim._read_compiled(raw, []) == COMPILED_STOPS[name]
+
+
+# the line the compiled reader hands on at: the one after the last row, or
+# the first outside the writer's grammar
+COMPILED_STOPS = {"clean": len(ROWS) + 2, "crlf": len(ROWS) + 2, "open-end": len(ROWS) + 2,
+                  "huge-tiny-signed": len(ROWS) + 2, "nan-inf": B + 8, "subnormal-halves": len(ROWS) + 2,
+                  "overflow-all": B + 7, "underscore": B + 6, "lone-cr": B + 6,
+                  "huge-tiny": B + 6, "open-odd-end": len(ROWS) + 1}
+
+
+def write_file(tmp_path, text):
+    path = tmp_path / "plain.csv"
+    path.write_text(text)
+    return path
+
+
+@needs_kernel
+def test_reader_reads_a_pipe_as_before(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(CSV_FILES["spellings"])
+
+    for read in (read_outcome, lambda p: python_codec(read_outcome, p)):
+        writer = threading.Thread(target=feed)
+        writer.start()
+        got = read(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == read_outcome(write_file(tmp_path, CSV_FILES["spellings"]))
+
+
+COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8",
+                 "es_ES.UTF-8", "it_IT.UTF-8", "nl_NL.UTF-8", "pt_BR.UTF-8")
+
+
+@needs_kernel
+def test_codec_ignores_a_decimal_comma_locale(tmp_path):
+    columns = np.stack([np.arange(len(SPECIALS)) * 0.1, SPECIALS, SPECIALS[::-1]])
+    expected = python_codec(csv_bytes, tmp_path / "py.csv", columns)
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"t,x,J\n" + expected)
+    expected_read = python_codec(read_outcome, path)
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    for name in COMMA_LOCALES:
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        break
+    else:
+        pytest.skip("no locale with a decimal comma is installed")
+    try:
+        assert locale.localeconv()["decimal_point"] == ","
+        assert csv_bytes(tmp_path / "c.csv", columns) == expected
+        path.write_bytes(b"t,x,J\n" + expected)
+        assert read_outcome(path) == expected_read
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)

@@ -512,3 +512,30 @@ class TestCsvCodec:
         assert sim.read_trajectory_csv(str(path)).times.tobytes() == t.tobytes()
         single = write_text(tmp_path / "one.csv", "t,x,J\n3.5,1,2\n")
         assert sim.read_trajectory_csv(single).dt == 0.0
+
+
+@pytest.fixture(scope="class")
+def python_codec():
+    """The loader finds no compiled library for the whole class."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        yield
+
+
+@pytest.mark.usefixtures("python_codec")
+class TestCsvCodecPython(TestCsvCodec):
+    """TestCsvCodec on the Python codec, the fallback when there is no compiler.
+
+    Hypothesis runs a wrapped test for one instance only, so the two property
+    tests get wrappers of their own around the same bodies.
+    """
+
+    test_writer_matches_per_row_oracle = settings(max_examples=30, deadline=None)(
+        given(data=st.data(), n=CSV_SIZES)(
+            TestCsvCodec.test_writer_matches_per_row_oracle.hypothesis.inner_test))
+    test_read_back_is_bit_exact = settings(max_examples=30, deadline=None)(
+        given(data=st.data(), n=CSV_SIZES, h=st.floats(1e-9, 1e3))(
+            TestCsvCodec.test_read_back_is_bit_exact.hypothesis.inner_test))
+
+    def test_runs_on_the_python_codec(self):
+        assert _kernel.load() is None
