@@ -42,12 +42,51 @@
  * and values equal those of the Python codec, which runs when this library
  * does not load:
  *
- *   - liees_format_rows writes each value as C's snprintf "%.17g".  Python's
- *     "%.17g" % v rounds the exact binary value to 17 significant digits,
- *     ties to even, and spells the exponent e+XX/e-XX with at least two
- *     digits; glibc's printf does the same, in the C locale.  The two differ
- *     only in NaN: glibc writes -nan for a NaN whose sign bit is set, Python
- *     always nan, so NaN is written as nan here.
+ *   - liees_format_rows writes each value as Python's "%.17g" % v does: the
+ *     exact binary value rounded to 17 significant digits, ties to even, in
+ *     C's %g style.  glibc's printf does the same in the C locale, except
+ *     that it writes -nan for a NaN whose sign bit is set, where Python
+ *     always writes nan.  The writer forms most fields itself, with exact
+ *     integer arithmetic (after Adams, "Ryu revisited: printf floating point
+ *     conversion", OOPSLA 2019, which %.17g needs without its tables), for a
+ *     normal v with 1e-38 < |v| < 2^128:
+ *       1. |v| = m 2^q with 2^52 <= m < 2^53, so 2^e2 <= |v| < 2^(e2+1) for
+ *          e2 = q + 52, and the decimal exponent X = floor(log10 |v|) is
+ *          E = floor(e2 log10 2) or E + 1.  E is floor(e2 78913 / 2^18), which
+ *          equals floor(e2 log10 2) for every |e2| <= 1100 (checked with exact
+ *          rationals).  At e2 = -127 that gives -39, but X >= -38, since the
+ *          double 1e-38 lies below 10^-38 and every larger double above it,
+ *          so E is raised to -38.  Then X - 1 <= E <= X.
+ *       2. With j = 16 - E, F = floor(|v| 10^j) = floor(m 5^j 2^(q+j)) and its
+ *          remainder are exact:
+ *            - j < 0 (|v| >= 1e17): q >= 5 and m 2^q < 2^128 is divided by
+ *              10^-j <= 10^22 in 128 bits;
+ *            - 0 <= j <= 32: m 5^j < 2^53 5^32 < 2^128 is shifted right by
+ *              -(q + j), which lies in [-4, 73] (left for a negative shift,
+ *              where F is exact);
+ *            - 33 <= j <= 54: m 5^j = (m 5^27) 5^(j-27) < 2^179 is held as
+ *              hi 2^64 + lo, hi in 128 bits and lo in 64, and the shift
+ *              -(q + j) lies in [73, 125], so F = hi >> (-(q + j) - 64) and
+ *              lo only says whether the remainder is exactly a half (a
+ *              sticky bit).
+ *          Each remainder is classed as zero, below, at or above a half.
+ *       3. F < 10^18, as E >= X - 1.  If F >= 10^17, E was one low: the floor
+ *          for j - 1 is floor(F / 10), and its remainder, (F mod 10 + r) / 10
+ *          for the remainder r < 1 of F, is classed from F mod 10 and the
+ *          class of r.  Now 10^16 <= F < 10^17 and E = X.
+ *       4. F rounds up when the remainder is above a half, or at a half with
+ *          F odd: half to even.  A carry to 10^17 becomes 10^16 with E + 1.
+ *          F and E are now the 17 digits and the exponent that printf and
+ *          Python write, as they round the same exact value the same way.
+ *       5. C's %g with precision 17 writes F as d.dddde+XX when E < -4 or
+ *          E >= 17, else in fixed form with 16 - E decimals; trailing zeros
+ *          of the fraction are removed, with the point when none is left, and
+ *          the exponent is e+XX or e-XX with at least two digits (|E| <= 38
+ *          here).
+ *     +-0, +-inf and NaN are written as 0, -0, inf, -inf and nan, as both
+ *     spell them.  Every other field (subnormals, 0 < |v| <= 1e-38 and
+ *     |v| >= 2^128), and every field when the compiler has no unsigned
+ *     __int128, is written by snprintf "%.17g".
  *   - liees_parse_rows reads only the writer's own grammar: fields
  *     -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf, -inf and nan, separated by
  *     commas, with \n or \r\n line ends.  glibc's strtod and CPython's float
@@ -59,8 +98,9 @@
  *
  * Python's codec ignores the process locale, while printf and strtod follow
  * LC_NUMERIC, which a host program may set to a decimal comma.  So both run
- * under a C locale object of their own (uselocale, strtod_l) and write and
- * read the same bytes under any locale.
+ * under a C locale object of their own (uselocale around each snprintf,
+ * strtod_l) and write and read the same bytes under any locale; the exact
+ * path of the writer reads no locale.
  */
 
 #define _GNU_SOURCE
@@ -316,34 +356,205 @@ __attribute__((constructor)) static void make_c_locale(void)
     c_locale = newlocale(LC_ALL_MASK, "C", (locale_t) 0);
 }
 
+/* "%.17g" of v by glibc's snprintf in the C locale, at p; returns its length. */
+static int format_libc(char *p, double v)
+{
+    const locale_t old = uselocale(c_locale);
+    const int len = snprintf(p, 25, "%.17g", v);
+
+    uselocale(old);
+    return len;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+#define P5_27 7450580596923828125ULL
+/* 5^j for j = 0..32; m 5^j < 2^128 for every m < 2^53. */
+static const u128 POW5[33] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
+    6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+    3814697265625ULL, 19073486328125ULL, 95367431640625ULL, 476837158203125ULL,
+    2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL,
+    (u128) P5_27 * 5, (u128) P5_27 * 25, (u128) P5_27 * 125, (u128) P5_27 * 625,
+    (u128) P5_27 * 3125
+};
+
+/* Where the remainder of a shift or division lies: zero, below, at or above
+ * half of the divisor. */
+enum { REM_ZERO, REM_BELOW, REM_HALF, REM_ABOVE };
+
+/* The class of the remainder r against half, with sticky set when nonzero
+ * bits lie below r. */
+static inline int rem_class(u128 r, u128 half, int sticky)
+{
+    if (r < half)
+        return r != 0 || sticky ? REM_BELOW : REM_ZERO;
+    if (r == half)
+        return sticky ? REM_ABOVE : REM_HALF;
+    return REM_ABOVE;
+}
+
+/* The 17 digits of 10^16 <= f < 10^17 at d. */
+static inline void put_digits17(char *d, uint64_t f)
+{
+    uint32_t hi = (uint32_t) (f / 100000000), lo = (uint32_t) (f % 100000000);
+    int i;
+
+    for (i = 15; i >= 9; i -= 2) {
+        memcpy(d + i, DIGIT_PAIRS + 2 * (lo % 100), 2);
+        lo /= 100;
+    }
+    for (i = 7; i >= 1; i -= 2) {
+        memcpy(d + i, DIGIT_PAIRS + 2 * (hi % 100), 2);
+        hi /= 100;
+    }
+    d[0] = (char) ('0' + hi);
+}
+
+/* "%.17g" of the normal double with biased exponent be, 53-bit significand m
+ * and sign neg, for 1e-38 < |v| < 2^128, at p; returns its length.  The
+ * steps are those of the header. */
+static int format_exact(char *p, int neg, int be, uint64_t m)
+{
+    const int q = be - 1075, e2 = be - 1023;
+    /* E = floor(e2 78913 / 2^18) = floor(e2 log10 2); adding 39 before the
+     * shift and taking it off after keeps the shifted value nonnegative */
+    int e = ((e2 * 78913 + (39 << 18)) >> 18) - 39, j, rem, nd = 17;
+    uint64_t f;
+    char d[17], *s = p;
+
+    if (e < -38)
+        e = -38;
+    j = 16 - e;
+    if (j < 0) {
+        const u128 n = (u128) m << q, ten = POW5[-j] << -j;
+        f = (uint64_t) (n / ten);
+        rem = rem_class(n % ten, ten >> 1, 0);
+    } else if (j <= 32) {
+        const u128 n = (u128) m * POW5[j];
+        const int sh = -(q + j);
+        if (sh <= 0) {
+            f = (uint64_t) (n << -sh);
+            rem = REM_ZERO;
+        } else {
+            f = (uint64_t) (n >> sh);
+            rem = rem_class(n & (((u128) 1 << sh) - 1), (u128) 1 << (sh - 1), 0);
+        }
+    } else {
+        /* m 5^j = (m 5^27) 5^(j-27) = hi 2^64 + (uint64_t) lo */
+        const u128 a = (u128) m * P5_27;
+        const uint64_t b = (uint64_t) POW5[j - 27];
+        const u128 lo = (u128) (uint64_t) a * b;
+        const u128 hi = (a >> 64) * b + (lo >> 64);
+        const int sh = -(q + j) - 64;
+        f = (uint64_t) (hi >> sh);
+        rem = rem_class(hi & (((u128) 1 << sh) - 1), (u128) 1 << (sh - 1), (uint64_t) lo != 0);
+    }
+    if (f >= 100000000000000000ULL) {
+        /* E was one low: floor(|v| 10^(j-1)) = floor(f / 10) */
+        const int last = (int) (f % 10);
+        f /= 10;
+        e++;
+        if (last != 0 || rem != REM_ZERO)
+            rem = last < 5 ? REM_BELOW : last > 5 || rem != REM_ZERO ? REM_ABOVE : REM_HALF;
+    }
+    if (rem == REM_ABOVE || (rem == REM_HALF && (f & 1))) {
+        if (++f == 100000000000000000ULL) {
+            f = 10000000000000000ULL;
+            e++;
+        }
+    }
+    put_digits17(d, f);
+    while (d[nd - 1] == '0')
+        nd--;
+    if (neg)
+        *s++ = '-';
+    if (e < -4 || e >= 17) {
+        *s++ = d[0];
+        if (nd > 1) {
+            *s++ = '.';
+            memcpy(s, d + 1, nd - 1);
+            s += nd - 1;
+        }
+        *s++ = 'e';
+        *s++ = e < 0 ? '-' : '+';
+        memcpy(s, DIGIT_PAIRS + 2 * (e < 0 ? -e : e), 2);
+        s += 2;
+    } else if (e >= 0) {
+        memcpy(s, d, e + 1);
+        s += e + 1;
+        if (nd > e + 1) {
+            *s++ = '.';
+            memcpy(s, d + e + 1, nd - e - 1);
+            s += nd - e - 1;
+        }
+    } else {
+        /* "0." and -e-1 zeros */
+        memcpy(s, "0.000", 1 - e);
+        s += 1 - e;
+        memcpy(s, d, nd);
+        s += nd;
+    }
+    return (int) (s - p);
+}
+#endif
+
+/* "%.17g" of v at p, nan for every NaN; returns its length. */
+static inline int format_field(char *p, double v)
+{
+    uint64_t bits;
+    int neg, be;
+
+    memcpy(&bits, &v, sizeof bits);
+    neg = (int) (bits >> 63);
+    be = (int) (bits >> 52) & 0x7ff;
+    bits &= 0x000fffffffffffffULL;
+    if (be == 0x7ff && bits != 0) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (be == 0x7ff || (be == 0 && bits == 0)) {
+        const int len = be ? 3 : 1;
+        if (neg)
+            *p++ = '-';
+        memcpy(p, be ? "inf" : "0", len);
+        return neg + len;
+    }
+#ifdef __SIZEOF_INT128__
+    if (fabs(v) > 1e-38 && fabs(v) < 0x1p128)
+        return format_exact(p, neg, be, bits | 1ULL << 52);
+#endif
+    return format_libc(p, v);
+}
+
 /* Writes rows i = 0..n-1 of the ncol columns cols[k * stride + i] to buf as
  * CSV lines, each value as "%.17g" and NaN as nan, and returns the number of
  * bytes written.  buf holds at least 25 * ncol * n bytes: a field takes at
- * most 24 (-2.2250738585072014e-308), and snprintf's terminating zero falls
- * on the separator that follows it. */
+ * most 24 (-2.2250738585072014e-308, from snprintf; the exact path's longest
+ * is 23, -0.00012345678901234567), and snprintf's terminating zero falls on
+ * the separator that follows it. */
 int64_t liees_format_rows(const double *cols, int64_t ncol, int64_t stride, int64_t n,
                           char *buf)
 {
-    locale_t old;
     char *p = buf;
     int64_t i, k;
 
     if (c_locale == (locale_t) 0)
         return -1;
-    old = uselocale(c_locale);
     for (i = 0; i < n; i++) {
         for (k = 0; k < ncol; k++) {
-            const double v = cols[k * stride + i];
-            if (isnan(v)) {
-                memcpy(p, "nan", 3);
-                p += 3;
-            } else {
-                p += snprintf(p, 25, "%.17g", v);
-            }
+            p += format_field(p, cols[k * stride + i]);
             *p++ = k + 1 < ncol ? ',' : '\n';
         }
     }
-    uselocale(old);
     return p - buf;
 }
 
@@ -389,14 +600,14 @@ static const char *scan_field(const char *p, const char *end, int *special)
     return q;
 }
 
-/* Parses up to max_rows CSV lines of ncol fields each from text[0..len) into
- * out, row after row, and returns the number of lines parsed, with the bytes
- * they take (line ends included) in *used.  It stops early at a line that does
- * not end within text, and at the first line outside the writer's grammar
- * (see the header): -nan, for one, is not in it, as the writer never writes
- * it. */
+/* Parses up to max_rows CSV lines of ncol fields each from text[0..len),
+ * field k of line r into out[k * stride + r], and returns the number of lines
+ * parsed, with the bytes they take (line ends included) in *used.  It stops
+ * early at a line that does not end within text, and at the first line
+ * outside the writer's grammar (see the header): -nan, for one, is not in
+ * it, as the writer never writes it. */
 int64_t liees_parse_rows(const char *text, int64_t len, int64_t ncol, double *out,
-                         int64_t max_rows, int64_t *used)
+                         int64_t stride, int64_t max_rows, int64_t *used)
 {
     const char *p = text, *end = text + len;
     int64_t r, k;
@@ -421,11 +632,11 @@ int64_t liees_parse_rows(const char *text, int64_t len, int64_t ncol, double *ou
                 goto stop;
             }
             if (!special)
-                out[r * ncol + k] = strtod_l(f, NULL, c_locale);
+                out[k * stride + r] = strtod_l(f, NULL, c_locale);
             else if (*f == 'n')
-                out[r * ncol + k] = NAN;
+                out[k * stride + r] = NAN;
             else
-                out[r * ncol + k] = *f == '-' ? -INFINITY : INFINITY;
+                out[k * stride + r] = *f == '-' ? -INFINITY : INFINITY;
             q++;
         }
         p = q;

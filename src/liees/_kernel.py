@@ -42,7 +42,9 @@ COMPILER = "cc"
 # overflowed, only the cost of a stored state overflowed, or a derivative of
 # the averaged field was not finite.
 EXCEEDED, OVERFLOW, COST_OVERFLOW, NONFINITE = 1, 2, 3, 4
-# Bytes the CSV writer reserves per field: "-2.2250738585072014e-308" and a separator.
+# Bytes the CSV writer reserves per field: the longest field, snprintf's
+# "-2.2250738585072014e-308" (the exact integer path writes at most 23 bytes),
+# and the separator, written over snprintf's terminating zero.
 FIELD_BYTES = 25
 
 
@@ -102,7 +104,7 @@ def _bind(path: str) -> types.SimpleNamespace:
     fmt.argtypes = [ptr, i64, i64, i64, ptr]
     fmt.restype = i64
     parse = lib.liees_parse_rows
-    parse.argtypes = [ptr, i64, i64, ptr, i64, ctypes.POINTER(i64)]
+    parse.argtypes = [ptr, i64, i64, ptr, i64, i64, ctypes.POINTER(i64)]
     parse.restype = i64
     # both codec entry points return -1 when the library could not make its C locale
     if fmt(None, 0, 0, 0, None) != 0:
@@ -135,19 +137,18 @@ def _bind(path: str) -> types.SimpleNamespace:
             raise ValueError("format_rows: block or buffer of the wrong shape or type")
         return fmt(block.ctypes.data, ncol, stride, n, buf.ctypes.data)
 
-    def parse_rows(text: bytes, start: int, out):
-        """Parse the lines of text[start:] into the rows of out, up to its
-        length, stopping at a line that does not end in text or that the
-        writer would not have written.  Returns (rows parsed, the offset in
-        text after them)."""
-        if not (out.dtype == np.float64 and out.ndim == 2 and out.flags.c_contiguous
-                and 0 <= start <= len(text)):
+    def parse_rows(text: bytes, out, fill: int):
+        """Parse the lines of text into the columns out[:, fill:], one line
+        per column index, up to the end of out, stopping at a line that does
+        not end in text or that the writer would not have written.  Returns
+        (lines parsed, the bytes of text they take)."""
+        ncol, stride = out.shape
+        if not (out.dtype == np.float64 and out.flags.c_contiguous and 0 <= fill <= stride):
             raise ValueError("parse_rows: output of the wrong shape or type")
         used = i64(0)
-        view = np.frombuffer(text, np.uint8)
-        rows = parse(view.ctypes.data + start, len(text) - start, out.shape[1],
-                     out.ctypes.data, out.shape[0], ctypes.byref(used))
-        return rows, start + used.value
+        rows = parse(text, len(text), ncol, out.ctypes.data + fill * out.itemsize, stride,
+                     stride - fill, ctypes.byref(used))
+        return rows, used.value
 
     return types.SimpleNamespace(rk4=rk4, format_rows=format_rows, parse_rows=parse_rows)
 

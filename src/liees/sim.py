@@ -31,12 +31,14 @@ call and cached in $XDG_CACHE_HOME/liees (else ~/.cache/liees); without a
 compiler, or if the build or load fails, the Python stepper runs silently.
 The path taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
 
-Trajectory CSV is written and read by the same library when it loads:
-write_csv_rows formats each value with C's "%.17g" in the C locale, and
-read_trajectory_csv parses the lines of that writer's own grammar with
-strtod in the C locale, handing every other line to Python's float.  The
-bytes written and the values read are those of the Python codec, which runs
-without the library.
+Trajectory CSV is written and read by the same library when it loads.
+write_csv_rows spells each value as "%.17g" with exact integer arithmetic
+(17 digits from m 5^j in 64-bit limbs, rounded half to even), calling C's
+snprintf in the C locale only for subnormals, 0 < |v| <= 1e-38 and
+|v| >= 2^128.  read_trajectory_csv parses the lines of that writer's own
+grammar with strtod in the C locale into one array sized by the file's line
+ends, handing every other line to Python's float.  The bytes written and the
+values read are those of the Python codec, which runs without the library.
 """
 
 from __future__ import annotations
@@ -78,11 +80,14 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Rows per block of trajectory CSV formatted or parsed at once: memory stays
-# flat in the number of rows beyond the arrays themselves.
+# Rows per block of trajectory CSV formatted at once, or parsed at once in Python:
+# the writer's memory stays flat in the number of rows beyond the arrays.
 CSV_BLOCK = 1024
 # Bytes of trajectory CSV the compiled reader reads at once.
 CSV_CHUNK = 1 << 16
+# Time steps checked at once: the check's temporaries stay small beside the
+# arrays read.
+SPACING_BLOCK = 1 << 14
 # Largest deviation of a CSV time step from the mean step, relative to it.
 SPACING_RTOL = 1e-6
 
@@ -486,10 +491,13 @@ def write_csv_rows(fh, columns) -> None:
     value spelled as "%.17g" % float(v) spells it.
 
     Like zip, it stops at the shortest column.  Rows are formatted CSV_BLOCK
-    at a time, by the compiled codec's snprintf "%.17g" (nan for every NaN,
-    as Python writes it) when it loads and every column is a 1-d array of
-    bool, integer or float values, else by Python's own "%.17g"; the bytes
-    are the same either way.
+    at a time, by the compiled codec when it loads and every column is a 1-d
+    array of bool, integer or float values, else by Python's own "%.17g"; the
+    bytes are the same either way.  The compiled codec rounds each value to
+    17 digits itself, in exact integer arithmetic, and writes nan for every
+    NaN, as Python does; only subnormals, 0 < |v| <= 1e-38 and |v| >= 2^128
+    go through snprintf "%.17g" (see the _kernel.c header for the argument
+    that the bytes agree).
     """
     from . import _kernel
 
@@ -551,82 +559,107 @@ def _check_spacing(times: np.ndarray, path: str) -> None:
     n = len(times)
     if n < 2:
         return
-    step = np.diff(times)
     dt = (times[-1] - times[0]) / (n - 1)
+    tol = SPACING_RTOL * dt
+
+    def steps():
+        """The steps SPACING_BLOCK at a time, each with the index of its first."""
+        for s in range(0, n - 1, SPACING_BLOCK):
+            yield s, np.diff(times[s:s + SPACING_BLOCK + 1])
+
     if dt > 0:
+        bad = nan = False
+        worst = -math.inf
+        for _, step in steps():
+            dev = np.abs(step - dt)
+            bad = bad or not (dev <= tol).all()
+            if np.isnan(dev).any():
+                nan = True
+            else:
+                worst = max(worst, dev.max())
+        if not bad:
+            return
+
+    def named(step):
+        """The steps to name: NaN ones when there are any, else those within
+        tol of the largest deviation; with no positive mean step, those not
+        positive."""
+        if not dt > 0:
+            return ~(step > 0)
         dev = np.abs(step - dt)
-        bad = ~(dev <= SPACING_RTOL * dt)
-        nan = np.isnan(dev)
-        named = nan if nan.any() else dev >= dev.max() - SPACING_RTOL * dt
-    else:
-        bad = named = ~(step > 0)
-    if bad.any():
-        i = int(np.argmax(named))
-        raise InvalidParameterError(
-            f"{path}: line {i + 3}: times must be evenly spaced and increasing, "
-            f"got step {step[i]:.17g} against the mean step {dt:.17g}"
-        )
+        return np.isnan(dev) if nan else dev >= worst - tol
+
+    for s, step in steps():
+        hit = named(step)
+        if hit.any():
+            i = s + int(np.argmax(hit))
+            raise InvalidParameterError(
+                f"{path}: line {i + 3}: times must be evenly spaced and increasing, "
+                f"got step {step[i - s]:.17g} against the mean step {dt:.17g}"
+            )
 
 
-def _read_compiled(raw, blocks: list) -> int:
+def _read_compiled(raw) -> tuple[int, np.ndarray]:
     """Parse the rows of the binary file raw that the writer's own grammar
-    covers, with the compiled codec, into blocks of CSV_BLOCK rows.
+    covers, with the compiled codec, into the columns of one (3, rows) array.
 
-    Reads CSV_CHUNK bytes at a time.  Starts only when raw is seekable and
-    its header line is exactly t,x,J, and stops at the first line outside
-    the grammar.  Returns the row number of the first line not parsed, with
-    raw at its first byte, or 0 with raw at its start when it did not start.
+    Counts the line ends to size the array, then parses CSV_CHUNK bytes at a
+    time.  Starts only when raw is seekable and its header line is exactly
+    t,x,J, and stops at the first line outside the grammar.  Returns the row
+    number of the first line not parsed, with raw at its first byte, and the
+    values parsed; or 0, with raw at its start, and no values when it did
+    not start.
     """
     from . import _kernel
 
+    empty = np.empty((3, 0))
     lib = _kernel.load()
     if lib is None or not raw.seekable():
-        return 0
+        return 0, empty
     if raw.readline(8) not in (b"t,x,J\n", b"t,x,J\r\n"):
         raw.seek(0)
-        return 0
-    row, offset, pending = 2, raw.tell(), b""
-    block, fill = np.empty((CSV_BLOCK, 3)), 0
+        return 0, empty
+    offset, lines, last = raw.tell(), 0, b"\n"
+    while chunk := raw.read(CSV_CHUNK):
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    raw.seek(offset)
+    # every row parsed ends in a line end, the last one perhaps added below
+    values, fill, pending = np.empty((3, lines + (last != b"\n"))), 0, b""
     while True:
         chunk = raw.read(CSV_CHUNK)
         text = pending + chunk
         if not chunk and text and not text.endswith(b"\n"):
             text += b"\n"  # the last line has no line end
-        start = 0
-        while True:
-            k, start = lib.parse_rows(text, start, block[fill:])
-            fill += k
-            row += k
-            if fill < CSV_BLOCK:
-                break
-            blocks.append(block)
-            block, fill = np.empty((CSV_BLOCK, 3)), 0
+        k, start = lib.parse_rows(text, values, fill)
+        fill += k
         # the parser stopped at a line that does not end in text, or at one
-        # outside the grammar: at the end of the file every line ends
+        # outside the grammar (or after the rows counted, should the file
+        # have grown since): at the end of the file every line ends
         if not chunk or text.find(b"\n", start) >= 0:
             break
         pending = text[start:]
         offset += start
-    if fill:
-        blocks.append(block[:fill])
     raw.seek(offset + start)
-    return row
+    return fill + 2, values[:, :fill]
 
 
 def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
     """Read a t,x,J CSV; times must be evenly spaced and increasing.
 
     Lines in the writer's own grammar ("%.17g" fields, \\n or \\r\\n line
-    ends) are parsed by the compiled codec, streamed CSV_CHUNK bytes at a
-    time, when it loads.  From the first other line on, the file is read as
-    text, CSV_BLOCK lines at a time, and each field by Python's float, which
-    also takes spellings such as " 1_0.5 ", "+1" or "Infinity" and names the
-    line of a malformed row.  The values are the same either way: both
-    round each decimal string correctly.
+    ends) are parsed by the compiled codec when it loads and the file is
+    seekable: streamed CSV_CHUNK bytes at a time into one array, sized by a
+    first pass that counts the line ends.  From the first other line on, the
+    file is read as text, CSV_BLOCK lines at a time, and each field by
+    Python's float, which also takes spellings such as " 1_0.5 ", "+1" or
+    "Infinity" and names the line of a malformed row; those rows are joined
+    to the compiled ones by one copy.  The values are the same either way:
+    both round each decimal string correctly.
     """
     blocks = []
     with open(path, "rb") as raw:
-        row = _read_compiled(raw, blocks)
+        row, values = _read_compiled(raw)
         with io.TextIOWrapper(raw, errors="replace") as fh:
             if not row:
                 header = fh.readline().strip()
@@ -634,12 +667,14 @@ def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
                     raise InvalidParameterError(f"unexpected trajectory header {header!r}")
                 row = 2
             while lines := list(itertools.islice(fh, CSV_BLOCK)):
-                blocks.append(_parse_rows(lines, row, path))
+                blocks.append(_parse_rows(lines, row, path).T)
                 row += len(lines)
-    if not blocks:
+    if blocks:
+        values = np.concatenate([values, *blocks], axis=1)
+        del blocks
+    if not values.shape[1]:
         raise InvalidParameterError(f"{path}: no trajectory rows after the header")
-    times, xs, js = np.concatenate([b.T for b in blocks], axis=1)
-    del blocks
+    times, xs, js = values
     _check_spacing(times, path)
     return Trajectory(times=times, states=xs, cost_values=js, epsilon=epsilon,
                       meta={"source": path})

@@ -4,8 +4,12 @@ import importlib.resources
 import locale
 import math
 import os
+import shutil
+import subprocess
 import threading
+import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,6 +321,34 @@ def decimal_ties():
     return ties
 
 
+def neighbours(v):
+    return [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+
+
+def binade_ends(v):
+    """The powers of two around v, and the largest double below the upper one."""
+    e = math.frexp(v)[1]
+    return [math.ldexp(1.0, e - 1), math.nextafter(math.ldexp(1.0, e), 0.0), math.ldexp(1.0, e)]
+
+
+# Doubles near 1e-17 (three limbs) whose 17-digit cut leaves a remainder a
+# hair above one half: the bits that say it is not a tie lie in the low limb.
+STICKY = [float.fromhex(h) for h in ("0x1.4a1d7ddd69ddep-55", "0x1.6e0551fe15d6ep-55",
+                                     "0x1.e663ab8551e23p-56", "0x1.509dc5795f722p-56")]
+TENS = [float(f"1e{k}") for k in range(-38, 39)]
+# The cases of the compiled writer's exact path (see the _kernel.c header).
+BOUNDARIES = [s * v for s in (1.0, -1.0) for v in [
+    0.0,
+    # its ends: 1e-38, just below 10^-38, falls back to snprintf, as does 2^128
+    *neighbours(1e-38), *neighbours(2.0 ** 128),
+    # the switch from 128 bits (j = 32, down to 2^-53) to three limbs (j = 33)
+    *neighbours(2.0 ** -53), *neighbours(1e-16), *neighbours(1e-17), *STICKY,
+    # each power of ten with the powers of two around it: from 10^k up to the
+    # end of its binade the estimate of the decimal exponent is one low
+    *TENS, *[math.nextafter(t, 0.0) for t in TENS],
+    *[v for t in TENS for v in binade_ends(t)],
+]]
+
 NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
             0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF]
 POWERS = [float(f"1e{k}") for k in range(-323, 309)]
@@ -326,7 +358,7 @@ SPECIALS = np.concatenate([
      math.nextafter(2.2250738585072014e-308, 0.0), math.inf, -math.inf,
      1.7976931348623157e308, -1.7976931348623157e308],
     POWERS, [math.nextafter(p, 0.0) for p in POWERS], [-p for p in POWERS],
-    decimal_ties(), [-t for t in decimal_ties()],
+    decimal_ties(), [-t for t in decimal_ties()], BOUNDARIES,
 ])
 
 
@@ -338,6 +370,27 @@ def test_decimal_ties_are_ties():
         assert len(digits) == 18 and digits[-1] == 5
     # both rounding directions of round-half-even occur
     assert {Decimal(v).as_tuple().digits[16] % 2 for v in ties} == {0, 1}
+
+
+def test_boundaries_reach_the_carry_and_the_sticky_bit():
+    # 1e-14 lies below 10^-14 and is the one double of the exact path whose
+    # 17 digits all round up, to 10^17
+    assert Fraction(1e-14) < Fraction(1, 10 ** 14) and "%.17g" % 1e-14 == "1e-14"
+    for v in STICKY:
+        scaled = Fraction(v) * 10 ** 33  # 17 digits at the 10^-17 decade
+        assert 10 ** 16 <= scaled < 10 ** 17
+        assert 0 < scaled - math.floor(scaled) - Fraction(1, 2) < Fraction(1, 2 ** 10)
+    assert {math.floor(Fraction(v) * 10 ** 33) % 2 for v in STICKY} == {0, 1}
+
+
+@needs_kernel
+def test_writer_bytes_equal_python_on_a_sweep(tmp_path):
+    gen = np.random.default_rng(13)
+    log_uniform = 10.0 ** gen.uniform(-40.0, 40.0, 200_000) * gen.choice([-1.0, 1.0], 200_000)
+    bit_patterns = gen.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64)
+    columns = np.concatenate([log_uniform, bit_patterns]).reshape(5, -1)
+    compiled = csv_bytes(tmp_path / "c.csv", columns)
+    assert compiled == python_codec(csv_bytes, tmp_path / "py.csv", columns)
 
 
 @needs_kernel
@@ -428,7 +481,7 @@ def test_reader_equals_python(tmp_path, monkeypatch, name, chunk):
     assert compiled == python_codec(read_outcome, path)
     if name in COMPILED_STOPS:
         with open(path, "rb") as raw:
-            assert sim._read_compiled(raw, []) == COMPILED_STOPS[name]
+            assert sim._read_compiled(raw)[0] == COMPILED_STOPS[name]
 
 
 # the line the compiled reader hands on at: the one after the last row, or
@@ -437,6 +490,23 @@ COMPILED_STOPS = {"clean": len(ROWS) + 2, "crlf": len(ROWS) + 2, "open-end": len
                   "huge-tiny-signed": len(ROWS) + 2, "nan-inf": B + 8, "subnormal-halves": len(ROWS) + 2,
                   "overflow-all": B + 7, "underscore": B + 6, "lone-cr": B + 6,
                   "huge-tiny": B + 6, "open-odd-end": len(ROWS) + 1}
+
+
+@needs_kernel
+def test_reader_peak_memory_is_its_arrays(tmp_path):
+    n = 200_000
+    t = np.arange(n) * 1e-5
+    path = tmp_path / "long.csv"
+    sim.write_trajectory_csv(sim.Trajectory(t, np.sin(t), np.cos(t), 1.0), str(path))
+    tracemalloc.start()
+    try:
+        traj = sim.read_trajectory_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = traj.times.nbytes + traj.states.nbytes + traj.cost_values.nbytes
+    assert arrays == 3 * 8 * n and traj.times.tobytes() == t.tobytes()
+    assert peak <= 1.2 * arrays
 
 
 def write_file(tmp_path, text):
@@ -467,23 +537,44 @@ COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_R
                  "es_ES.UTF-8", "it_IT.UTF-8", "nl_NL.UTF-8", "pt_BR.UTF-8")
 
 
+def set_comma_locale(tmp_path, monkeypatch) -> bool:
+    """Set LC_NUMERIC to an installed locale with a decimal comma or, when
+    there is none, to de_DE.ISO-8859-1 built by localedef under tmp_path
+    (LOCPATH pointing there, until monkeypatch restores it).  Returns False when neither can be set."""
+    for name in COMMA_LOCALES:
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+            return True
+        except locale.Error:
+            pass
+    localedef = shutil.which("localedef")
+    if localedef is None:
+        return False
+    name, locales = "de_DE.ISO-8859-1", tmp_path / "locales"
+    locales.mkdir()
+    done = subprocess.run([localedef, "-i", "de_DE", "-f", "ISO-8859-1", str(locales / name)],
+                          capture_output=True, stdin=subprocess.DEVNULL, timeout=60)
+    if done.returncode != 0:
+        return False
+    monkeypatch.setenv("LOCPATH", str(locales))
+    try:
+        locale.setlocale(locale.LC_NUMERIC, name)
+    except locale.Error:
+        return False
+    return True
+
+
 @needs_kernel
-def test_codec_ignores_a_decimal_comma_locale(tmp_path):
+def test_codec_ignores_a_decimal_comma_locale(tmp_path, monkeypatch):
     columns = np.stack([np.arange(len(SPECIALS)) * 0.1, SPECIALS, SPECIALS[::-1]])
     expected = python_codec(csv_bytes, tmp_path / "py.csv", columns)
     path = tmp_path / "c.csv"
     path.write_bytes(b"t,x,J\n" + expected)
     expected_read = python_codec(read_outcome, path)
     saved = locale.setlocale(locale.LC_NUMERIC)
-    for name in COMMA_LOCALES:
-        try:
-            locale.setlocale(locale.LC_NUMERIC, name)
-        except locale.Error:
-            continue
-        break
-    else:
-        pytest.skip("no locale with a decimal comma is installed")
     try:
+        if not set_comma_locale(tmp_path, monkeypatch):
+            pytest.skip("no locale with a decimal comma is installed or can be built")
         assert locale.localeconv()["decimal_point"] == ","
         assert csv_bytes(tmp_path / "c.csv", columns) == expected
         path.write_bytes(b"t,x,J\n" + expected)

@@ -490,7 +490,7 @@ class TestCsvCodec:
 
     # the line named is the later row of the step that deviates most from the
     # mean step: a gap, not the first of the steps the gap shifts the mean from
-    @pytest.mark.parametrize("times, line", [
+    UNEVEN = [
         ([0.0, 0.1, 0.3, 0.4], 4),
         ([k * 0.1 + (k == B + 500) * 1e-6 for k in range(2 * B)], B + 502),
         ([0.0, 0.2, 0.1], 3),
@@ -498,11 +498,19 @@ class TestCsvCodec:
         ([1.0, 0.5, 0.0], 3),
         ([0.0, float("nan"), 0.2], 3),
         ([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8], 6),
-    ])
+        ([0.0, 0.1, 0.5, 0.6, float("nan"), 0.8, 0.9], 6),
+    ]
+
+    @pytest.mark.parametrize("times, line", UNEVEN)
     def test_uneven_times_are_rejected(self, tmp_path, times, line):
         text = "t,x,J\n" + "".join(f"{t!r},1,1\n" for t in times)
         with pytest.raises(InvalidParameterError, match=f"line {line}: times must be evenly"):
             sim.read_trajectory_csv(write_text(tmp_path / "uneven.csv", text))
+
+    def test_spacing_checked_in_small_blocks_names_the_same_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "SPACING_BLOCK", 3)
+        for times, line in self.UNEVEN:
+            self.test_uneven_times_are_rejected(tmp_path, times, line)
 
     def test_rounded_even_times_pass(self, tmp_path):
         n = 3 * B
