@@ -94,7 +94,7 @@
  *     even, overflow to inf and underflow to a subnormal or zero), so they
  *     agree on every such field; inf and nan are the constants float() returns.
  *     The first line outside that grammar stops the parser, and the caller
- *     reads the rest in Python.
+ *     then reads the whole file in Python: one parser per file.
  *
  * Python's codec ignores the process locale, while printf and strtod follow
  * LC_NUMERIC, which a host program may set to a decimal comma.  So both run
@@ -605,7 +605,8 @@ static const char *scan_field(const char *p, const char *end, int *special)
  * parsed, with the bytes they take (line ends included) in *used.  It stops
  * early at a line that does not end within text, and at the first line
  * outside the writer's grammar (see the header): -nan, for one, is not in
- * it, as the writer never writes it. */
+ * it, as the writer never writes it.  A file with such a line is not read
+ * here at all: liees.sim reads it whole in Python. */
 int64_t liees_parse_rows(const char *text, int64_t len, int64_t ncol, double *out,
                          int64_t stride, int64_t max_rows, int64_t *used)
 {

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResolutionError
+from .errors import InvalidParameterError, ResolutionError, check_array_size
 from .dither import DitherSpec, eval_dither
 from .lie import iterated_bracket
 
@@ -310,6 +310,7 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
             f"{quadrature_steps} steps resolve the fastest harmonic ({fastest}/period) "
             f"with fewer than 16 samples"
         )
+    check_array_size(quadrature_steps + 1, f"{quadrature_steps} quadrature steps")
 
     n = len(dithers)
     m = quadrature_steps

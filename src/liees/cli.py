@@ -3,8 +3,8 @@ rate fits, and the bundled verification suites.
 
 Subcommands: run, compare, coeffs, rate, verify.  Exit codes: 0 success,
 2 configuration, validation or I/O error (a step or quadrature count too
-coarse for the design included), 3 numeric failure (verify: 1 on any failed
-check).
+coarse for the design, or one whose arrays cannot be allocated, included),
+3 numeric failure (verify: 1 on any failed check).
 """
 
 from __future__ import annotations
@@ -373,6 +373,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -25,9 +25,9 @@ __all__ = [
     "check_assumption",
 ]
 
-# Base step for first-order central differences; higher orders widen the step
-# to keep the stencil roundoff (~eps/h^k) below the Richardson truncation.
-FD_BASE_STEP = 1e-4
+# Central-difference step per derivative order, times max(1, |x|): higher
+# orders widen the step to keep the stencil roundoff (~eps/h^k) below the
+# Richardson truncation.
 _FD_ORDER_STEP = {1: 1e-4, 2: 2e-3, 3: 1e-2, 4: 2e-2}
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the array size check."""
+
+import sys
 
 
 class LieesError(Exception):
@@ -44,3 +46,11 @@ class ConstructionError(LieesError):
 
 class InsufficientSignalError(LieesError):
     """An envelope has too little signal above its residual floor to fit."""
+
+
+def check_array_size(n: int, what: str) -> None:
+    """Reject an array of n doubles (for what) that numpy cannot size: above
+    sys.maxsize bytes it raises ValueError where a smaller one that does not
+    fit raises MemoryError."""
+    if n > sys.maxsize // 8:
+        raise InvalidParameterError(f"{what} are more than an array of doubles can hold")

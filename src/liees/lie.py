@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .costs import FD_BASE_STEP, CostFunction, fd_derivative
+from .costs import _FD_ORDER_STEP, CostFunction, fd_derivative
 from .errors import InvalidParameterError, NumericFailureError
 
 __all__ = [
@@ -63,8 +63,7 @@ class ScalarField:
 
 
 def _fd_step(x: float, level: int) -> float:
-    base = max(FD_BASE_STEP, FD_BASE_STEP * abs(x))
-    return base * _NEST_WIDEN ** (level - 1)
+    return _FD_ORDER_STEP[1] * max(1.0, abs(x)) * _NEST_WIDEN ** (level - 1)
 
 
 def _bracket_fn(f: Callable, g: Callable, level: int) -> Callable[[float], float]:

@@ -35,10 +35,11 @@ Trajectory CSV is written and read by the same library when it loads.
 write_csv_rows spells each value as "%.17g" with exact integer arithmetic
 (17 digits from m 5^j in 64-bit limbs, rounded half to even), calling C's
 snprintf in the C locale only for subnormals, 0 < |v| <= 1e-38 and
-|v| >= 2^128.  read_trajectory_csv parses the lines of that writer's own
-grammar with strtod in the C locale into one array sized by the file's line
-ends, handing every other line to Python's float.  The bytes written and the
-values read are those of the Python codec, which runs without the library.
+|v| >= 2^128.  read_trajectory_csv runs one parser per file: a file whose
+every line is in that writer's own grammar is parsed with strtod in the C
+locale into one array sized by the file's line ends, and any other file by
+Python's float.  The bytes written and the values read are those of the
+Python codec, which runs without the library.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .errors import (
     InvalidParameterError,
     NumericFailureError,
     ResolutionError,
+    check_array_size,
 )
 from .lie import ScalarField, const_shape, linear_shape, make_generating_pair, make_triple_family
 
@@ -263,14 +265,6 @@ def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
                           "lbs_terms": [(1, gamma1), (3, gamma3)]})
 
 
-def _dither_tables(system: ESSystem, steps: int):
-    """Per-channel samples on the step/half-step grid of one period."""
-    eps = system.epsilon
-    m = 2 * steps
-    ts = np.arange(m) * (eps / m)
-    return [eval_dither(d, ts) for d in system.dithers]
-
-
 def _diverged(overflow: bool, k: int, h: float, last_x: float) -> DivergenceError:
     """The error for a failure in step k, which started from state last_x."""
     t = k * h
@@ -369,6 +363,7 @@ class _Stepper:
     def run(self, x0, n_out: int, dec: int):
         """(states, costs, kernel) of n_out * dec steps from x0, storing every
         dec-th state."""
+        check_array_size(n_out + 1, f"{n_out + 1} stored states")
         if self.P is not None:
             compiled = _integrate_compiled(self.J, self.P, self.Q, x0, self.h, n_out, dec,
                                            self.field)
@@ -391,7 +386,10 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
         )
     h = system.epsilon / S
     J = system.cost.eval
-    tables = _dither_tables(system, S)
+    # the dither samples on the step/half-step grid of one period
+    check_array_size(2 * S, f"{S} steps per period")
+    ts = np.arange(2 * S) * (system.epsilon / (2 * S))
+    tables = [eval_dither(d, ts) for d in system.dithers]
     affine = [getattr(g, "affine", None) for g in system.shapes]
     if all(a is not None for a in affine):
         return _Stepper(J, h, sum(a[0] * u for a, u in zip(affine, tables)),
@@ -599,79 +597,64 @@ def _check_spacing(times: np.ndarray, path: str) -> None:
             )
 
 
-def _read_compiled(raw) -> tuple[int, np.ndarray]:
-    """Parse the rows of the binary file raw that the writer's own grammar
-    covers, with the compiled codec, into the columns of one (3, rows) array.
-
-    Counts the line ends to size the array, then parses CSV_CHUNK bytes at a
-    time.  Starts only when raw is seekable and its header line is exactly
-    t,x,J, and stops at the first line outside the grammar.  Returns the row
-    number of the first line not parsed, with raw at its first byte, and the
-    values parsed; or 0, with raw at its start, and no values when it did
-    not start.
+def _read_compiled(raw) -> np.ndarray | None:
+    """The columns of every row of the binary file raw as one (3, rows)
+    array, parsed by the compiled codec CSV_CHUNK bytes at a time; or None,
+    with raw at its start, when the library does not load, raw is not
+    seekable, its header line is not exactly t,x,J, or a line lies outside
+    the writer's own grammar (a last line without its line end included) or
+    past the line ends counted first to size the array.
     """
     from . import _kernel
 
-    empty = np.empty((3, 0))
     lib = _kernel.load()
     if lib is None or not raw.seekable():
-        return 0, empty
-    if raw.readline(8) not in (b"t,x,J\n", b"t,x,J\r\n"):
-        raw.seek(0)
-        return 0, empty
-    offset, lines, last = raw.tell(), 0, b"\n"
-    while chunk := raw.read(CSV_CHUNK):
-        lines += chunk.count(b"\n")
-        last = chunk[-1:]
-    raw.seek(offset)
-    # every row parsed ends in a line end, the last one perhaps added below
-    values, fill, pending = np.empty((3, lines + (last != b"\n"))), 0, b""
-    while True:
-        chunk = raw.read(CSV_CHUNK)
-        text = pending + chunk
-        if not chunk and text and not text.endswith(b"\n"):
-            text += b"\n"  # the last line has no line end
-        k, start = lib.parse_rows(text, values, fill)
-        fill += k
-        # the parser stopped at a line that does not end in text, or at one
-        # outside the grammar (or after the rows counted, should the file
-        # have grown since): at the end of the file every line ends
-        if not chunk or text.find(b"\n", start) >= 0:
-            break
-        pending = text[start:]
-        offset += start
-    raw.seek(offset + start)
-    return fill + 2, values[:, :fill]
+        return None
+    if raw.readline(8) in (b"t,x,J\n", b"t,x,J\r\n"):
+        offset, lines = raw.tell(), 0
+        while chunk := raw.read(CSV_CHUNK):
+            lines += chunk.count(b"\n")
+        raw.seek(offset)
+        values, fill, pending = np.empty((3, lines)), 0, b""
+        while chunk := raw.read(CSV_CHUNK):
+            text = pending + chunk
+            k, start = lib.parse_rows(text, values, fill)
+            fill += k
+            pending = text[start:]
+            # the parser stopped at a line that does not end in text, or at a
+            # whole line outside the grammar or past the lines counted
+            if b"\n" in pending:
+                break
+        if not pending and fill == lines:
+            return values
+    raw.seek(0)
+    return None
 
 
 def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
     """Read a t,x,J CSV; times must be evenly spaced and increasing.
 
-    Lines in the writer's own grammar ("%.17g" fields, \\n or \\r\\n line
-    ends) are parsed by the compiled codec when it loads and the file is
-    seekable: streamed CSV_CHUNK bytes at a time into one array, sized by a
-    first pass that counts the line ends.  From the first other line on, the
-    file is read as text, CSV_BLOCK lines at a time, and each field by
-    Python's float, which also takes spellings such as " 1_0.5 ", "+1" or
-    "Infinity" and names the line of a malformed row; those rows are joined
-    to the compiled ones by one copy.  The values are the same either way:
-    both round each decimal string correctly.
+    One parser reads the whole file: the compiled codec (see _read_compiled)
+    when it loads, the file is seekable and every line is in the writer's own
+    grammar ("%.17g" fields, \\n or \\r\\n line ends); else Python's float,
+    CSV_BLOCK lines at a time, which also takes spellings such as " 1_0.5 ",
+    "+1" or "Infinity" and names the line of a malformed row.  Both round
+    each decimal string correctly, so the values are the same either way.
     """
-    blocks = []
     with open(path, "rb") as raw:
-        row, values = _read_compiled(raw)
-        with io.TextIOWrapper(raw, errors="replace") as fh:
-            if not row:
+        values = _read_compiled(raw)
+        if values is None:
+            blocks = []
+            with io.TextIOWrapper(raw, errors="replace") as fh:
                 header = fh.readline().strip()
                 if header != "t,x,J":
                     raise InvalidParameterError(f"unexpected trajectory header {header!r}")
                 row = 2
-            while lines := list(itertools.islice(fh, CSV_BLOCK)):
-                blocks.append(_parse_rows(lines, row, path).T)
-                row += len(lines)
-    if blocks:
-        values = np.concatenate([values, *blocks], axis=1)
-        del blocks
+                while lines := list(itertools.islice(fh, CSV_BLOCK)):
+                    blocks.append(_parse_rows(lines, row, path).T)
+                    row += len(lines)
+            values = np.concatenate(blocks, axis=1) if blocks else np.empty((3, 0))
+            del blocks
     if not values.shape[1]:
         raise InvalidParameterError(f"{path}: no trajectory rows after the header")
     times, xs, js = values

@@ -294,12 +294,28 @@ def _binary_config(tmp_path):
      "validation error: --tol must be finite, got nan"),
     (_compare_band("0.05", **{"output.decimation": 128}),
      "config error: sample step mismatch: 0.001 vs 0.0005"),
+    # counts whose arrays exceed the address space (3.64 PiB here), or that
+    # numpy cannot size at all
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
+                       "--kappa", "1000000000000"],
+     "memory error: Unable to allocate 3.64 PiB"),
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
+                       "--quadrature-steps", "99999999999999999999"],
+     "validation error: 99999999999999999999 quadrature steps are more than an array"),
+    (_config(system={"builder": "three_input", "phi2": 1.0, "kappa": 10 ** 20}),
+     "validation error: 768000000000000000000000 quadrature steps are more than an array"),
+    (_config(**{"integrator.total_time": 1e30}),
+     "stored states are more than an array of doubles can hold"),
+    (_config(**{"integrator.steps_per_period": 10 ** 20, "output.decimation": 0}),
+     "validation error: 100000000000000000000 steps per period are more than an array"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
         "nan-xstar", "nan-coeffs-epsilon", "inf-coeffs-epsilon", "infinite-total-time",
         "nan-x0", "unexcited-three-input", "coarse-three-input-steps", "nan-band",
-        "negative-band", "nan-tol", "sample-step-mismatch"])
+        "negative-band", "nan-tol", "sample-step-mismatch", "unallocatable-kappa",
+        "oversized-quadrature-steps", "oversized-three-input-kappa", "oversized-total-time",
+        "oversized-steps-per-period"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -479,17 +479,38 @@ def test_reader_equals_python(tmp_path, monkeypatch, name, chunk):
     monkeypatch.setattr(sim, "CSV_CHUNK", chunk)
     compiled = read_outcome(path)
     assert compiled == python_codec(read_outcome, path)
-    if name in COMPILED_STOPS:
-        with open(path, "rb") as raw:
-            assert sim._read_compiled(raw)[0] == COMPILED_STOPS[name]
+    with open(path, "rb") as raw:
+        whole = sim._read_compiled(raw)
+        assert (whole is not None) == (name in READ_WHOLE)
+        if whole is None:
+            assert raw.tell() == 0
 
 
-# the line the compiled reader hands on at: the one after the last row, or
-# the first outside the writer's grammar
-COMPILED_STOPS = {"clean": len(ROWS) + 2, "crlf": len(ROWS) + 2, "open-end": len(ROWS) + 2,
-                  "huge-tiny-signed": len(ROWS) + 2, "nan-inf": B + 8, "subnormal-halves": len(ROWS) + 2,
-                  "overflow-all": B + 7, "underscore": B + 6, "lone-cr": B + 6,
-                  "huge-tiny": B + 6, "open-odd-end": len(ROWS) + 1}
+# the files the compiled reader reads whole: every line in the writer's own
+# grammar, each ending in a line end; Python reads every other file
+READ_WHOLE = {"clean", "crlf", "crlf-rows", "nan-inf", "huge-tiny-signed", "subnormal-halves",
+              "overflow-all", "header-crlf", "header-only", "uneven"}
+
+
+@needs_kernel
+def test_compiled_reader_reads_every_written_file_whole(tmp_path):
+    # writer and grammar must not drift apart: a written line outside the
+    # grammar would send the whole file to the Python reader
+    gen = np.random.default_rng(14)
+    bit_patterns = gen.integers(0, 2 ** 64, 60_000, dtype=np.uint64).view(np.float64)
+    log_uniform = 10.0 ** gen.uniform(-40.0, 40.0, 120_000) * gen.choice([-1.0, 1.0], 120_000)
+    values = np.concatenate([SPECIALS, bit_patterns, log_uniform])
+    columns = values[:len(values) // 3 * 3].reshape(3, -1)
+    path = tmp_path / "written.csv"
+    with open(path, "w") as fh:
+        fh.write("t,x,J\n")
+        sim.write_csv_rows(fh, columns)
+    with open(path, "rb") as raw:
+        got = sim._read_compiled(raw)
+    assert got is not None and got.shape == columns.shape
+    nan = np.isnan(columns)
+    assert (np.isnan(got) == nan).all()
+    assert (got[~nan].view(np.uint64) == columns[~nan].view(np.uint64)).all()
 
 
 @needs_kernel
