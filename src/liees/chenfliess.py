@@ -35,6 +35,7 @@ import numpy as np
 from .errors import InvalidParameterError, ResolutionError, check_array_size
 from .dither import DitherSpec, eval_dither
 from .lie import iterated_bracket
+from .sim import ESSystem
 
 __all__ = [
     "Signature",
@@ -448,8 +449,6 @@ def verify_excitation(dithers: Sequence[DitherSpec], target: tuple, tol: float =
 def endpoint_prediction(system, x0: float, order: int = MAX_DEPTH,
                         quadrature_steps: int | None = None) -> float:
     """Truncated one-period endpoint x0 + sum coeff * eps * bracket(x0)."""
-    from .sim import ESSystem  # local import to avoid a cycle
-
     if not isinstance(system, ESSystem):
         raise InvalidParameterError("endpoint_prediction expects an ESSystem")
     sig = compute_signature(system.dithers, order, quadrature_steps)

@@ -3,7 +3,8 @@
 Every dither is an eps-periodic, zero-mean signal of the form
 u(t) = eps^(1/N - 1) * v(t/eps), where N is the length of the Lie bracket the
 signal family excites.  The built-in kinds and their per-period log-signature
-coefficients (measured by the chenfliess module, target coefficient exactly 1):
+coefficients (measured by the chenfliess module, target coefficient exactly 1
+for every kappa; `liees verify excitation` checks each design):
 
   first12    (N=2): v1 = 2 sqrt(kappa pi) cos(2 kappa pi tau),
                     v2 = 2 sqrt(kappa pi) sin(2 kappa pi tau)         -> [g1,g2]
@@ -12,11 +13,10 @@ coefficients (measured by the chenfliess module, target coefficient exactly 1):
                     v2 =    (4 kappa pi)^(2/3) cos(2 kappa pi tau)    -> [[g1,g2],g2]
   third1222  (N=4): v1 = 6 (2 kappa pi)^(3/4) sin(6 kappa pi tau),
                     v2 = 2 (2 kappa pi)^(3/4) cos(2 kappa pi tau)     -> [[[g1,g2],g2],g2]
-  triple123  (N=3, three channels): each channel superposes two cosine
-                    harmonics from the frequency sets (2,3,5) and (4,11,15);
-                    the two sum-resonances 2+3=5 and 4+11=15 are combined with
-                    amplitudes that cancel the [[g1,g3],g2] component, leaving
-                    only [[g1,g2],g3].
+  triple123  (N=3, three channels): v_j = kappa^(2/3) (A_j cos(2 pi f_j kappa tau)
+                    + B_j cos(2 pi f'_j kappa tau)), (f_j) = (2,3,5) and (f'_j) =
+                    (4,11,15); A and B combine the sum-resonances 2+3=5 and
+                    4+11=15 so that [[g1,g3],g2] cancels       -> [[g1,g2],g3]
   custom-harmonic:  a single cos/sin/|cos| harmonic with caller-chosen
                     amplitude and bracket length.
 
@@ -28,7 +28,7 @@ stronger than the intended bracket and is not a usable exciter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -56,13 +56,13 @@ KIND_BRACKET_LENGTH = {
     "triple123": 3,
 }
 
-# Two-resonance triple design: channel j carries
-#   A_j cos(2 pi f_j kappa tau) + B_j cos(2 pi f'_j kappa tau)
-# with (f_j) = (2,3,5), (f'_j) = (4,11,15).  Amplitudes solve
+# Two-resonance triple design (see the module docstring).  Amplitudes solve
 #   sum over designs of m_D / (16 pi^2 p_D q_D) = 0   (kills [[g1,g3],g2])
 #   resulting [[g1,g2],g3] coefficient = 1,
 # where m_D is the product of the design's three amplitude factors and the
-# per-design coefficient law is K = -m_D / (16 pi^2 p_D r_D).
+# per-design coefficient law is K = -m_D / (16 pi^2 p_D r_D kappa^2): the
+# factor kappa^(2/3) of each channel cancels the kappa^2, and is exactly 1.0
+# at kappa = 1.
 TRIPLE123_FREQS = ((2, 3, 5), (4, 11, 15))
 
 
@@ -88,7 +88,8 @@ class DitherSpec:
     For custom-harmonic the waveform is
     amplitude * {cos|sin|abscos}(2 pi harmonic kappa t / eps), scaled by
     eps^(1/bracket_length - 1); demean subtracts the period mean (only abscos
-    has one).
+    has one).  A built-in kind rejects these five fields, the ones after
+    kappa, unless each has its default.
     """
 
     kind: str
@@ -122,6 +123,10 @@ class DitherSpec:
                 raise InvalidParameterError("custom-harmonic needs bracket_length in 2..4")
             if self.harmonic < 1 or int(self.harmonic) != self.harmonic:
                 raise InvalidParameterError(f"harmonic must be a positive integer, got {self.harmonic}")
+        elif custom := [f.name for f in fields(self)[4:] if getattr(self, f.name) != f.default]:
+            raise InvalidParameterError(
+                f"kind {self.kind!r} takes no {', '.join(custom)}: only custom-harmonic does"
+            )
 
     @property
     def length(self) -> int:
@@ -178,7 +183,7 @@ def _signal(spec: DitherSpec, tau: np.ndarray) -> np.ndarray:
         val = 0.0
         for freqs, amps in zip(TRIPLE123_FREQS, TRIPLE123_AMPS):
             val += amps[j] * np.cos(2.0 * math.pi * freqs[j] * kap * tau)
-        return pre * val
+        return pre * kap ** (2.0 / 3.0) * val
     # custom-harmonic
     ang = 2.0 * math.pi * spec.harmonic * kap * tau
     if spec.waveform == "cos":

@@ -203,12 +203,10 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
     """Triple family fields with the three-dither [[g1,g2],g3] exciter.
 
     phi2 may be a positive constant (fast affine path, fields (1, -phi2 z,
-    -phi2)) or a callable shape (fields (1, -int_0^z phi2, -phi2) of
-    make_triple_family, on the Python stepper).  The dither triple is gated by
-    verify_excitation at tolerance 1e-3 before the system is returned.
+    -phi2), averaged system x' = -phi2^2 J'' for every kappa) or a callable
+    shape (fields (1, -int_0^z phi2, -phi2) of make_triple_family, on the
+    Python stepper).  `liees verify excitation` checks the dither triple.
     """
-    from .chenfliess import verify_excitation
-
     if callable(phi2):
         probe = max(abs(phi2(z)) for z in np.linspace(0.0, 4.0, 33))
         if probe < 1e-12:
@@ -222,19 +220,8 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
             raise ConstructionError("phi2 is zero: the target bracket is null")
         shapes = (const_shape(1.0), linear_shape(-phi), const_shape(-phi))
         meta = {"lbs_terms": [(2, phi ** 2)]}
-
-    dithers = make_triple(epsilon, kappa)
-    report = verify_excitation(dithers, (1, 2, 3), tol=1e-3)
-    if not report.ok:
-        raise ConstructionError(
-            f"dither triple failed excitation verification "
-            f"(target {report.target_coeff:.3e}, worst off-target {report.max_offtarget:.3e})",
-            report=report,
-        )
-    return ESSystem(cost=cost, channels=tuple(zip(shapes, dithers)),
-                    meta={"builder": "three_input", "kappa": kappa, "epsilon": epsilon,
-                          "excitation": {"target_coeff": report.target_coeff,
-                                         "max_offtarget": report.max_offtarget}, **meta})
+    return ESSystem(cost=cost, channels=tuple(zip(shapes, make_triple(epsilon, kappa))),
+                    meta={"builder": "three_input", "kappa": kappa, "epsilon": epsilon, **meta})
 
 
 def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
@@ -526,14 +513,15 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def _parse_rows(lines: list[str], first_row: int, path: str) -> np.ndarray:
-    """The numbers of lines (rows first_row, ...) as an array of shape (len(lines), 3)."""
+    """The numbers of lines (rows first_row, ...) as an array of shape (len(lines), 3);
+    a malformed line raises InvalidParameterError naming the first."""
     if all(line.count(",") == 2 for line in lines):
         fields = ",".join(lines).split(",")
         try:
             return np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 3)
         except ValueError:
             pass
-    rows = []
+    # some line is not three numbers: name the first
     for row, line in enumerate(lines, start=first_row):
         try:
             t, x, j = map(float, line.strip().split(","))
@@ -541,8 +529,7 @@ def _parse_rows(lines: list[str], first_row: int, path: str) -> np.ndarray:
             raise InvalidParameterError(
                 f"{path}: line {row}: expected three numbers t,x,J, got {line.strip()!r}"
             ) from None
-        rows.append((t, x, j))
-    return np.array(rows)
+    raise AssertionError("every line parsed alone but not as a block")
 
 
 def _check_spacing(times: np.ndarray, path: str) -> None:
@@ -599,11 +586,12 @@ def _check_spacing(times: np.ndarray, path: str) -> None:
 
 def _read_compiled(raw) -> np.ndarray | None:
     """The columns of every row of the binary file raw as one (3, rows)
-    array, parsed by the compiled codec CSV_CHUNK bytes at a time; or None,
-    with raw at its start, when the library does not load, raw is not
-    seekable, its header line is not exactly t,x,J, or a line lies outside
-    the writer's own grammar (a last line without its line end included) or
-    past the line ends counted first to size the array.
+    array, parsed by the compiled codec CSV_CHUNK bytes at a time, each chunk
+    completed to its line end; or None, with raw at its start, when the
+    library does not load, raw is not seekable, its header line is not
+    exactly t,x,J, or a line lies outside the writer's own grammar (a last
+    line without its line end included) or past the line ends counted first
+    to size the array.
     """
     from . import _kernel
 
@@ -615,18 +603,20 @@ def _read_compiled(raw) -> np.ndarray | None:
         while chunk := raw.read(CSV_CHUNK):
             lines += chunk.count(b"\n")
         raw.seek(offset)
-        values, fill, pending = np.empty((3, lines)), 0, b""
+        values, fill = np.empty((3, lines)), 0
         while chunk := raw.read(CSV_CHUNK):
-            text = pending + chunk
-            k, start = lib.parse_rows(text, values, fill)
+            # whole lines, unless the last has no line end within CSV_CHUNK
+            # more bytes: the writer's lines are far shorter
+            text = chunk + raw.readline(CSV_CHUNK)
+            k, used = lib.parse_rows(text, values, fill)
             fill += k
-            pending = text[start:]
-            # the parser stopped at a line that does not end in text, or at a
-            # whole line outside the grammar or past the lines counted
-            if b"\n" in pending:
+            if used < len(text):
+                # a line outside the grammar, without its line end or past the
+                # lines counted
                 break
-        if not pending and fill == lines:
-            return values
+        else:
+            if fill == lines:
+                return values
     raw.seek(0)
     return None
 

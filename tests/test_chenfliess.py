@@ -294,6 +294,15 @@ class TestVerifyExcitation:
         assert rep.ok
         assert rep.target_coeff == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("kind, target", [
+        ("first12", (1, 2)), ("classic", (1, 2)), ("second122", (1, 2, 2)),
+        ("third1222", (1, 2, 2, 2)), ("triple123", (1, 2, 3))])
+    def test_target_coefficient_is_one_at_every_kappa(self, kind, target, kappa):
+        dithers = make_triple(1e-4, kappa) if kind == "triple123" else make_pair(kind, 1e-4, kappa)
+        rep = verify_excitation(dithers, target, tol=1e-3)
+        assert rep.target_coeff == pytest.approx(1.0, abs=1e-4)
+
     def test_non_basis_target_rejected(self):
         with pytest.raises(InvalidParameterError):
             verify_excitation(make_pair("classic", 1e-4), (1, 1), tol=1e-3,

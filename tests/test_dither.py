@@ -159,6 +159,13 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             DitherSpec("first12", 1, 1.0, kappa=0)
 
+    @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
+    @pytest.mark.parametrize("field", [{"amplitude": 5.0}, {"harmonic": 2}, {"waveform": "sin"},
+                                       {"bracket_length": 3}, {"demean": False}])
+    def test_builtin_kind_rejects_custom_fields(self, kind, field):
+        with pytest.raises(InvalidParameterError, match=f"takes no {next(iter(field))}"):
+            DitherSpec(kind, 1, 1.0, **field)
+
     def test_custom_needs_bracket_length(self):
         with pytest.raises(InvalidParameterError):
             DitherSpec("custom-harmonic", 1, 1.0)

@@ -493,6 +493,26 @@ READ_WHOLE = {"clean", "crlf", "crlf-rows", "nan-inf", "huge-tiny-signed", "subn
 
 
 @needs_kernel
+def test_reader_declines_a_long_open_line_in_linear_time(tmp_path, monkeypatch):
+    # each parse gets one chunk completed to its line end, never the whole of
+    # a line that has none
+    path = tmp_path / "open.csv"
+    path.write_bytes(b"t,x,J\n" + ROWS[0].encode() + b"1" * 100_000)
+    monkeypatch.setattr(sim, "CSV_CHUNK", 64)
+    lib = _kernel.load()
+    parse, sizes = lib.parse_rows, []
+
+    def parse_rows(text, out, fill):
+        sizes.append(len(text))
+        return parse(text, out, fill)
+
+    monkeypatch.setattr(lib, "parse_rows", parse_rows)
+    with open(path, "rb") as raw:
+        assert sim._read_compiled(raw) is None and raw.tell() == 0
+    assert sizes and max(sizes) <= 2 * 64
+
+
+@needs_kernel
 def test_compiled_reader_reads_every_written_file_whole(tmp_path):
     # writer and grammar must not drift apart: a written line outside the
     # grammar would send the whole file to the Python reader

@@ -60,7 +60,15 @@ class TestBuilders:
     def test_three_input_constant_phi(self):
         system = build_three_input(QUAD, 1.0, 1e-3, 1)
         assert system.arity == 3
-        assert system.meta["excitation"]["target_coeff"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_three_input_follows_its_averaged_field_at_kappa_2(self):
+        # meta["lbs_terms"] = [(2, phi2^2)] must hold at kappa != 1 too
+        cost = costs.make_power_cost(1.0, 1.0, 3)
+        system = build_three_input(cost, 1.0, 1e-4, 2)
+        full = sim.integrate(system, 1.3, IntegratorConfig(0.3, 512, 512))
+        lbs = sim.integrate_lbs(cost, system.meta["lbs_terms"], 1.3, 0.3, 3000,
+                                record_epsilon=1e-4)
+        assert analysis.closeness(full, lbs) < 1e-3
 
     def test_averaged_terms_recorded(self):
         # the [(order, gain)] of x' = -sum gain J^(order) that integrate_lbs takes
