@@ -19,7 +19,7 @@ from .chenfliess import (
     verify_excitation,
 )
 from .costs import CostFunction, check_assumption, derivative, make_power_cost
-from .dither import DitherSpec, check_resonances, eval_dither, make_pair, make_triple
+from .dither import DitherSpec, check_resonances, eval_dither, make_design
 from .errors import (
     ConstructionError,
     DivergenceError,

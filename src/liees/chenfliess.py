@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResolutionError, check_array_size
+from .errors import InvalidParameterError, NumericFailureError, ResolutionError, check_array_size
 from .dither import DitherSpec, eval_dither
 from .lie import iterated_bracket
 from .sim import ESSystem
@@ -325,13 +325,21 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     # every array alive until the next garbage collection.)
     suffix = {(): np.ones(m + 1)}
     entries = {}
-    for w in words_up_to(n, depth):
-        val = _cumtrapz(us[w[0] - 1] * suffix[w[1:]], dt)
-        entries[w] = float(val[-1])
-        if len(w) < depth:
-            suffix[w] = val
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in words_up_to(n, depth):
+            val = _cumtrapz(us[w[0] - 1] * suffix[w[1:]], dt)
+            entries[w] = float(val[-1])
+            if len(w) < depth:
+                suffix[w] = val
+    _check_finite("signature entry", entries, eps)
     return Signature(depth=depth, n_channels=n, epsilon=eps,
                      quadrature_steps=m, entries=entries)
+
+
+def _check_finite(what: str, values: dict, eps: float) -> None:
+    for w, v in values.items():
+        if not math.isfinite(v):
+            raise NumericFailureError(f"{what} {''.join(map(str, w))} is {v} at epsilon {eps:g}")
 
 
 def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> float:
@@ -368,7 +376,8 @@ def log_signature(sig: Signature) -> BracketCoefficients:
     n = sig.n_channels
     X = [None] + [level.reshape((n,) * k).T.ravel()
                   for k, level in enumerate(_to_levels(sig.entries, n, sig.depth)[1:], start=1)]
-    log = _log_levels(X, sig.depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = _log_levels(X, sig.depth)
 
     coeffs: dict = {}
     worst_abs = 0.0
@@ -387,6 +396,7 @@ def log_signature(sig: Signature) -> BracketCoefficients:
         global_scale = max(global_scale, float(np.abs(b).max()))
         for j, lab in enumerate(labels):
             coeffs[lab] = float(sol[j]) / sig.epsilon
+    _check_finite("bracket coefficient", coeffs, sig.epsilon)
 
     return BracketCoefficients(depth=sig.depth, n_channels=sig.n_channels,
                                epsilon=sig.epsilon, coefficients=coeffs,

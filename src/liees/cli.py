@@ -251,11 +251,7 @@ def _positive(option: str, value: float) -> float:
 def cmd_coeffs(args) -> int:
     eps = _finite("--epsilon", args.epsilon)
     tol = _positive("--tol", args.tol)
-    kind = args.kind
-    if kind == "triple123":
-        specs = dither.make_triple(eps, args.kappa)
-    else:
-        specs = dither.make_pair(kind, eps, args.kappa)
+    specs = dither.make_design(args.kind, eps, args.kappa)
     quad = args.quadrature_steps or None
     verdict = None
     if args.target:
@@ -331,7 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_compare)
 
     pk = sub.add_parser("coeffs", help="bracket coefficient table for a dither design")
-    pk.add_argument("--kind", required=True, choices=list(dither.KIND_BRACKET_LENGTH))
+    pk.add_argument("--kind", required=True, choices=list(dither.DESIGNS))
     pk.add_argument("--epsilon", type=float, required=True)
     pk.add_argument("--kappa", type=int, default=1)
     pk.add_argument("--target", default="", help="comma-separated bracket index")

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .costs import CostFunction, derivative
-from .dither import DitherSpec, eval_dither, make_pair, make_triple, check_resonances
+from .dither import DitherSpec, eval_dither, make_design, check_resonances
 from .errors import (
     ConstructionError,
     DivergenceError,
@@ -192,7 +192,7 @@ def build_two_input(cost: CostFunction, N: int, kappa: int = 1,
     """Generating pair of order N matched with the bracket-exciting dither pair of order N."""
     g1, g2 = make_generating_pair(N, gain)
     kind = kind or {2: "first12", 3: "second122", 4: "third1222"}[N]
-    d1, d2 = make_pair(kind, epsilon, kappa)
+    d1, d2 = make_design(kind, epsilon, kappa)
     return ESSystem(cost=cost, channels=((g1, d1), (g2, d2)),
                     meta={"builder": "two_input", "N": N, "kappa": kappa, "gain": gain,
                           "kind": kind, "lbs_terms": [(N - 1, gain)]})
@@ -218,9 +218,14 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
         phi = float(phi2)
         if abs(phi) < 1e-12:
             raise ConstructionError("phi2 is zero: the target bracket is null")
+        try:
+            gain = phi ** 2
+        except OverflowError:
+            raise InvalidParameterError(f"phi2 = {phi:g} is too large: phi2^2 overflows") from None
         shapes = (const_shape(1.0), linear_shape(-phi), const_shape(-phi))
-        meta = {"lbs_terms": [(2, phi ** 2)]}
-    return ESSystem(cost=cost, channels=tuple(zip(shapes, make_triple(epsilon, kappa))),
+        meta = {"lbs_terms": [(2, gain)]}
+    dithers = make_design("triple123", epsilon, kappa)
+    return ESSystem(cost=cost, channels=tuple(zip(shapes, dithers)),
                     meta={"builder": "three_input", "kappa": kappa, "epsilon": epsilon, **meta})
 
 
@@ -244,8 +249,8 @@ def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
         g3, g4 = make_generating_pair(4, gamma3)
     else:
         g3, g4 = linear_shape(0.0), const_shape(1.0)
-    d1, d2 = make_pair("first12", epsilon, kappa12)
-    d3, d4 = make_pair("third1222", epsilon, kappa1222)
+    d1, d2 = make_design("first12", epsilon, kappa12)
+    d3, d4 = make_design("third1222", epsilon, kappa1222)
     return ESSystem(cost=cost, channels=((w1, d1), (w2, d2), (g3, d3), (g4, d4)),
                     meta={"builder": "mixed", "kappa12": kappa12, "kappa1222": kappa1222,
                           "gamma1": gamma1, "gamma3": gamma3,
@@ -407,7 +412,11 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
     eps = system.epsilon
     S = config.steps_per_period
     stepper = _system_stepper(system, S)
-    n_periods = max(1, int(round(config.total_time / eps)))
+    periods = config.total_time / eps
+    if not math.isfinite(periods):
+        raise InvalidParameterError(
+            f"total_time / epsilon = {config.total_time:g} / {eps:g} is {periods} periods")
+    n_periods = max(1, int(round(periods)))
     dec = config.decimation
     xs, cost_values, backend = stepper.run(x0, n_periods * S // dec, dec)
     times = np.arange(len(xs)) * (stepper.h * dec)

@@ -85,19 +85,19 @@ def excitation(quadrature_steps: int | None = None) -> list[Check]:
     # depth > N contamination of the first-order pair scales as sqrt(eps),
     # so its check runs at the smallest period; higher kinds are exact
     cases = [
-        ("first12", dither.make_pair("first12", 1e-6), (1, 2)),
-        ("second122", dither.make_pair("second122", 1e-4), (1, 2, 2)),
-        ("third1222", dither.make_pair("third1222", 1e-4), (1, 2, 2, 2)),
-        ("triple123", dither.make_triple(1e-4), (1, 2, 3)),
+        ("first12", 1e-6, (1, 2)),
+        ("second122", 1e-4, (1, 2, 2)),
+        ("third1222", 1e-4, (1, 2, 2, 2)),
+        ("triple123", 1e-4, (1, 2, 3)),
     ]
-    for name, specs, target in cases:
-        rep = chenfliess.verify_excitation(specs, target, tol=1e-3,
+    for name, eps, target in cases:
+        rep = chenfliess.verify_excitation(dither.make_design(name, eps), target, tol=1e-3,
                                            quadrature_steps=quadrature_steps)
         checks.append(Check(f"excitation {name} -> {target}", rep.ok,
                             f"target {rep.target_coeff:.4f} max_off {rep.max_offtarget:.1e}",
                             (rep.target_coeff, rep.max_offtarget)))
     eps = 1.0
-    sig = chenfliess.compute_signature(dither.make_pair("classic", eps), depth=2,
+    sig = chenfliess.compute_signature(dither.make_design("classic", eps), depth=2,
                                        quadrature_steps=quadrature_steps or 1 << 14)
     i12, i21 = sig.entry((1, 2)), sig.entry((2, 1))
     err = max(abs(i12 + eps) / eps, abs(i21 - eps) / eps)

@@ -15,7 +15,7 @@ import pytest
 from liees import analysis, chenfliess, cli, costs, lie, verify
 from liees.analysis import closeness, envelope, fit_rate
 from liees.chenfliess import compute_signature
-from liees.dither import make_pair
+from liees.dither import make_design
 from liees.sim import IntegratorConfig, build_mixed, build_two_input, integrate, integrate_lbs
 
 QUARTIC = costs.make_power_cost(1.0, 1.0, 4)
@@ -154,7 +154,7 @@ def test_criterion_7_property_suites(capsys):
     assert "FAIL" not in out
 
     # signature shuffle identities
-    sig = compute_signature(make_pair("third1222", 1.0), depth=4,
+    sig = compute_signature(make_design("third1222", 1.0), depth=4,
                             quadrature_steps=1 << 14)
     assert chenfliess.shuffle_residual(sig) <= 1e-6
 

@@ -21,7 +21,7 @@ from liees.chenfliess import (
     tensor_log,
     verify_excitation,
 )
-from liees.dither import DitherSpec, eval_dither, make_pair, make_triple
+from liees.dither import DitherSpec, eval_dither, make_design
 from liees.errors import InvalidParameterError, ResolutionError
 
 QUAD_STEPS = 1 << 14
@@ -78,26 +78,26 @@ class TestSignature:
     def test_classic_pair_closed_form(self):
         # closed-form integration of the cos/sin pair gives -eps and +eps
         eps = 1.0
-        sig = compute_signature(make_pair("classic", eps), depth=2,
+        sig = compute_signature(make_design("classic", eps), depth=2,
                                 quadrature_steps=QUAD_STEPS)
         assert sig.entry((1, 2)) == pytest.approx(-eps, rel=1e-6)
         assert sig.entry((2, 1)) == pytest.approx(+eps, rel=1e-6)
 
     def test_zero_mean_word(self):
-        sig = compute_signature(make_pair("classic", 1.0), depth=1,
+        sig = compute_signature(make_design("classic", 1.0), depth=1,
                                 quadrature_steps=QUAD_STEPS)
         assert abs(sig.entry((1,))) <= 1e-10
         assert abs(sig.entry((2,))) <= 1e-10
 
     def test_repeated_letter_word(self):
         # I_(1,1) = (int u1)^2 / 2 = 0 for a zero-mean channel
-        sig = compute_signature(make_pair("classic", 1.0), depth=2,
+        sig = compute_signature(make_design("classic", 1.0), depth=2,
                                 quadrature_steps=QUAD_STEPS)
         assert abs(sig.entry((1, 1))) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["classic", "second122", "third1222"])
     def test_shuffle_identity(self, kind):
-        sig = compute_signature(make_pair(kind, 1.0), depth=4,
+        sig = compute_signature(make_design(kind, 1.0), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         assert shuffle_residual(sig) <= 1e-6
 
@@ -112,18 +112,22 @@ class TestSignature:
     # entry 2e-3 of L^3 / 3!) read 1.3e-6, falling as 1/steps^2.  Each pair of
     # words is therefore held to the tolerance times L^k / k!, the bound on
     # level k of the signature of a path of length L.  Measured worst over
-    # 300 random designs: 4.1e-9 of L^k / k!.
+    # 300 random designs: 4.1e-9 of L^k / k!.  The constant channel (cos at
+    # harmonic 0) has nonzero mean, so its level-one entries enter every
+    # product.
     @settings(max_examples=25, deadline=None)
-    @given(channels=st.lists(st.tuples(st.sampled_from(["cos", "sin", "abscos"]),
-                                       st.integers(1, 3), st.floats(0.1, 10.0),
-                                       st.integers(2, 4)), min_size=2, max_size=2),
+    @given(channels=st.lists(st.tuples(st.sampled_from([("cos", 0), ("cos", 1), ("cos", 2),
+                                                        ("cos", 3), ("sin", 1), ("sin", 2),
+                                                        ("sin", 3)]),
+                                       st.floats(0.1, 10.0), st.integers(2, 4)),
+                             min_size=2, max_size=2),
            eps=st.floats(1e-4, 1.0))
-    @example(channels=[("cos", 1, 1.0, 2), ("cos", 1, 1.0, 2)], eps=1.0)
-    @example(channels=[("cos", 1, 0.125, 2), ("abscos", 1, 2.0, 2)], eps=1.0)
+    @example(channels=[(("cos", 1), 1.0, 2), (("cos", 1), 1.0, 2)], eps=1.0)
+    @example(channels=[(("cos", 1), 0.125, 2), (("cos", 0), 2.0, 2)], eps=1.0)
     def test_shuffle_identity_on_random_designs(self, channels, eps):
         specs = [DitherSpec("custom-harmonic", 1, eps, amplitude=amp, harmonic=harmonic,
                             waveform=waveform, bracket_length=length)
-                 for waveform, harmonic, amp, length in channels]
+                 for (waveform, harmonic), amp, length in channels]
         sig = compute_signature(specs, depth=4, quadrature_steps=QUAD_STEPS)
         ts = np.linspace(0.0, eps, QUAD_STEPS + 1)
         length = sum(np.abs(eval_dither(d, ts)).mean() * eps for d in specs)
@@ -151,20 +155,21 @@ class TestSignature:
     def chen_design(kind, eps, kappa):
         """A two-channel design whose signals depend on t only through
         kappa t / eps: every pair kind scales its amplitude as kappa^(1 - 1/N).
-        The rectified design has a channel of nonzero mean, so that every
-        level of the square carries products of lower levels."""
-        if kind != "rectified":
-            return make_pair(kind, eps, kappa)
+        The biased design has a constant channel (cos at harmonic 0) of
+        nonzero mean, so that every level of the square carries products of
+        lower levels."""
+        if kind != "biased":
+            return make_design(kind, eps, kappa)
         amp = math.sqrt(kappa)
-        return (DitherSpec("custom-harmonic", 1, eps, kappa, amplitude=amp, waveform="abscos",
-                           demean=False, bracket_length=2),
+        return (DitherSpec("custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=0,
+                           bracket_length=2),
                 DitherSpec("custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=2,
                            waveform="sin", bracket_length=2))
 
     @settings(max_examples=12, deadline=None)
-    @given(kind=st.sampled_from(["first12", "classic", "second122", "third1222", "rectified"]),
+    @given(kind=st.sampled_from(["first12", "classic", "second122", "third1222", "biased"]),
            kappa=st.integers(1, 3), eps=st.floats(1e-4, 1.0))
-    @example(kind="rectified", kappa=2, eps=1e-2)
+    @example(kind="biased", kappa=2, eps=1e-2)
     def test_chen_identity_over_two_periods(self, kind, kappa, eps):
         # the design at period 2 eps with every frequency doubled (kappa ->
         # 2 kappa) is the eps design run for two periods
@@ -188,14 +193,14 @@ class TestSignature:
         gc.collect()
         gc.disable()
         try:
-            compute_signature(make_triple(1.0), depth=4, quadrature_steps=QUAD_STEPS)
+            compute_signature(make_design("triple123", 1.0), depth=4, quadrature_steps=QUAD_STEPS)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_resolution_error(self):
         with pytest.raises(ResolutionError):
-            compute_signature(make_pair("third1222", 1.0, kappa=8), depth=2,
+            compute_signature(make_design("third1222", 1.0, kappa=8), depth=2,
                               quadrature_steps=128)
 
     def test_mismatched_periods(self):
@@ -207,7 +212,7 @@ class TestSignature:
 
 class TestLogSignature:
     def test_classic_first_order_coefficient(self):
-        sig = compute_signature(make_pair("classic", 1.0), depth=2,
+        sig = compute_signature(make_design("classic", 1.0), depth=2,
                                 quadrature_steps=QUAD_STEPS)
         co = log_signature(sig)
         assert co.coefficient((1, 2)) == pytest.approx(1.0, abs=1e-6)
@@ -215,7 +220,7 @@ class TestLogSignature:
         assert abs(co.coefficient((2,))) <= 1e-6
 
     def test_third1222_isolates_length_four_bracket(self):
-        sig = compute_signature(make_pair("third1222", 1e-4), depth=4,
+        sig = compute_signature(make_design("third1222", 1e-4), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         co = log_signature(sig)
         c4 = co.coefficient((1, 2, 2, 2))
@@ -226,7 +231,7 @@ class TestLogSignature:
                 assert abs(v) <= 1e-3 * abs(c4), (w, v)
 
     def test_second122_isolates_length_three_bracket(self):
-        sig = compute_signature(make_pair("second122", 1e-4), depth=4,
+        sig = compute_signature(make_design("second122", 1e-4), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         co = log_signature(sig)
         c3 = co.coefficient((1, 2, 2))
@@ -241,16 +246,20 @@ class TestLogSignature:
         assert all(v == 0.0 for v in co.coefficients.values())
 
     def test_length_one_coefficients_are_period_means(self):
-        # a deliberately biased channel: |cos| without de-meaning
-        biased = DitherSpec("custom-harmonic", 1, 1.0, amplitude=1.0,
-                            harmonic=1, waveform="abscos", bracket_length=3,
-                            demean=False)
-        sig = compute_signature([biased], depth=1, quadrature_steps=QUAD_STEPS)
+        # a deliberately biased channel (cos at harmonic 0, a constant) beside
+        # a zero-mean one
+        eps = 1e-2
+        biased = DitherSpec("custom-harmonic", 1, eps, amplitude=0.75, harmonic=0,
+                            bracket_length=2)
+        zero_mean = DitherSpec("custom-harmonic", 1, eps, amplitude=2.0, waveform="sin",
+                               bracket_length=2)
+        sig = compute_signature([biased, zero_mean], depth=1, quadrature_steps=QUAD_STEPS)
         co = log_signature(sig)
-        assert co.coefficient((1,)) == pytest.approx(2.0 / math.pi, abs=1e-6)
+        assert co.coefficient((1,)) == pytest.approx(0.75 * eps ** -0.5, rel=1e-12)
+        assert abs(co.coefficient((2,))) <= 1e-12
 
     def test_log_exp_round_trip(self):
-        sig = compute_signature(make_pair("third1222", 1.0), depth=4,
+        sig = compute_signature(make_design("third1222", 1.0), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         std = {tuple(reversed(w)): v for w, v in sig.entries.items()}
         log = tensor_log(std, 4)
@@ -260,7 +269,7 @@ class TestLogSignature:
             assert abs(back.get(w, 0.0) - v) <= 1e-9 * max(scale, 1.0), w
 
     def test_projection_residual_small(self):
-        sig = compute_signature(make_pair("second122", 1.0), depth=4,
+        sig = compute_signature(make_design("second122", 1.0), depth=4,
                                 quadrature_steps=QUAD_STEPS)
         co = log_signature(sig)
         assert co.projection_residual <= 1e-6
@@ -268,29 +277,29 @@ class TestLogSignature:
 
 class TestVerifyExcitation:
     def test_classic_first_order_target(self):
-        rep = verify_excitation(make_pair("classic", 1e-6), (1, 2), tol=1e-3,
+        rep = verify_excitation(make_design("classic", 1e-6), (1, 2), tol=1e-3,
                                 quadrature_steps=QUAD_STEPS)
         assert rep.ok
         assert rep.target_coeff == pytest.approx(1.0, abs=1e-4)
 
     def test_classic_swapped_target_sign(self):
-        rep = verify_excitation(make_pair("classic", 1e-6), (2, 1), tol=1e-3,
+        rep = verify_excitation(make_design("classic", 1e-6), (2, 1), tol=1e-3,
                                 quadrature_steps=QUAD_STEPS)
         assert rep.ok
         assert rep.target_coeff == pytest.approx(-1.0, abs=1e-4)
 
     def test_third1222_wrong_target_rejected(self):
-        rep = verify_excitation(make_pair("third1222", 1e-4), (1, 2), tol=1e-3,
+        rep = verify_excitation(make_design("third1222", 1e-4), (1, 2), tol=1e-3,
                                 quadrature_steps=QUAD_STEPS)
         assert not rep.ok
 
     def test_second122_target(self):
-        rep = verify_excitation(make_pair("second122", 1e-4), (1, 2, 2), tol=1e-3,
+        rep = verify_excitation(make_design("second122", 1e-4), (1, 2, 2), tol=1e-3,
                                 quadrature_steps=QUAD_STEPS)
         assert rep.ok
 
     def test_triple123_target(self):
-        rep = verify_excitation(make_triple(1e-4), (1, 2, 3), tol=1e-3)
+        rep = verify_excitation(make_design("triple123", 1e-4), (1, 2, 3), tol=1e-3)
         assert rep.ok
         assert rep.target_coeff == pytest.approx(1.0, abs=1e-3)
 
@@ -299,13 +308,13 @@ class TestVerifyExcitation:
         ("first12", (1, 2)), ("classic", (1, 2)), ("second122", (1, 2, 2)),
         ("third1222", (1, 2, 2, 2)), ("triple123", (1, 2, 3))])
     def test_target_coefficient_is_one_at_every_kappa(self, kind, target, kappa):
-        dithers = make_triple(1e-4, kappa) if kind == "triple123" else make_pair(kind, 1e-4, kappa)
+        dithers = make_design(kind, 1e-4, kappa)
         rep = verify_excitation(dithers, target, tol=1e-3)
         assert rep.target_coeff == pytest.approx(1.0, abs=1e-4)
 
     def test_non_basis_target_rejected(self):
         with pytest.raises(InvalidParameterError):
-            verify_excitation(make_pair("classic", 1e-4), (1, 1), tol=1e-3,
+            verify_excitation(make_design("classic", 1e-4), (1, 1), tol=1e-3,
                               quadrature_steps=4096)
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: configs, runs, comparisons, coefficient tables, rate fits."""
 
 import json
+import warnings
 
 import pytest
 
@@ -152,6 +153,19 @@ class TestCoeffs:
         assert cli.main(argv + ["--target", "1,2,2"]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.startswith(table + "{")
+
+    @pytest.mark.parametrize("target", [[], ["--target", "1,2"]])
+    def test_overflowing_signature_is_a_numeric_failure(self, target, capsys):
+        # at eps 1e160 the depth-4 iterated integrals of first12 overflow;
+        # no table is printed and numpy's overflow warnings stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["coeffs", "--kind", "first12", "--epsilon", "1e160", *target])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: signature entry ")
+        assert captured.err.count("\n") == 1
 
 
 class TestRate:
@@ -307,6 +321,10 @@ def _binary_config(tmp_path):
      "stored states are more than an array of doubles can hold"),
     (_config(**{"integrator.steps_per_period": 10 ** 20, "output.decimation": 0}),
      "validation error: 100000000000000000000 steps per period are more than an array"),
+    (_config(system={"builder": "three_input", "phi2": 1e300}),
+     "validation error: phi2 = 1e+300 is too large: phi2^2 overflows"),
+    (_config(**{"integrator.epsilon": 5e-324}),
+     "validation error: total_time / epsilon = 0.5 / 4.94066e-324 is inf periods"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
@@ -314,7 +332,7 @@ def _binary_config(tmp_path):
         "nan-x0", "coarse-three-input-steps", "nan-band",
         "negative-band", "nan-tol", "sample-step-mismatch", "unallocatable-kappa",
         "oversized-quadrature-steps", "oversized-three-input-kappa", "oversized-total-time",
-        "oversized-steps-per-period"])
+        "oversized-steps-per-period", "huge-phi2", "subnormal-epsilon"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

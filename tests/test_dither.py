@@ -19,10 +19,97 @@ def period_mean(spec, quadrature_steps):
     return sig.entry((1,)) / spec.epsilon
 
 
-def all_channels(kind, epsilon, kappa=1):
-    if kind == "triple123":
-        return dither.make_triple(epsilon, kappa)
-    return dither.make_pair(kind, epsilon, kappa)
+def reference_signal(spec, tau):
+    """The per-kind evaluator that the DESIGNS table replaced, kept as the
+    oracle of its bits: each kind's own factor and angle order."""
+    eps = spec.epsilon
+    kap = spec.kappa
+    pre = eps ** (1.0 / spec.length - 1.0)
+    if spec.kind in ("first12", "classic"):
+        amp = 2.0 * math.sqrt(kap * math.pi)
+        ang = 2.0 * kap * math.pi * tau
+        return pre * amp * (np.cos(ang) if spec.channel == 1 else np.sin(ang))
+    if spec.kind == "second122":
+        amp = (4.0 * kap * math.pi) ** (2.0 / 3.0)
+        if spec.channel == 1:
+            return pre * -2.0 * amp * np.cos(4.0 * kap * math.pi * tau)
+        return pre * amp * np.cos(2.0 * kap * math.pi * tau)
+    if spec.kind == "third1222":
+        amp = (2.0 * kap * math.pi) ** 0.75
+        if spec.channel == 1:
+            return pre * 6.0 * amp * np.sin(6.0 * kap * math.pi * tau)
+        return pre * 2.0 * amp * np.cos(2.0 * kap * math.pi * tau)
+    if spec.kind == "triple123":
+        j = spec.channel - 1
+        val = 0.0
+        for freqs, amps in zip(dither.TRIPLE123_FREQS, dither.TRIPLE123_AMPS):
+            val += amps[j] * np.cos(2.0 * math.pi * freqs[j] * kap * tau)
+        return pre * kap ** (2.0 / 3.0) * val
+    ang = 2.0 * math.pi * spec.harmonic * kap * tau
+    return pre * spec.amplitude * (np.cos(ang) if spec.waveform == "cos" else np.sin(ang))
+
+
+class TestDesignTable:
+    # The table must reproduce the per-kind evaluator bit for bit: the
+    # trajectories, coefficient tables and benchmark digests are pinned to
+    # its values.  Both sides run here, so no digest of numpy's cos/sin
+    # (which may differ across CPUs) is stored.
+    @staticmethod
+    def assert_bitwise(spec, ts):
+        got = eval_dither(spec, ts)
+        want = reference_signal(spec, ts / spec.epsilon)
+        assert got.tobytes() == want.tobytes(), spec
+        for t in ts[::97].tolist():
+            scalar = eval_dither(spec, t)
+            assert type(scalar) is float
+            ref = float(reference_signal(spec, np.asarray(t) / spec.epsilon))
+            assert np.float64(scalar).tobytes() == np.float64(ref).tobytes(), (spec, t)
+
+    @pytest.mark.parametrize("kind", list(dither.DESIGNS))
+    def test_builtin_kinds_match_reference_bitwise(self, kind):
+        S = 4096
+        for eps in (1e-2, 1e-4, 1e-6):
+            grids = (np.arange(2 * S) * (eps / (2 * S)), np.linspace(0.0, eps, 4097))
+            for kappa in range(1, 9):
+                for spec in dither.make_design(kind, eps, kappa):
+                    for ts in grids:
+                        self.assert_bitwise(spec, ts)
+
+    def test_custom_harmonics_match_reference_bitwise(self):
+        for eps in (1e-2, 1e-4, 1e-6):
+            ts = np.arange(1024) * (eps / 1024)
+            for waveform in ("cos", "sin"):
+                for harmonic in (1, 2, 3):
+                    for kappa in (1, 2, 3):
+                        spec = DitherSpec("custom-harmonic", 1, eps, kappa, amplitude=1.5,
+                                          harmonic=harmonic, waveform=waveform,
+                                          bracket_length=1 + harmonic)
+                        self.assert_bitwise(spec, ts)
+
+    def test_channel_counts_and_lengths(self):
+        counts = {kind: len(d.channels) for kind, d in dither.DESIGNS.items()}
+        assert counts == {"first12": 2, "classic": 2, "second122": 2, "third1222": 2,
+                          "triple123": 3}
+        assert {kind: d.length for kind, d in dither.DESIGNS.items()} == {
+            "first12": 2, "classic": 2, "second122": 3, "third1222": 4, "triple123": 3}
+        assert dither.DESIGNS["classic"] is dither.DESIGNS["first12"]
+
+    def test_make_design_rejects_custom_and_unknown_kinds(self):
+        for kind in ("custom-harmonic", "nope"):
+            with pytest.raises(InvalidParameterError, match="not a built-in dither kind"):
+                dither.make_design(kind, 1e-3)
+
+    @pytest.mark.parametrize("kappa", [1, 2, 5])
+    def test_fastest_harmonic_per_channel(self, kappa):
+        # each channel reports its own fastest harmonic; a full design takes
+        # the fastest of its channels
+        own = {"first12": (1, 1), "classic": (1, 1), "second122": (2, 1),
+               "third1222": (3, 1), "triple123": (4, 11, 15)}
+        for kind, harmonics in own.items():
+            design = dither.make_design(kind, 1e-3, kappa)
+            assert tuple(d.fastest_harmonic for d in design) == tuple(
+                kappa * h for h in harmonics), kind
+            assert max(d.fastest_harmonic for d in design) == kappa * max(harmonics)
 
 
 class TestEvalExamples:
@@ -48,10 +135,10 @@ class TestEvalExamples:
 
 def every_spec(epsilon):
     specs = [s for kind in ALL_PAIR_KINDS + ["triple123"] for kappa in (1, 3)
-             for s in all_channels(kind, epsilon, kappa)]
-    specs += [DitherSpec("custom-harmonic", 1, epsilon, 2, amplitude=1.5, harmonic=3,
-                         waveform=w, bracket_length=4, demean=dm)
-              for w in ("cos", "sin", "abscos") for dm in (True, False)]
+             for s in dither.make_design(kind, epsilon, kappa)]
+    specs += [DitherSpec("custom-harmonic", 1, epsilon, 2, amplitude=1.5, harmonic=h,
+                         waveform=w, bracket_length=4)
+              for w, h in (("cos", 0), ("cos", 3), ("sin", 3))]
     return specs
 
 
@@ -79,14 +166,14 @@ class TestInvariants:
     @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
     def test_periodicity(self, kind):
         eps = 1e-3
-        for spec in all_channels(kind, eps):
+        for spec in dither.make_design(kind, eps):
             amp = max(abs(eval_dither(spec, t)) for t in np.linspace(0, eps, 257))
             for t in np.linspace(0, eps, 17):
                 assert abs(eval_dither(spec, t + eps) - eval_dither(spec, t)) <= 1e-12 * amp
 
     @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
     def test_zero_mean(self, kind):
-        for spec in all_channels(kind, 1e-3, kappa=2):
+        for spec in dither.make_design(kind, 1e-3, kappa=2):
             amp = max(abs(eval_dither(spec, t)) for t in np.linspace(0, 1e-3, 257))
             assert abs(period_mean(spec, 1024)) <= 1e-8 * amp
 
@@ -94,8 +181,7 @@ class TestInvariants:
     def test_amplitude_scaling(self, kind):
         # sup |u| * eps^(1 - 1/N) must not depend on eps
         taus = np.linspace(0.0, 1.0, 2049)
-        n_ch = 3 if kind == "triple123" else 2
-        for ch in range(1, n_ch + 1):
+        for ch in range(1, len(dither.DESIGNS[kind].channels) + 1):
             sups = []
             for eps in (1e-2, 1e-3, 1e-4):
                 spec = DitherSpec(kind, ch, eps)
@@ -117,16 +203,12 @@ class TestPeriodMean:
     def test_classic_mean_zero(self):
         assert abs(period_mean(DitherSpec("classic", 1, 1.0), 512)) <= 1e-10
 
-    def test_raw_abs_cos_mean(self):
-        # analytic mean of |cos| over a period is 2/pi
-        spec = DitherSpec("custom-harmonic", 1, 1.0, waveform="abscos",
-                          bracket_length=3, demean=False, amplitude=1.0)
-        assert period_mean(spec, 4096) == pytest.approx(2.0 / math.pi, abs=1e-6)
-
-    def test_demeaned_abs_cos(self):
-        spec = DitherSpec("custom-harmonic", 1, 1.0, waveform="abscos",
-                          bracket_length=3, demean=True, amplitude=2.5)
-        assert abs(period_mean(spec, 4096)) <= 1e-6
+    def test_cos_harmonic_zero_is_the_constant_term(self):
+        spec = DitherSpec("custom-harmonic", 1, 1.0, harmonic=0, bracket_length=3,
+                          amplitude=2.5)
+        assert spec.fastest_harmonic == 0
+        assert np.all(eval_dither(spec, np.linspace(0.0, 1.0, 17)) == 2.5)
+        assert period_mean(spec, 4096) == pytest.approx(2.5, rel=1e-15)
 
     def test_third1222_channel2_mean_zero(self):
         assert abs(period_mean(DitherSpec("third1222", 2, 1e-4), 512)) <= 1e-10
@@ -161,7 +243,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
     @pytest.mark.parametrize("field", [{"amplitude": 5.0}, {"harmonic": 2}, {"waveform": "sin"},
-                                       {"bracket_length": 3}, {"demean": False}])
+                                       {"bracket_length": 3}])
     def test_builtin_kind_rejects_custom_fields(self, kind, field):
         with pytest.raises(InvalidParameterError, match=f"takes no {next(iter(field))}"):
             DitherSpec(kind, 1, 1.0, **field)
@@ -169,6 +251,12 @@ class TestValidation:
     def test_custom_needs_bracket_length(self):
         with pytest.raises(InvalidParameterError):
             DitherSpec("custom-harmonic", 1, 1.0)
+
+    @pytest.mark.parametrize("waveform, harmonic", [("sin", 0), ("cos", -1), ("abscos", 1)])
+    def test_custom_rejects_waveform_and_harmonic(self, waveform, harmonic):
+        with pytest.raises(InvalidParameterError, match=f"{waveform}|harmonic"):
+            DitherSpec("custom-harmonic", 1, 1.0, harmonic=harmonic, waveform=waveform,
+                       bracket_length=2)
 
 
 class TestResonances:

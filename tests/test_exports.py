@@ -77,3 +77,11 @@ def test_benchmark_tracer_names_resolve():
     assert sim.integrate is integrate
     assert probes["cost_evals"] > 0
     assert summary["counts"]["sim.steps"] == 128
+
+
+@pytest.mark.parametrize("path", sorted(Path(liees.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_sources_parse_at_the_python_floor(path):
+    # pyproject.toml declares requires-python >= 3.10: syntax new in 3.11
+    # (except*, for one) would break every import there
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from liees import _kernel, analysis, costs, lie, sim
-from liees.dither import DitherSpec, make_pair
+from liees.dither import DitherSpec, make_design
 from liees.errors import (
     ConstructionError,
     DivergenceError,
@@ -252,7 +252,7 @@ def phi2_system():
 
 
 def polynomial_shape_system():
-    d1, d2 = make_pair("first12", 1e-2, 2)
+    d1, d2 = make_design("first12", 1e-2, 2)
     return sim.ESSystem(cost=costs.make_power_cost(2.0, 0.5, 2), channels=(
         (lambda z: 1.0 + 0.5 * z, d1), (lambda z: z - 0.25 * z * z, d2)))
 
