@@ -6,7 +6,9 @@ The signature stores the iterated integrals
     I_w = int_0^eps u_{i1}(s1) int_0^{s1} u_{i2}(s2) ... ds_l ... ds_1,
 
 for words w = (i1 ... il): the first letter takes the outermost (latest)
-integration variable.  Reversing every word turns this into the path-ordered
+integration variable.  Like every truncated tensor here (`tensor_log`,
+`tensor_exp`) it is a level list, `Signature.levels`: see the graded tensor
+arithmetic below.  Reversing every word turns this into the path-ordered
 signature, whose tensor logarithm is a Lie element; expanding that logarithm
 over right-iterated brackets [[...[e_{v1}, e_{v2}], ...], e_{vl}] and dividing
 by eps yields the per-period bracket coefficients that weight the averaged
@@ -60,9 +62,13 @@ MAX_DEPTH = 4
 # words, shuffles, bracket expansions
 # ---------------------------------------------------------------------------
 
-def words_up_to(n_channels: int, depth: int):
-    for ell in range(1, depth + 1):
-        yield from product(range(1, n_channels + 1), repeat=ell)
+def _word_index(word: tuple, n: int) -> int:
+    """Flat index of word within its level: the word read as a base-n number,
+    first letter most significant (the itertools.product order)."""
+    i = 0
+    for a in word:
+        i = i * n + a - 1
+    return i
 
 
 def shuffles(w1: tuple, w2: tuple):
@@ -174,12 +180,13 @@ def basis_labels(n_channels: int, ell: int) -> tuple:
 #
 # A truncated tensor without its empty word is a list of levels: entry k is a
 # float64 array of length n^k holding the coefficients of the words of length
-# k in itertools.product order (the row-major flattening, so the outer
-# product of levels i and j is the level of the concatenated words), or None
-# where every word of that length is absent.  Entry 0 is always None.  Each
-# coefficient accumulates from 0.0 in order of increasing split length, the
-# order of a word-by-word product over dicts whose prefixes come shortest
-# first, so the results are bitwise those of that product.
+# k in itertools.product order, word w at _word_index(w, n) (the row-major
+# flattening, so the outer product of levels i and j is the level of the
+# concatenated words), or None where every word of that length is absent.
+# Entry 0 is always None.  Each coefficient accumulates from 0.0 in order of
+# increasing split length, the order of a word-by-word product over dicts
+# whose prefixes come shortest first, so the results are bitwise those of
+# that product.
 
 def _tensor_mul(A: list, B: list, depth: int) -> list:
     """Truncated product of two level lists."""
@@ -206,43 +213,14 @@ def _series(X: list, depth: int, term) -> list:
     return out
 
 
-def _log_levels(X: list, depth: int) -> list:
-    """log(1 + X) truncated at depth."""
+def tensor_log(X: list, depth: int) -> list:
+    """log(1 + X) truncated at depth; X is a level list (no empty word)."""
     return _series(X, depth, lambda k, p: (1.0 if k % 2 else -1.0) * p / k)
 
 
-def _exp_levels(X: list, depth: int) -> list:
-    """exp(X) - 1 truncated at depth."""
+def tensor_exp(X: list, depth: int) -> list:
+    """exp(X) - 1 truncated at depth; X is a level list (no empty word)."""
     return _series(X, depth, lambda k, p: p / float(math.factorial(k)))
-
-
-def _to_levels(entries: dict, n: int, depth: int) -> list:
-    """The level list of a dict from words to coefficients; absent words are 0.0."""
-    return [None] + [np.array([float(entries.get(w, 0.0))
-                               for w in product(range(1, n + 1), repeat=k)])
-                     for k in range(1, depth + 1)]
-
-
-def _to_dict(n: int, levels: list) -> dict:
-    return {w: v for k in range(1, len(levels))
-            for w, v in zip(product(range(1, n + 1), repeat=k), levels[k].tolist())}
-
-
-def _on_dict(series, entries: dict, depth: int) -> dict:
-    """A level-list series applied to a dict over the letters 1..largest letter;
-    words absent from entries count as 0.0."""
-    n = max((max(w) for w in entries), default=0)
-    return _to_dict(n, series(_to_levels(entries, n, depth), depth)) if n else {}
-
-
-def tensor_log(entries: dict, depth: int) -> dict:
-    """log(1 + X) truncated at the given depth; entries hold X (no empty word)."""
-    return _on_dict(_log_levels, entries, depth)
-
-
-def tensor_exp(entries: dict, depth: int) -> dict:
-    """exp(X) - 1 truncated at the given depth."""
-    return _on_dict(_exp_levels, entries, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +229,26 @@ def tensor_exp(entries: dict, depth: int) -> dict:
 
 @dataclass
 class Signature:
-    """Iterated integrals of a dither set over one period."""
+    """Iterated integrals of a dither set over one period, as a level list:
+    levels[k] holds the integrals of the n_channels^k words of length k."""
 
     depth: int
     n_channels: int
     epsilon: float
     quadrature_steps: int
-    entries: dict = field(default_factory=dict)
+    levels: list = field(default_factory=list)
 
     def entry(self, word: tuple) -> float:
-        return self.entries[tuple(word)]
+        """The integral of one word; KeyError for a word not in the signature."""
+        if not 1 <= len(word) <= self.depth or not all(1 <= a <= self.n_channels for a in word):
+            raise KeyError(word)
+        return float(self.levels[len(word)][_word_index(word, self.n_channels)])
+
+    def items(self):
+        """(word, integral) for every word, shortest first, each level in product order."""
+        for k in range(1, self.depth + 1):
+            words = product(range(1, self.n_channels + 1), repeat=k)
+            yield from zip(words, self.levels[k].tolist())
 
 
 @dataclass
@@ -291,10 +279,11 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
                       quadrature_steps: int | None = None) -> Signature:
     """All iterated integrals over one period on a uniform grid.
 
-    The integrals accumulate progressively: the suffix antiderivative of each
-    word is the running trapezoid integral of (channel sample * inner suffix),
-    so suffixes shared between words are computed once.  The grid has
-    quadrature_steps intervals, by default max(4096, 512 * fastest harmonic).
+    The integrals accumulate level by level: the running integral of a word
+    (a,) + v is the running trapezoid integral of (channel a's samples * the
+    running integral of v), so level k is built from the running integrals of
+    level k - 1 alone.  The grid has quadrature_steps intervals, by default
+    max(4096, 512 * fastest harmonic).
     """
     if not dithers:
         raise InvalidParameterError("need at least one dither channel")
@@ -319,25 +308,25 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     ts = np.linspace(0.0, eps, m + 1)
     us = [eval_dither(d, ts) for d in dithers]
 
-    # Words come shortest first, so the suffix w[1:] of each word is already
-    # integrated.  Only suffixes shorter than depth are ever reused.  (A
-    # memoising recursive closure would form a reference cycle that keeps
-    # every array alive until the next garbage collection.)
-    suffix = {(): np.ones(m + 1)}
-    entries = {}
+    # running: the running integrals of the previous level's words in product
+    # order.  With the first letter as the outer loop, level k comes out in
+    # product order too; the deepest level keeps no running integral.
+    levels, running = [None], [np.ones(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for w in words_up_to(n, depth):
-            val = _cumtrapz(us[w[0] - 1] * suffix[w[1:]], dt)
-            entries[w] = float(val[-1])
-            if len(w) < depth:
-                suffix[w] = val
-    _check_finite("signature entry", entries, eps)
-    return Signature(depth=depth, n_channels=n, epsilon=eps,
-                     quadrature_steps=m, entries=entries)
+        for k in range(1, depth + 1):
+            if k < depth:
+                running = [_cumtrapz(u * r, dt) for u in us for r in running]
+                levels.append(np.array([r[-1] for r in running]))
+            else:
+                levels.append(np.fromiter((_cumtrapz(u * r, dt)[-1] for u in us for r in running),
+                                          float, n ** k))
+    sig = Signature(depth=depth, n_channels=n, epsilon=eps, quadrature_steps=m, levels=levels)
+    _check_finite("signature entry", sig.items(), eps)
+    return sig
 
 
-def _check_finite(what: str, values: dict, eps: float) -> None:
-    for w, v in values.items():
+def _check_finite(what: str, pairs, eps: float) -> None:
+    for w, v in pairs:
         if not math.isfinite(v):
             raise NumericFailureError(f"{what} {''.join(map(str, w))} is {v} at epsilon {eps:g}")
 
@@ -352,10 +341,10 @@ def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> fl
     its path, quadrature error alone can read as a large residual.
     """
     if pairs is None:
-        ws = [w for w in sig.entries if len(w) <= sig.depth - 1]
+        ws = [w for w, _ in sig.items() if len(w) <= sig.depth - 1]
         pairs = [(w1, w2) for w1 in ws for w2 in ws if len(w1) + len(w2) <= sig.depth]
     worst = 0.0
-    scale = max(abs(v) for v in sig.entries.values()) or 1.0
+    scale = max(abs(v) for _, v in sig.items()) or 1.0
     for w1, w2 in pairs:
         lhs = sig.entry(w1) * sig.entry(w2)
         rhs = sum(sig.entry(s) for s in shuffles(tuple(w1), tuple(w2)))
@@ -374,29 +363,26 @@ def log_signature(sig: Signature) -> BracketCoefficients:
     # convention in which the logarithm pairs with same-index field brackets;
     # it reverses the axes of each level seen as an n x ... x n array
     n = sig.n_channels
-    X = [None] + [level.reshape((n,) * k).T.ravel()
-                  for k, level in enumerate(_to_levels(sig.entries, n, sig.depth)[1:], start=1)]
+    X = [None] + [v.reshape((n,) * k).T.ravel() for k, v in enumerate(sig.levels) if k]
     with np.errstate(over="ignore", invalid="ignore"):
-        log = _log_levels(X, sig.depth)
+        log = tensor_log(X, sig.depth)
 
     coeffs: dict = {}
     worst_abs = 0.0
     global_scale = 0.0
     for ell in range(1, sig.depth + 1):
-        labels = basis_labels(sig.n_channels, ell)
-        all_words = list(product(range(1, sig.n_channels + 1), repeat=ell))
-        col_of = {w: i for i, w in enumerate(all_words)}
-        A = np.zeros((len(all_words), len(labels)))
+        labels = basis_labels(n, ell)
+        A = np.zeros((n ** ell, len(labels)))
         for j, lab in enumerate(labels):
             for w, c in expand_bracket(lab).items():
-                A[col_of[w], j] = c
+                A[_word_index(w, n), j] = c
         b = log[ell]
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         worst_abs = max(worst_abs, float(np.abs(b - A @ sol).max()))
         global_scale = max(global_scale, float(np.abs(b).max()))
         for j, lab in enumerate(labels):
             coeffs[lab] = float(sol[j]) / sig.epsilon
-    _check_finite("bracket coefficient", coeffs, sig.epsilon)
+    _check_finite("bracket coefficient", coeffs.items(), sig.epsilon)
 
     return BracketCoefficients(depth=sig.depth, n_channels=sig.n_channels,
                                epsilon=sig.epsilon, coefficients=coeffs,

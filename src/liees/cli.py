@@ -52,7 +52,7 @@ def _field(cfg: dict, path: str, typ, problems: list[str], required=True, defaul
         problems.append(f"field {path!r} must be {typ.__name__}, got bool")
         return default
     if typ is float and isinstance(val, int):
-        val = float(val)
+        val = float(val) if abs(val) <= sys.float_info.max else math.inf
     if not isinstance(val, typ):
         problems.append(f"field {path!r} must be {typ.__name__}, got {type(val).__name__}")
         return default

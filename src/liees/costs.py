@@ -85,7 +85,10 @@ def make_power_cost(alpha: float, xstar: float, m: int) -> CostFunction:
             fn = lambda x: 0.0
             fn.power = (0.0, xstar, 0)
             return fn
-        coeff = alpha * math.prod(range(m - order + 1, m + 1))
+        try:
+            coeff = alpha * math.prod(range(m - order + 1, m + 1))
+        except OverflowError:
+            raise InvalidParameterError(f"degree m is too large: alpha m!/(m - {order})! overflows")
         p = m - order
         fn = lambda x, c=coeff, p=p: c * (x - xstar) ** p
         fn.power = (coeff, xstar, p)

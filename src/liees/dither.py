@@ -95,6 +95,14 @@ DESIGNS = {
 _TRIG = {"cos": np.cos, "sin": np.sin}
 
 
+def _whole(v) -> bool:
+    """v is a whole number; nan and +-inf are not."""
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class DitherSpec:
     """One eps-periodic input channel: channel `channel` of a DESIGNS row.
@@ -122,7 +130,7 @@ class DitherSpec:
             raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not math.isfinite(self.amplitude):
             raise InvalidParameterError(f"amplitude must be finite, got {self.amplitude}")
-        if int(self.kappa) != self.kappa or self.kappa < 1:
+        if not _whole(self.kappa) or self.kappa < 1:
             raise InvalidParameterError(f"kappa must be a positive integer, got {self.kappa}")
         n_ch = len(self.design.channels)
         if not 1 <= self.channel <= n_ch:
@@ -135,7 +143,7 @@ class DitherSpec:
             if self.bracket_length is None or not 2 <= self.bracket_length <= 4:
                 raise InvalidParameterError("custom-harmonic needs bracket_length in 2..4")
             lowest = 1 if self.waveform == "sin" else 0
-            if int(self.harmonic) != self.harmonic or self.harmonic < lowest:
+            if not _whole(self.harmonic) or self.harmonic < lowest:
                 raise InvalidParameterError(
                     f"{self.waveform} harmonic must be an integer >= {lowest}, got {self.harmonic}")
         elif custom := [f.name for f in fields(self)[4:] if getattr(self, f.name) != f.default]:

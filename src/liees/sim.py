@@ -237,7 +237,10 @@ def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
     """
     if gamma1 < 0 or gamma3 < 0:
         raise InvalidParameterError("gains gamma1, gamma3 must be nonnegative")
-    report = check_resonances([kappa12], [kappa1222, 3 * kappa1222])
+    d1, d2 = make_design("first12", epsilon, kappa12)
+    d3, d4 = make_design("third1222", epsilon, kappa1222)
+    report = check_resonances(sorted({d.fastest_harmonic for d in (d1, d2)}),
+                              sorted({d.fastest_harmonic for d in (d3, d4)}))
     if not report.ok:
         raise ConstructionError(
             f"dither frequencies ({kappa12}, {kappa1222}) resonate: {report.violations}",
@@ -249,8 +252,6 @@ def build_mixed(cost: CostFunction, kappa12: int, kappa1222: int,
         g3, g4 = make_generating_pair(4, gamma3)
     else:
         g3, g4 = linear_shape(0.0), const_shape(1.0)
-    d1, d2 = make_design("first12", epsilon, kappa12)
-    d3, d4 = make_design("third1222", epsilon, kappa1222)
     return ESSystem(cost=cost, channels=((w1, d1), (w2, d2), (g3, d3), (g4, d4)),
                     meta={"builder": "mixed", "kappa12": kappa12, "kappa1222": kappa1222,
                           "gamma1": gamma1, "gamma3": gamma3,
@@ -376,10 +377,10 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
             f"{S} steps/period resolve the fastest harmonic "
             f"({system.fastest_harmonic}/period) with fewer than 16 samples"
         )
-    h = system.epsilon / S
-    J = system.cost.eval
     # the dither samples on the step/half-step grid of one period
     check_array_size(2 * S, f"{S} steps per period")
+    h = system.epsilon / S
+    J = system.cost.eval
     ts = np.arange(2 * S) * (system.epsilon / (2 * S))
     tables = [eval_dither(d, ts) for d in system.dithers]
     affine = [getattr(g, "affine", None) for g in system.shapes]

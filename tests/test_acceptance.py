@@ -159,10 +159,10 @@ def test_criterion_7_property_suites(capsys):
     assert chenfliess.shuffle_residual(sig) <= 1e-6
 
     # log/exp round trip
-    std = {tuple(reversed(w)): v for w, v in sig.entries.items()}
+    std = [None] + [v.reshape((2,) * k).T.ravel() for k, v in enumerate(sig.levels[1:], start=1)]
     back = chenfliess.tensor_exp(chenfliess.tensor_log(std, 4), 4)
-    scale = max(abs(v) for v in std.values())
-    worst = max(abs(back.get(w, 0.0) - v) for w, v in std.items())
+    scale = max(float(np.abs(v).max()) for v in std[1:])
+    worst = max(float(np.abs(back[k] - std[k]).max()) for k in range(1, 5))
     assert worst <= 1e-9 * max(scale, 1.0)
 
     # RK4 order on the linear averaged system

@@ -27,6 +27,12 @@ from liees.errors import InvalidParameterError, ResolutionError
 QUAD_STEPS = 1 << 14
 
 
+def reversed_words(sig):
+    """The level list of sig with every word reversed (the path-ordered signature)."""
+    n = sig.n_channels
+    return [None] + [v.reshape((n,) * k).T.ravel() for k, v in enumerate(sig.levels[1:], start=1)]
+
+
 def zero_dither(epsilon=1.0):
     return DitherSpec("custom-harmonic", 1, epsilon, amplitude=0.0,
                       harmonic=1, waveform="cos", bracket_length=2)
@@ -131,7 +137,7 @@ class TestSignature:
         sig = compute_signature(specs, depth=4, quadrature_steps=QUAD_STEPS)
         ts = np.linspace(0.0, eps, QUAD_STEPS + 1)
         length = sum(np.abs(eval_dither(d, ts)).mean() * eps for d in specs)
-        words = [w for w in sig.entries if len(w) <= 3]
+        words = [w for w, _ in sig.items() if len(w) <= 3]
         for w1, w2 in product(words, words):
             k = len(w1) + len(w2)
             if k <= 4:
@@ -176,8 +182,8 @@ class TestSignature:
         depth = chenfliess.MAX_DEPTH
         one, two = self.chen_design(kind, eps, kappa), self.chen_design(kind, 2 * eps, 2 * kappa)
         steps = 512 * max(d.fastest_harmonic for d in one)
-        S = chenfliess._to_levels(compute_signature(one, depth, steps).entries, 2, depth)
-        S2 = chenfliess._to_levels(compute_signature(two, depth, 2 * steps).entries, 2, depth)
+        S = compute_signature(one, depth, steps).levels
+        S2 = compute_signature(two, depth, 2 * steps).levels
         SS = chenfliess._tensor_mul(S, S, depth)
         ts = np.linspace(0.0, 2 * eps, 2 * steps + 1)
         length = sum(np.abs(eval_dither(d, ts)).mean() * 2 * eps for d in two)
@@ -259,14 +265,17 @@ class TestLogSignature:
         assert abs(co.coefficient((2,))) <= 1e-12
 
     def test_log_exp_round_trip(self):
-        sig = compute_signature(make_design("third1222", 1.0), depth=4,
-                                quadrature_steps=QUAD_STEPS)
-        std = {tuple(reversed(w)): v for w, v in sig.entries.items()}
-        log = tensor_log(std, 4)
-        back = tensor_exp(log, 4)
-        scale = max(abs(v) for v in std.values())
-        for w, v in std.items():
-            assert abs(back.get(w, 0.0) - v) <= 1e-9 * max(scale, 1.0), w
+        # the biased design's nonzero level one puts every power of X up to
+        # the fourth into the series; third1222's levels one and two nearly
+        # vanish
+        for kind in ("third1222", "biased"):
+            sig = compute_signature(TestSignature.chen_design(kind, 1.0, 1), depth=4,
+                                    quadrature_steps=QUAD_STEPS)
+            std = reversed_words(sig)
+            back = tensor_exp(tensor_log(std, 4), 4)
+            scale = max(float(np.abs(v).max()) for v in std[1:])
+            for k in range(1, 5):
+                assert np.abs(back[k] - std[k]).max() <= 1e-9 * max(scale, 1.0), (kind, k)
 
     def test_projection_residual_small(self):
         sig = compute_signature(make_design("second122", 1.0), depth=4,
@@ -422,12 +431,18 @@ def seeded_coefficients(size):
     return st.integers(0, 2**32 - 1).map(draw)
 
 
+def words_up_to(n, depth):
+    """The words of length 1..depth over the letters 1..n, shortest first, each
+    level in product order."""
+    return [w for k in range(1, depth + 1) for w in product(range(1, n + 1), repeat=k)]
+
+
 @st.composite
 def truncated_tensors(draw):
     """(n, depth, X) with every word of X present, in log_signature's order:
     the words of compute_signature, shortest first, each reversed."""
     n, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    words = list(chenfliess.words_up_to(n, depth))
+    words = words_up_to(n, depth)
     size = len(words)
     values = draw(st.one_of(st.lists(COEFFICIENTS, min_size=size, max_size=size),
                             seeded_coefficients(size)))
@@ -442,13 +457,9 @@ class TestTensorLevels:
         XL = levels(n, depth, X)
         assert (level_bytes(chenfliess._tensor_mul(XL, XL, depth))
                 == level_bytes(levels(n, depth, dict_tensor_mul(X, X, depth), lowest=2)))
-        for new, public, oracle in ((chenfliess._log_levels, tensor_log, dict_tensor_log),
-                                    (chenfliess._exp_levels, tensor_exp, dict_tensor_exp)):
+        for new, oracle in ((tensor_log, dict_tensor_log), (tensor_exp, dict_tensor_exp)):
             want = oracle(X, depth)
             assert level_bytes(new(XL, depth)) == level_bytes(levels(n, depth, want))
-            got = public(X, depth)
-            assert got.keys() == want.keys()
-            assert level_bytes(levels(n, depth, got)) == level_bytes(levels(n, depth, want))
 
     @settings(max_examples=30, deadline=None)
     @given(truncated_tensors())
@@ -456,11 +467,67 @@ class TestTensorLevels:
         # exp(2 log(1 + X)) - 1 = (1 + X)^2 - 1 = 2X + X (x) X; level k is a sum
         # of products of k entries, so its scale is max(1, max |X|)^k
         n, depth, X = tensor
-        twice_log = {w: 2.0 * v for w, v in tensor_log(X, depth).items()}
-        lhs = levels(n, depth, tensor_exp(twice_log, depth))
         XL = levels(n, depth, X)
+        lhs = tensor_exp([None] + [2.0 * v for v in tensor_log(XL, depth)[1:]], depth)
         square = chenfliess._tensor_mul(XL, XL, depth)
         scale = max(1.0, max(float(np.abs(v).max()) for v in XL[1:]))
         for k in range(1, depth + 1):
             rhs = 2.0 * XL[k] + (0.0 if square[k] is None else square[k])
             assert float(np.abs(lhs[k] - rhs).max()) <= 1e-12 * scale ** k, k
+
+
+# The per-word quadrature that the level loop of compute_signature replaced,
+# kept as its oracle: a dict from each word to its running integral, built
+# from the running integral of the word without its first letter.
+
+def dict_signature(dithers, depth: int, steps: int) -> dict:
+    eps = dithers[0].epsilon
+    dt = eps / steps
+    us = [eval_dither(d, np.linspace(0.0, eps, steps + 1)) for d in dithers]
+    suffix = {(): np.ones(steps + 1)}
+    entries = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in words_up_to(len(dithers), depth):
+            y = us[w[0] - 1] * suffix[w[1:]]
+            val = np.empty_like(y)
+            val[0] = 0.0
+            np.cumsum((y[1:] + y[:-1]) * (0.5 * dt), out=val[1:])
+            entries[w] = float(val[-1])
+            suffix[w] = val
+    return entries
+
+
+@st.composite
+def channel_lists(draw):
+    """1-4 channels of one period: channels of the built-in designs and
+    custom cos/sin harmonics (cos at harmonic 0 is a constant), mixed."""
+    eps = draw(st.sampled_from([1e-4, 0.3, 1.0]))
+    builtin = st.builds(lambda kind, ch, kappa: DitherSpec(kind, ch, eps, kappa),
+                        st.sampled_from(["first12", "second122", "third1222"]),
+                        st.integers(1, 2), st.integers(1, 3))
+    triple = st.builds(lambda ch, kappa: DitherSpec("triple123", ch, eps, kappa),
+                       st.integers(1, 3), st.integers(1, 3))
+    custom = st.builds(lambda wave, h, amp, kappa: DitherSpec(
+        "custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=h + (wave == "sin"),
+        waveform=wave, bracket_length=2), st.sampled_from(["cos", "sin"]), st.integers(0, 3),
+        st.floats(-3.0, 3.0), st.integers(1, 3))
+    return draw(st.lists(st.one_of(builtin, triple, custom), min_size=1, max_size=4))
+
+
+class TestSignatureLevels:
+    @settings(max_examples=30, deadline=None)
+    @given(dithers=channel_lists(), depth=st.integers(1, 4))
+    @example(dithers=list(make_design("triple123", 1e-4)), depth=4)
+    @example(dithers=list(make_design("first12", 1e-4, 5) + make_design("third1222", 1e-4)),
+             depth=4)
+    def test_levels_equal_the_per_word_oracle_bitwise(self, dithers, depth):
+        steps = 100 * max(d.fastest_harmonic for d in dithers) + 64
+        sig = compute_signature(dithers, depth, steps)
+        want = dict_signature(dithers, depth, steps)
+        n = len(dithers)
+        assert level_bytes(sig.levels) == level_bytes(levels(n, depth, want))
+        assert list(sig.items()) == list(want.items())
+        assert all(sig.entry(w) == v for w, v in want.items())
+        for bad in [(), (0,), (n + 1,), (1,) * (depth + 1)]:
+            with pytest.raises(KeyError):
+                sig.entry(bad)

@@ -1,11 +1,17 @@
 """CLI subcommands: configs, runs, comparisons, coefficient tables, rate fits."""
 
+import contextlib
+import io
 import json
+import math
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liees import chenfliess, cli, costs, sim
+from liees.errors import LieesError
 
 
 def small_config(tmp_path, name="cfg.json", **overrides):
@@ -325,6 +331,12 @@ def _binary_config(tmp_path):
      "validation error: phi2 = 1e+300 is too large: phi2^2 overflows"),
     (_config(**{"integrator.epsilon": 5e-324}),
      "validation error: total_time / epsilon = 0.5 / 4.94066e-324 is inf periods"),
+    (_config(**{"cost.m": 10 ** 100}),
+     "validation error: degree m is too large: alpha m!/(m - 4)! overflows"),
+    (_config(**{"cost.alpha": 10 ** 400}),
+     "config error: field 'cost.alpha' must be finite, got inf"),
+    (lambda tmp_path: [*_config()(tmp_path), "--steps-per-period", str(10 ** 400)],
+     "validation error: 1000000000000000000000"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
@@ -332,9 +344,195 @@ def _binary_config(tmp_path):
         "nan-x0", "coarse-three-input-steps", "nan-band",
         "negative-band", "nan-tol", "sample-step-mismatch", "unallocatable-kappa",
         "oversized-quadrature-steps", "oversized-three-input-kappa", "oversized-total-time",
-        "oversized-steps-per-period", "huge-phi2", "subnormal-epsilon"])
+        "oversized-steps-per-period", "huge-phi2", "subnormal-epsilon", "huge-degree",
+        "huge-integer-alpha", "huge-steps-override"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- the exit-code contract under a fuzzer ----------------------------------
+#
+# Every argv of run, compare, coeffs and rate drawn here ends in exit 0-3.  An
+# exit 2 or 3 prints one prefixed line per problem and no traceback; argparse's
+# own rejection of an argument exits 2 with its usage and one error line.  The
+# draws leave out only what would exhaust the host, each range named here:
+#   * a run and its LBS comparison that would take more than 2^20 RK4 steps
+#     (epsilon 1e-9 with total_time 0.05 is valid and runs 1.3e10 steps:
+#     minutes, not an error);
+#   * a coeffs quadrature grid of more than 2^18 points (a 3-channel grid
+#     holds 36 arrays of that length at once: 75 MB) up to 2^50 points.
+#     Below 2^50 doubles (8 PiB) an array may be granted and then fill
+#     memory; above it every allocation fails at once.
+#   * output paths outside the test's own directory.
+
+WORK_CAP = 2 ** 20
+GRID_CAP = 2 ** 18
+ALLOC_FAILS = 2 ** 50
+PREFIXES = ("config error: ", "validation error: ", "numeric failure: ", "error: ",
+            "I/O error: ", "memory error: ")
+
+# plausible values twice as often as hostile ones
+PLAUSIBLE_INTS = st.sampled_from([1, 2, 3, 4, 5, 16, 64, 256, 4096])
+PLAUSIBLE_FLOATS = st.sampled_from([1e-4, 1e-3, 1e-2, 0.05, 0.5, 1.0, 2.0])
+HOSTILE_NUMBERS = st.one_of(
+    st.sampled_from([0, -1, 10 ** 20, 2 ** 63, 10 ** 400, 0.0, -0.0, 1.5, 1e-9, 1e-300,
+                     5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.integers(-3, 300), st.floats(-1e3, 1e3))
+NUMBERS = st.one_of(PLAUSIBLE_INTS, PLAUSIBLE_FLOATS, HOSTILE_NUMBERS)
+JSON_VALUES = st.one_of(NUMBERS, st.none(), st.booleans(),
+                        st.sampled_from(["", "power", "mixed", "x", "t.csv", "sub/t.csv"]),
+                        st.just([]), st.just({}))
+BASE_FIELDS = {
+    "cost": {"name": "power", "alpha": 1.0, "xstar": 1.0, "m": 2},
+    "system": {"builder": "two_input", "N": 2, "kappa": 1, "gain": 1.0, "phi2": 1.0,
+               "kappa12": 5, "kappa1222": 1, "gamma1": 1.0, "gamma3": 1.0},
+    "integrator": {"epsilon": 1e-2, "steps_per_period": 64, "total_time": 0.5, "x0": 0.0},
+    "analysis": {"fit": True, "lbs_compare": True},
+    "output": {"trajectory_csv": "t.csv", "summary_json": "s.json", "decimation": 0},
+}
+FIELD_PATHS = [(s, f) for s, fields in BASE_FIELDS.items() for f in fields]
+BUILDER_NAMES = list(cli.BUILDERS) + ["nope"]
+
+
+@st.composite
+def configs(draw):
+    """A JSON text: the base config with fields replaced, dropped or added, or
+    not a config at all."""
+    cfg = json.loads(json.dumps(BASE_FIELDS))
+    cfg["system"]["builder"] = draw(st.sampled_from(BUILDER_NAMES))
+    for section, name in draw(st.lists(st.sampled_from(FIELD_PATHS), max_size=4)):
+        if draw(st.booleans()):
+            cfg[section].pop(name, None)
+        else:
+            cfg[section][name] = draw(JSON_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        cfg[draw(st.sampled_from(list(BASE_FIELDS)))] = draw(JSON_VALUES)
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(["", "{", "[1, 2]", "null", '"cfg"', "\xff"]))
+    return json.dumps(cfg)
+
+JUNK_TEXT = st.sampled_from(["", "x", "1,2", "1e3", "0x10", "0.5"])
+INT_TEXT = st.one_of(PLAUSIBLE_INTS.map(str), PLAUSIBLE_INTS.map(str),
+                     st.one_of(HOSTILE_NUMBERS.map(repr), JUNK_TEXT))
+FLOAT_TEXT = st.one_of(PLAUSIBLE_FLOATS.map(repr), PLAUSIBLE_FLOATS.map(repr),
+                       st.one_of(HOSTILE_NUMBERS.map(repr), JUNK_TEXT))
+
+
+def run_work(cfg: dict) -> int:
+    """RK4 steps of a run of a loaded config, its LBS comparison included;
+    0 when the run is rejected before it steps."""
+    try:
+        fastest = cli.build_from_config(cfg).fastest_harmonic
+    except LieesError:
+        return 0
+    S, total, eps = cfg["steps_per_period"], cfg["total_time"], cfg["epsilon"]
+    dec = cfg["decimation"] or S
+    if S < 16 * fastest or dec < 1 or total <= 0 or 2 * S >= ALLOC_FAILS:
+        return 0
+    periods = total / eps
+    if not math.isfinite(periods):
+        return 0
+    periods = max(1, round(periods))
+    if periods * S // dec + 1 >= ALLOC_FAILS:
+        return 0
+    return periods * S + (4 * periods if cfg["lbs_compare"] else 0)
+
+
+def config_work(path, steps: int, decimate: int) -> int:
+    try:
+        cfg = cli.load_config(str(path))
+    except cli.ConfigError:
+        return 0
+    cfg["steps_per_period"] = steps or cfg["steps_per_period"]
+    cfg["decimation"] = decimate or cfg["decimation"]
+    return run_work(cfg)
+
+
+def int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        return 0
+
+
+def exit_code(argv):
+    """cli.main's exit code and stderr; None for argparse's own rejection."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        text = err.getvalue()
+        assert exc.code == 2 and text.startswith("usage: "), text
+        assert text.splitlines()[-1].startswith("liees") and ": error: " in text, text
+        return None, text
+    return code, err.getvalue()
+
+
+def assert_contract(code, err):
+    assert "Traceback" not in err, err
+    if code is None:
+        return
+    assert code in (0, 1, 2, 3), (code, err)
+    if code in (2, 3):
+        lines = err.splitlines()
+        assert lines and err.endswith("\n"), err
+        assert all(line.startswith(PREFIXES) for line in lines), err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    traj = sim.integrate_lbs(costs.make_power_cost(0.5, 0.0, 2), [(1, 1.0)], 1.0, 5.0, 500,
+                             record_epsilon=0.01)
+    sim.write_trajectory_csv(traj, str(d / "traj.csv"))
+    (d / "bad.csv").write_text("t,x,J\n0,0\n")
+    return d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_codes_under_a_fuzzer(fuzz_dir, data):
+    command = data.draw(st.sampled_from(["run", "compare", "coeffs", "rate"]))
+    out = str(fuzz_dir)
+    if command in ("run", "compare"):
+        paths = []
+        for name in ("a.json", "b.json")[:1 + (command == "compare")]:
+            path = fuzz_dir / name
+            path.write_text(data.draw(configs()))
+            paths.append(path)
+        steps, decimate = (data.draw(st.one_of(st.just("0"), INT_TEXT)) for _ in range(2))
+        if command == "run":
+            argv = ["run", "--config", str(paths[0]), "--out", out,
+                    "--steps-per-period", steps, "--decimate", decimate]
+            work = config_work(paths[0], int_arg(steps), int_arg(decimate))
+        else:
+            argv = ["compare", "--config-a", str(paths[0]), "--config-b", str(paths[1]),
+                    "--out", str(fuzz_dir / "cmp.csv"), "--out-dir", out,
+                    "--band", data.draw(FLOAT_TEXT)]
+            work = sum(config_work(p, 0, 0) for p in paths)
+        assume(work <= WORK_CAP)
+    elif command == "coeffs":
+        kind = data.draw(st.sampled_from(["first12", "classic", "second122", "third1222",
+                                          "triple123", "nope"]))
+        kappa, quad = data.draw(INT_TEXT), data.draw(st.one_of(st.just("0"), INT_TEXT))
+        argv = ["coeffs", "--kind", kind, "--epsilon", data.draw(FLOAT_TEXT),
+                "--kappa", kappa, "--quadrature-steps", quad, "--tol", data.draw(FLOAT_TEXT)]
+        if data.draw(st.booleans()):
+            argv += ["--target", data.draw(st.sampled_from(["1,2", "2,1", "1,2,2", "1,2,2,2",
+                                                            "1,2,3", "1,1", "", "5,6", "x"]))]
+        if data.draw(st.booleans()):
+            argv += ["--out", str(fuzz_dir / "coeffs")]
+        harmonic = {"triple123": 15, "third1222": 3, "second122": 2}.get(kind, 1)
+        grid = int_arg(quad) or max(4096, 512 * int_arg(kappa) * harmonic)
+        assume(not GRID_CAP < grid < ALLOC_FAILS)
+    else:
+        traj = data.draw(st.sampled_from(["traj.csv", "traj.csv", "bad.csv", "missing.csv", "."]))
+        argv = ["rate", "--traj", str(fuzz_dir / traj), "--xstar", data.draw(FLOAT_TEXT),
+                "--epsilon", data.draw(FLOAT_TEXT)]
+        if data.draw(st.booleans()):
+            argv += ["--out", str(fuzz_dir / "rate.json")]
+    assert_contract(*exit_code(argv))

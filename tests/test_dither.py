@@ -241,6 +241,18 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             DitherSpec("first12", 1, 1.0, kappa=0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa(self, kappa):
+        with pytest.raises(InvalidParameterError, match="kappa"):
+            DitherSpec("first12", 1, 1e-4, kappa=kappa)
+
+    @pytest.mark.parametrize("waveform", ["cos", "sin"])
+    @pytest.mark.parametrize("harmonic", [math.nan, math.inf, -math.inf])
+    def test_non_finite_harmonic(self, waveform, harmonic):
+        with pytest.raises(InvalidParameterError, match="harmonic"):
+            DitherSpec("custom-harmonic", 1, 1e-4, harmonic=harmonic, waveform=waveform,
+                       bracket_length=2)
+
     @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
     @pytest.mark.parametrize("field", [{"amplitude": 5.0}, {"harmonic": 2}, {"waveform": "sin"},
                                        {"bracket_length": 3}])

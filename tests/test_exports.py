@@ -43,13 +43,19 @@ def test_moved_shapes_keep_their_sim_names():
     assert sim.linear_shape is lie.linear_shape
 
 
-def test_benchmark_tracer_names_resolve():
-    # perfbench/tracing.py swaps these names for timing wrappers by attribute
-    # lookup: a name it misses fails only the traced benchmark run
+def load_tracing():
+    """perfbench/tracing.py, read as it is, under a name of its own."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py swaps these names for timing wrappers by attribute
+    # lookup: a name it misses fails only the traced benchmark run
+    tracing = load_tracing()
     from liees import dither, sim
 
     for module, name, _ in tracing.SPANNED:
@@ -58,6 +64,7 @@ def test_benchmark_tracer_names_resolve():
     assert callable(sim.Trajectory.strobe)
     for fn in tracing._LRU:
         fn.cache_info()
+        assert callable(fn.cache_clear)
     tracing.clear_caches()
 
     # one traced operation runs every hook and probe, then the originals return
@@ -77,6 +84,34 @@ def test_benchmark_tracer_names_resolve():
     assert sim.integrate is integrate
     assert probes["cost_evals"] > 0
     assert summary["counts"]["sim.steps"] == 128
+
+
+def test_benchmark_tracer_spans_the_signature_chain():
+    # the signature and log hooks read sig.quadrature_steps and
+    # projection_residual; a rename would break only the traced run
+    tracing = load_tracing()
+    from liees import chenfliess, dither
+
+    originals = [getattr(module, name) for module, name, _ in tracing.SPANNED]
+    eval_dither = dither.eval_dither
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dithers = dither.make_design("second122", 1e-3)
+        sig = chenfliess.compute_signature(dithers, 3, 512)
+        coeffs = chenfliess.log_signature(sig)
+        assert [p[:3] for p in tracer.probes] == [("dither", d, 512) for d in dithers]
+        summary = tracer.take(0.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert [s[0] for s in summary["spans"]] == ["chenfliess.signature",
+                                                "chenfliess.log_signature",
+                                                "chenfliess.basis_labels",
+                                                "chenfliess.basis_labels",
+                                                "chenfliess.basis_labels"]
+    assert summary["residual"] == coeffs.projection_residual
+    assert [getattr(module, name) for module, name, _ in tracing.SPANNED] == originals
+    assert dither.eval_dither is eval_dither
 
 
 @pytest.mark.parametrize("path", sorted(Path(liees.__file__).parent.glob("*.py")),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liees import _kernel, analysis, costs, lie, sim
+from liees import _kernel, analysis, costs, dither, lie, sim
 from liees.dither import DitherSpec, make_design
 from liees.errors import (
     ConstructionError,
@@ -106,6 +106,17 @@ class TestBuilders:
             build_mixed(QUAD, 1, 1, 1.0, 1.0, 1e-4)
         assert err.value.report is not None
         assert not err.value.report.ok
+
+    def test_mixed_reads_resonances_from_the_design_table(self, monkeypatch):
+        # third1222's channel 1 at harmonic 5 resonates with first12 at kappa 5;
+        # a check that wrote the harmonic 3 down again would build this system
+        row = dither.DESIGNS["third1222"]
+        (coef, ((_, trig, amp),)), channel2 = row.channels
+        monkeypatch.setitem(dither.DESIGNS, "third1222",
+                            row._replace(channels=((coef, ((5, trig, amp),)), channel2)))
+        with pytest.raises(ConstructionError) as err:
+            build_mixed(QUAD, 5, 1, 1.0, 1.0, 1e-4)
+        assert err.value.report.pairs == [(5, 1), (5, 5)]
 
     def test_system_period_mismatch(self):
         d1 = DitherSpec("classic", 1, 1e-3)
