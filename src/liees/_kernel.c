@@ -7,7 +7,8 @@
  *     f(x) = -(0.0 + g_1 * (c_1 * (x - s_1)^p_1) + g_2 * (...) + ...),
  *
  * one (g, c, s, p) row per bracket term, c (x - s)^p being the analytic
- * derivative of J that costs.derivative evaluates.
+ * derivative of J that costs.derivative evaluates; the kernel reads each row
+ * with the parity of p as a fifth column.
  *
  * Every floating-point operation outside the powers happens in the order the
  * Python stepper performs it, so the stored states and their costs are
@@ -16,15 +17,15 @@
  * not computed by pow here:
  *
  *   - For n = 2, 3, 4 and 2^-64 <= |v| <= 2^64, pow_small forms |v|^n as a
- *     double-double hi + lo with Dekker's split product (no fused
- *     multiply-add), within 2^-103 relative of the exact power y, and
- *     returns hi = RN(y) when |lo| <= 0.45 ulp(hi) and hi is not a power of
- *     two.  Then y lies at least 0.05 ulp from a rounding midpoint, so every
- *     double other than hi is more than 0.55 ulp from y.  glibc's pow (2.28
- *     and later, sysdeps/ieee754/dbl-64/e_pow.c) documents a worst-case
- *     error of 0.54 ulp, so it returns hi too: the two paths give the same
- *     bits.  The band needs only 0.04 ulp plus the double-double's error;
- *     0.05 leaves room for both.
+ *     double-double hi + lo from error-free products (below), within 2^-103
+ *     relative of the exact power y, and returns hi = RN(y) when
+ *     |lo| <= 0.45 ulp(hi) and hi is not a power of two.  Then y lies at
+ *     least 0.05 ulp from a rounding midpoint, so every double other than hi
+ *     is more than 0.55 ulp from y.  glibc's pow (2.28 and later,
+ *     sysdeps/ieee754/dbl-64/e_pow.c) documents a worst-case error of
+ *     0.54 ulp, so it returns hi too: the two paths give the same bits.  The
+ *     band needs only 0.04 ulp plus the double-double's error; 0.05 leaves
+ *     room for both.
  *   - For n = 1 the kernel returns v: v is a double, so pow, within
  *     0.54 ulp, returns v too.  n = 0 and the bases 0, +-1, NaN and inf
  *     take CPython's own special cases, which call no pow.
@@ -34,9 +35,34 @@
  *     reads errno exactly as CPython does.
  *
  * The sign of v is taken as CPython takes it: the power of |v| is formed,
- * then negated for a negative v and an odd n.  Build with -ffp-contract=off
- * and without -ffast-math: a fused multiply-add in the split product or in
- * the stepper, or a pow expanded into multiplications, rounds differently.
+ * then negated for a negative v and an odd n.
+ *
+ * An error-free product splits a b into p = RN(a b) and the error
+ * e = a b - p, itself a double, in one of two ways:
+ *   - by a fused multiply-add, e = fma(a, b, -p), which rounds the exact
+ *     a b - p once and so returns it (TwoProductFMA: Ogita, Rump and Oishi,
+ *     SIAM J. Sci. Comput. 26(6), 2005);
+ *   - by Dekker's split of a and b into 26-bit halves, whose products and
+ *     sums are all exact (Dekker, Numer. Math. 18, 1971).
+ * Both are exact unless something overflows or underflows.  Here
+ * 2^-128 <= |a|, |b| <= 2^128 and every exact product is a multiple of
+ * 2^-360 below 2^257, so nothing does: the two forms give the same (p, e),
+ * hence the same hi and lo, the same decision at the 0.05-ulp band and the
+ * same bits in every state.  The one RK4 loop, rk4_loop, is built twice: a
+ * portable build with the split (liees_rk4_split, exported so that tests
+ * run it on any CPU) and a build with __attribute__((target("fma"))).
+ * liees_rk4 runs the one chosen once, when the library loads, from
+ * __builtin_cpu_supports("fma"); on a target that defines __FP_FAST_FMA,
+ * where fma is one instruction on every CPU, it runs the fused form only.
+ * Each build takes the powers of the full system's stages, nearly all the
+ * powers of a run, inline in its own form; the averaged field and the stored
+ * costs call one shared copy with the split.
+ * The library is built without -mfma, so the portable build runs where the
+ * CPU has no FMA.  Build with -ffp-contract=off and without -ffast-math:
+ * then the only fused multiply-adds are the fma calls of the products, and a
+ * contraction anywhere else (in the split, the band test or the stepper) or
+ * a pow expanded into multiplications, which would round differently, never
+ * happens.
  *
  * The same library holds the trajectory CSV codec of liees.sim.  Its bytes
  * and values equal those of the Python codec, which runs when this library
@@ -117,43 +143,43 @@ enum {
     RK4_NONFINITE = 4
 };
 
-/* a * a = *p + *e exactly, by Dekker's split of a into 26-bit halves. */
-static inline void two_sqr(double a, double *p, double *e)
+/* Inlined into both builds of the RK4 loop, where use_fma is a constant:
+ * each build then holds one form of the products, and the full system's
+ * stages make no call.  With a call to py_pow per stage, a fig1 step of the
+ * FMA build took about 111 ns against 92 ns inline (2-vCPU Xeon, gcc 12). */
+#define INLINE static inline __attribute__((always_inline))
+
+/* a * b = *p + *e exactly (see the header): by a fused multiply-add when
+ * use_fma, else by Dekker's split into 26-bit halves. */
+INLINE void two_prod(int use_fma, double a, double b, double *p, double *e)
 {
-    const double c = 134217729.0 * a; /* 2^27 + 1 */
-    const double ah = c - (c - a), al = a - ah;
-
-    *p = a * a;
-    *e = ((ah * ah - *p) + 2.0 * ah * al) + al * al;
-}
-
-/* a * b = *p + *e exactly, by Dekker's split product. */
-static inline void two_prod(double a, double b, double *p, double *e)
-{
-    const double ca = 134217729.0 * a, cb = 134217729.0 * b;
-    const double ah = ca - (ca - a), al = a - ah;
-    const double bh = cb - (cb - b), bl = b - bh;
-
     *p = a * b;
-    *e = ((ah * bh - *p) + ah * bl + al * bh) + al * bl;
+    if (use_fma) {
+        *e = fma(a, b, -*p);
+    } else {
+        const double ca = 134217729.0 * a, cb = 134217729.0 * b; /* 2^27 + 1 */
+        const double ah = ca - (ca - a), al = a - ah;
+        const double bh = cb - (cb - b), bl = b - bh;
+        *e = ((ah * bh - *p) + ah * bl + al * bh) + al * bl;
+    }
 }
 
 /* v^n for n = 2, 3, 4 and 2^-64 <= v <= 2^64, correctly rounded, in *r.
  * Returns 0, leaving *r alone, when v^n lies within 0.05 ulp of a rounding
  * midpoint or rounds to a power of two: there pow alone decides. */
-static inline int pow_small(double v, int n, double *r)
+INLINE int pow_small(int use_fma, double v, int n, double *r)
 {
     double hi, lo, q, f, ulp;
     uint64_t bits;
 
-    two_sqr(v, &hi, &lo); /* v^2 = hi + lo */
+    two_prod(use_fma, v, v, &hi, &lo); /* v^2 = hi + lo */
     if (n != 2) {
         if (n == 3) {
-            two_prod(hi, v, &q, &f);
+            two_prod(use_fma, hi, v, &q, &f);
             lo = f + lo * v;
         } else {
             /* v^4 = q + f + 2 hi lo + lo^2, and lo^2 <= 2^-106 v^4 is dropped */
-            two_sqr(hi, &q, &f);
+            two_prod(use_fma, hi, hi, &q, &f);
             lo = f + 2.0 * hi * lo;
         }
         hi = q + lo;
@@ -174,7 +200,7 @@ static inline int pow_small(double v, int n, double *r)
 /* CPython's float_pow for a nonnegative integral exponent w (odd: w is odd).
  * Stores v ** w in *r; returns nonzero where Python raises OverflowError,
  * which is only when pow leaves the double range for a finite base. */
-static int py_pow(double v, double w, int odd, double *r)
+INLINE int py_pow(int use_fma, double v, double w, int odd, double *r)
 {
     int negate = 0;
     double ix;
@@ -208,7 +234,7 @@ static int py_pow(double v, double w, int odd, double *r)
         return 0;
     }
     if ((w == 2.0 || w == 3.0 || w == 4.0) && v >= 0x1p-64 && v <= 0x1p64
-            && pow_small(v, (int) w, &ix)) {
+            && pow_small(use_fma, v, (int) w, &ix)) {
         *r = negate ? -ix : ix;
         return 0;
     }
@@ -224,17 +250,26 @@ static int py_pow(double v, double w, int odd, double *r)
     return errno != 0;
 }
 
+/* py_pow out of line with the split products, for the powers off the hot
+ * path: the averaged field of integrate_lbs (4 steps a period, against 512
+ * for the full system in fig1) and the stored costs.  Both forms give the
+ * same bits, and one copy here keeps the compile time down. */
+static int py_pow_cold(double v, double w, int odd, double *r)
+{
+    return py_pow(0, v, w, odd, r);
+}
+
 static int is_odd(double w)
 {
     return fmod(fabs(w), 2.0) == 1.0;
 }
 
-/* The stage function f(y), stored in *r.  Returns RK4_OVERFLOW where Python
- * raises OverflowError, and RK4_NONFINITE where costs.derivative raises
- * NumericFailureError, with the index of that term in *bad.  Inlined, so that
- * the cost's stages run as fast as in a loop of their own (a call costs about
- * 9% per step). */
-static inline __attribute__((always_inline)) int stage(double alpha, double xstar, double m, int odd,
+/* The stage function f(y), stored in *r.  Each row of terms is
+ * (g, c, s, p, odd), odd being 1 when p is odd, as CPython's float_pow tests
+ * it, and 0 otherwise.  Returns RK4_OVERFLOW where Python raises
+ * OverflowError, and RK4_NONFINITE where costs.derivative raises
+ * NumericFailureError, with the index of that term in *bad. */
+INLINE int stage(int use_fma, double alpha, double xstar, double m, int odd,
                  const double *terms, int64_t nterms, double y, double *r,
                  int64_t *bad)
 {
@@ -242,15 +277,15 @@ static inline __attribute__((always_inline)) int stage(double alpha, double xsta
     int64_t t;
 
     if (nterms == 0) {
-        if (py_pow(y - xstar, m, odd, &p))
+        if (py_pow(use_fma, y - xstar, m, odd, &p))
             return RK4_OVERFLOW;
         *r = alpha * p;
         return RK4_OK;
     }
     for (t = 0; t < nterms; t++) {
-        const double *g = terms + 4 * t;
+        const double *g = terms + 5 * t;
         double d;
-        if (py_pow(y - g[2], g[3], is_odd(g[3]), &p))
+        if (py_pow_cold(y - g[2], g[3], g[4] != 0.0, &p))
             return RK4_OVERFLOW;
         d = g[1] * p;
         if (!isfinite(d)) {
@@ -263,24 +298,28 @@ static inline __attribute__((always_inline)) int stage(double alpha, double xsta
     return RK4_OK;
 }
 
+#define RK4_PARAMS                                                                    \
+    double alpha, double xstar, double m, const double *terms, int64_t nterms,        \
+    const double *P, const double *Q, int64_t ncol, double x0, double h, int64_t n_out, \
+    int64_t dec, double limit, double *out, double *jout, int64_t *k_fail, double *x_fail
+#define RK4_ARGS                                                                      \
+    alpha, xstar, m, terms, nterms, P, Q, ncol, x0, h, n_out, dec, limit, out, jout,  \
+    k_fail, x_fail
+
 /* Integrates n_out * dec steps of size h from x0, writing every dec-th state
  * to out[1..n_out] (out[0] = x0) and its cost J to jout[0..n_out].  Columns c
  * of P and Q index the step/half-step grid of one period and wrap at ncol.
  * The stage function is J when nterms is 0, else the averaged field over the
- * nterms (g, c, s, p) rows of terms.
+ * nterms (g, c, s, p, odd) rows of terms.
  *
  * On divergence returns RK4_EXCEEDED (the state left (-limit, limit)) or
  * RK4_OVERFLOW, with the index of the failing step in *k_fail and the state at
  * its start in *x_fail.  A non-finite derivative returns RK4_NONFINITE with
  * its term index in *k_fail and the stage argument in *x_fail.  When the cost
  * of a stored state overflows but the integration completes, the states are
- * complete and it returns RK4_COST_OVERFLOW. */
-int liees_rk4(double alpha, double xstar, double m,
-              const double *terms, int64_t nterms,
-              const double *P, const double *Q, int64_t ncol,
-              double x0, double h, int64_t n_out, int64_t dec,
-              double limit, double *out, double *jout,
-              int64_t *k_fail, double *x_fail)
+ * complete and it returns RK4_COST_OVERFLOW.  The products are formed by fma
+ * when use_fma, else by Dekker's split; the results are the same. */
+INLINE int rk4_loop(int use_fma, RK4_PARAMS)
 {
     const double hh = 0.5 * h;
     const double h6 = h / 6.0;
@@ -289,12 +328,12 @@ int liees_rk4(double alpha, double xstar, double m,
     int64_t c = 0, i, j, bad = 0;
     int status, cost_overflow = 0;
 
-#define STAGE(arg, res)                                                        \
-    do {                                                                       \
-        y = (arg);                                                             \
-        status = stage(alpha, xstar, m, odd, terms, nterms, y, &(res), &bad); \
-        if (status)                                                            \
-            goto fail;                                                         \
+#define STAGE(arg, res)                                                                   \
+    do {                                                                                  \
+        y = (arg);                                                                        \
+        status = stage(use_fma, alpha, xstar, m, odd, terms, nterms, y, &(res), &bad);    \
+        if (status)                                                                       \
+            goto fail;                                                                    \
     } while (0)
 
     out[0] = x0;
@@ -305,7 +344,7 @@ int liees_rk4(double alpha, double xstar, double m,
             if (j == 0) {
                 if (nterms == 0)
                     jout[i] = f1;
-                else if (py_pow(x - xstar, m, odd, &p))
+                else if (py_pow_cold(x - xstar, m, odd, &p))
                     cost_overflow = 1;
                 else
                     jout[i] = alpha * p;
@@ -330,7 +369,7 @@ int liees_rk4(double alpha, double xstar, double m,
         out[i + 1] = x;
     }
 #undef STAGE
-    if (py_pow(x - xstar, m, odd, &p))
+    if (py_pow_cold(x - xstar, m, odd, &p))
         return RK4_COST_OVERFLOW;
     jout[n_out] = alpha * p;
     return cost_overflow ? RK4_COST_OVERFLOW : RK4_OK;
@@ -344,6 +383,54 @@ fail:
         *x_fail = x;
     }
     return status;
+}
+
+/* The portable build, with Dekker's split: it runs on any CPU. */
+int liees_rk4_split(RK4_PARAMS)
+{
+    return rk4_loop(0, RK4_ARGS);
+}
+
+/* The build liees_rk4 runs, chosen once when the library loads. */
+static int (*rk4_build)(RK4_PARAMS) = liees_rk4_split;
+
+#if defined(__FP_FAST_FMA)
+/* fma is one instruction on every CPU of this target: the fused form only */
+static int rk4_fma(RK4_PARAMS)
+{
+    return rk4_loop(1, RK4_ARGS);
+}
+
+__attribute__((constructor)) static void choose_rk4_build(void)
+{
+    rk4_build = rk4_fma;
+}
+#elif defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+/* The build with FMA, run only where the CPU has it. */
+__attribute__((target("fma"))) static int rk4_fma(RK4_PARAMS)
+{
+    return rk4_loop(1, RK4_ARGS);
+}
+
+__attribute__((constructor)) static void choose_rk4_build(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("fma"))
+        rk4_build = rk4_fma;
+}
+#endif
+
+/* The RK4 loop of the header: the FMA build where the CPU has FMA, else the
+ * portable build. */
+int liees_rk4(RK4_PARAMS)
+{
+    return rk4_build(RK4_ARGS);
+}
+
+/* 1 when liees_rk4 runs the FMA build, else 0. */
+int liees_rk4_uses_fma(void)
+{
+    return rk4_build != liees_rk4_split;
 }
 
 

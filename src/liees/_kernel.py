@@ -34,8 +34,12 @@ except ImportError:
         from hashlib import sha256
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-# Bitwise equality with the Python stepper needs unfused multiply-adds and
-# IEEE semantics: never -ffast-math.
+# Bitwise equality with the Python stepper needs IEEE semantics, never
+# -ffast-math, and no contraction into fused multiply-adds: the only ones are
+# the fma calls of the kernel's error-free products, which give the same
+# (product, error) pair as Dekker's split.  Those run only in the build of the
+# RK4 loop that the library picks at load when the CPU has FMA, so no -mfma
+# or -march=native: a cached library may be loaded on another CPU.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILER = "cc"
 # Codes liees_rk4 returns besides 0 (success): the state diverged, a stage
@@ -91,15 +95,42 @@ def _build(directory: str, name: str) -> str:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _bind(path: str) -> types.SimpleNamespace:
+def rk4_entry(fn):
+    """The Python entry point of the RK4 build fn of the library: liees_rk4,
+    or liees_rk4_split, the portable build, which only tests call."""
     import ctypes
 
-    lib = ctypes.CDLL(path)
-    fn = lib.liees_rk4
     dbl, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     fn.argtypes = [dbl, dbl, dbl, ptr, i64, ptr, ptr, i64, dbl, dbl, i64, i64, dbl,
                    ptr, ptr, ctypes.POINTER(i64), ctypes.POINTER(dbl)]
     fn.restype = ctypes.c_int
+
+    def rk4(alpha, xstar, m, terms, P, Q, x0, h, n_out, dec, limit):
+        """Run the kernel; terms holds the (g, c, s, p) rows of the averaged
+        field, or none for the cost itself.  Returns (states, costs, status, failing step
+        or term, state or stage argument there)."""
+        terms = np.asarray(terms, dtype=np.float64).reshape(-1, 4)
+        # each row's parity of p, taken once per call as CPython's float_pow takes it
+        rows = np.column_stack([terms, np.fmod(np.abs(terms[:, 3]), 2.0) == 1.0])
+        P = np.ascontiguousarray(P, dtype=np.float64)
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
+        out = np.empty(n_out + 1)
+        jout = np.empty(n_out + 1)
+        k = i64(0)
+        last_x = dbl(0.0)
+        status = fn(alpha, xstar, m, rows.ctypes.data, len(rows),
+                    P.ctypes.data, Q.ctypes.data, len(Q), x0, h, n_out, dec, limit,
+                    out.ctypes.data, jout.ctypes.data, ctypes.byref(k), ctypes.byref(last_x))
+        return out, jout, status, k.value, last_x.value
+
+    return rk4
+
+
+def _bind(path: str) -> types.SimpleNamespace:
+    import ctypes
+
+    lib = ctypes.CDLL(path)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fmt = lib.liees_format_rows
     fmt.argtypes = [ptr, i64, i64, i64, ptr]
     fmt.restype = i64
@@ -109,22 +140,6 @@ def _bind(path: str) -> types.SimpleNamespace:
     # both codec entry points return -1 when the library could not make its C locale
     if fmt(None, 0, 0, 0, None) != 0:
         raise OSError("the CSV codec has no C locale")
-
-    def rk4(alpha, xstar, m, terms, P, Q, x0, h, n_out, dec, limit):
-        """Run the kernel; terms holds the (g, c, s, p) rows of the averaged
-        field, or none for the cost itself.  Returns (states, costs, status, failing step
-        or term, state or stage argument there)."""
-        terms = np.ascontiguousarray(terms, dtype=np.float64).reshape(-1, 4)
-        P = np.ascontiguousarray(P, dtype=np.float64)
-        Q = np.ascontiguousarray(Q, dtype=np.float64)
-        out = np.empty(n_out + 1)
-        jout = np.empty(n_out + 1)
-        k = i64(0)
-        last_x = dbl(0.0)
-        status = fn(alpha, xstar, m, terms.ctypes.data, len(terms),
-                    P.ctypes.data, Q.ctypes.data, len(Q), x0, h, n_out, dec, limit,
-                    out.ctypes.data, jout.ctypes.data, ctypes.byref(k), ctypes.byref(last_x))
-        return out, jout, status, k.value, last_x.value
 
     def format_rows(block, n, buf):
         """Write rows 0..n-1 of the columns block[k] as CSV lines into buf, a
@@ -150,13 +165,15 @@ def _bind(path: str) -> types.SimpleNamespace:
                      stride - fill, ctypes.byref(used))
         return rows, used.value
 
-    return types.SimpleNamespace(rk4=rk4, format_rows=format_rows, parse_rows=parse_rows)
+    return types.SimpleNamespace(rk4=rk4_entry(lib.liees_rk4), format_rows=format_rows,
+                                 parse_rows=parse_rows, cdll=lib)
 
 
 @functools.lru_cache(maxsize=None)
 def load():
     """The compiled library, with the entry points rk4, format_rows and
-    parse_rows, or None when it cannot be built or loaded."""
+    parse_rows and the ctypes library itself as cdll, or None when it cannot
+    be built or loaded."""
     try:
         with open(SOURCE, "rb") as fh:
             key = sha256(fh.read())

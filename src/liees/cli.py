@@ -306,9 +306,22 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+class UsageError(Exception):
+    """An argument the parser rejects, as the one line `<prog>: error: ...`."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that rejects an
+    argument with UsageError instead of printing its usage and exiting."""
+
+    def error(self, message):
+        # an unrecognized argument is quoted as given, line breaks and all
+        message = message.replace("\n", "\\n")
+        raise UsageError(f"{self.prog}: error: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="liees",
-                                description="Lie-bracket extremum-seeking toolkit")
+    p = _Parser(prog="liees", description="Lie-bracket extremum-seeking toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="run one experiment config")
@@ -350,9 +363,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except ConfigError as exc:
         for prob in exc.problems:
             print(f"config error: {prob}", file=sys.stderr)

@@ -26,10 +26,15 @@ CPython's float ** int does, only within 0.05 ulp of a rounding midpoint and
 for all other powers.  glibc's pow is within 0.54 ulp, so outside that band
 it returns the correctly rounded power too, and the states, cost values,
 divergence times and messages are bitwise equal to the Python path (the
-argument is in _kernel.c).  The kernel is built with `cc` on the first such
-call and cached in $XDG_CACHE_HOME/liees (else ~/.cache/liees); without a
-compiler, or if the build or load fails, the Python stepper runs silently.
-The path taken is recorded in Trajectory.meta["kernel"] ("c" or "python").
+argument is in _kernel.c).  The double-double's exact products take one
+fused multiply-add each on a CPU with FMA, a choice made when the library
+loads, and Dekker's split elsewhere; both give the exact product error, so
+the bits do not depend on the CPU.  The library is built with
+-ffp-contract=off, so no other operation is fused.  The kernel is built with
+`cc` on the first such call and cached in $XDG_CACHE_HOME/liees (else
+~/.cache/liees); without a compiler, or if the build or load fails, the
+Python stepper runs silently.  The path taken is recorded in
+Trajectory.meta["kernel"] ("c" or "python").
 
 Trajectory CSV is written and read by the same library when it loads.
 write_csv_rows spells each value as "%.17g" with exact integer arithmetic

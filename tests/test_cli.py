@@ -337,6 +337,13 @@ def _binary_config(tmp_path):
      "config error: field 'cost.alpha' must be finite, got inf"),
     (lambda tmp_path: [*_config()(tmp_path), "--steps-per-period", str(10 ** 400)],
      "validation error: 1000000000000000000000"),
+    # the parser's own rejections: one line each, no usage
+    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4", "--kappa", "x"],
+     "liees coeffs: error: argument --kappa: invalid int value: 'x'"),
+    (lambda tmp_path: ["coeffs", "--kind", "nope", "--epsilon", "1e-4"],
+     "liees coeffs: error: argument --kind: invalid choice: 'nope'"),
+    (lambda tmp_path: ["run", "--config", "a.json", "x\ny"],
+     "liees: error: unrecognized arguments: x\\ny"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
         "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
         "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
@@ -345,7 +352,8 @@ def _binary_config(tmp_path):
         "negative-band", "nan-tol", "sample-step-mismatch", "unallocatable-kappa",
         "oversized-quadrature-steps", "oversized-three-input-kappa", "oversized-total-time",
         "oversized-steps-per-period", "huge-phi2", "subnormal-epsilon", "huge-degree",
-        "huge-integer-alpha", "huge-steps-override"])
+        "huge-integer-alpha", "huge-steps-override", "non-integer-kappa", "unknown-kind",
+        "unrecognized-multiline-argument"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -353,11 +361,20 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"]])
+def test_help_exits_zero_with_its_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['liees', *argv[:-1]])} [-h]"), out
+
+
 # -- the exit-code contract under a fuzzer ----------------------------------
 #
 # Every argv of run, compare, coeffs and rate drawn here ends in exit 0-3.  An
-# exit 2 or 3 prints one prefixed line per problem and no traceback; argparse's
-# own rejection of an argument exits 2 with its usage and one error line.  The
+# exit 2 or 3 prints one prefixed line per problem and no traceback; the
+# parser's own rejection of an argument exits 2 with one error line.  The
 # draws leave out only what would exhaust the host, each range named here:
 #   * a run and its LBS comparison that would take more than 2^20 RK4 steps
 #     (epsilon 1e-9 with total_time 0.05 is valid and runs 1.3e10 steps:
@@ -459,17 +476,17 @@ def int_arg(text: str) -> int:
 
 
 def exit_code(argv):
-    """cli.main's exit code and stderr; None for argparse's own rejection."""
+    """cli.main's exit code and stderr; None for the parser's own rejection,
+    which is exactly one line, `liees <command>: error: ...`, and exit 2."""
     err = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    except SystemExit as exc:
-        text = err.getvalue()
-        assert exc.code == 2 and text.startswith("usage: "), text
-        assert text.splitlines()[-1].startswith("liees") and ": error: " in text, text
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = err.getvalue()
+    if text.startswith("liees"):
+        assert code == 2 and text.count("\n") == 1 and text.endswith("\n"), text
+        assert text.split(": error: ")[0] in ("liees", f"liees {argv[0]}"), text
         return None, text
-    return code, err.getvalue()
+    return code, text
 
 
 def assert_contract(code, err):

@@ -58,6 +58,35 @@ def both_paths(integrator, *args):
     return compiled, python
 
 
+@pytest.fixture(params=["liees_rk4", "liees_rk4_split"])
+def rk4_build(request, monkeypatch):
+    """Run the kernel through one build: liees_rk4, which runs the build the
+    library chose at load, or the portable build with Dekker's split, which
+    runs on any CPU."""
+    lib = _kernel.load()
+    monkeypatch.setattr(lib, "rk4", _kernel.rk4_entry(getattr(lib.cdll, request.param)))
+
+
+def cpu_flags():
+    """The feature flags /proc/cpuinfo lists for an x86 CPU, or None."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return line.split(":", 1)[1].split()
+    except OSError:
+        pass
+    return None
+
+
+@needs_kernel
+def test_loader_chooses_the_fma_build_exactly_when_the_cpu_has_fma():
+    flags = cpu_flags()
+    if flags is None:
+        pytest.skip("no x86 feature flags in /proc/cpuinfo")
+    assert bool(_kernel.load().cdll.liees_rk4_uses_fma()) == ("fma" in flags)
+
+
 def fig1_we():
     ref = importlib.resources.files("liees") / "configs" / "fig1_we.json"
     return cli.build_from_config(cli.load_config(str(ref)))
@@ -110,7 +139,7 @@ def test_kernel_equals_python_stepper(design, kappa, eps, x0, dec, periods, m, a
 
 @needs_kernel
 @pytest.mark.parametrize("dec", [512, 128, 1])
-def test_fig1_we_states_and_costs_match_python(dec):
+def test_fig1_we_states_and_costs_match_python(dec, rk4_build):
     config = IntegratorConfig(total_time=0.02, steps_per_period=512, decimation=dec)
     compiled, python = both_paths(sim.integrate, fig1_we(), 0.0, config)
     assert compiled[0] == "ok"
@@ -203,10 +232,11 @@ def _drift_run(J, targets):
 
 
 @needs_kernel
-def test_kernel_powers_equal_python():
+def test_kernel_powers_equal_python(rk4_build):
     # every stored cost of >= 10^6 distinct states, bitwise against CPython's
     # float ** int: m = 2..4 take the kernel's exact-power path, 5 and 6 pow's,
-    # and |x - x*| runs across 2^-64 and 2^64 with 0, +-1 and negative values
+    # and |x - x*| runs across 2^-64 and 2^64 with 0, +-1 and negative values;
+    # in each build of the loop, as the two forms of the products must agree
     rng = np.random.default_rng(10)
     edges = [2.0 ** -64, math.nextafter(2.0 ** -64, 0.0), math.nextafter(2.0 ** -64, 1.0),
              1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 3.0]  # 3^m is exact
