@@ -230,13 +230,15 @@ def tensor_exp(X: list, depth: int) -> list:
 @dataclass
 class Signature:
     """Iterated integrals of a dither set over one period, as a level list:
-    levels[k] holds the integrals of the n_channels^k words of length k."""
+    levels[k] holds the integrals of the n_channels^k words of length k.
+    kernel is the quadrature that computed them, "c" or "python"."""
 
     depth: int
     n_channels: int
     epsilon: float
     quadrature_steps: int
     levels: list = field(default_factory=list)
+    kernel: str = "python"
 
     def entry(self, word: tuple) -> float:
         """The integral of one word; KeyError for a word not in the signature."""
@@ -275,6 +277,24 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _signature_levels(us: list, depth: int, dt: float) -> list:
+    """Levels 1..depth of compute_signature in numpy, from the samples us of
+    each channel: the fallback, and the oracle of the compiled
+    signature_levels of liees._kernel."""
+    # running: the running integrals of the previous level's words in product
+    # order.  With the first letter as the outer loop, level k comes out in
+    # product order too; the deepest level keeps no running integral.
+    levels, running = [], [np.ones(len(us[0]))]
+    for k in range(1, depth + 1):
+        if k < depth:
+            running = [_cumtrapz(u * r, dt) for u in us for r in running]
+            levels.append(np.array([r[-1] for r in running]))
+        else:
+            levels.append(np.fromiter((_cumtrapz(u * r, dt)[-1] for u in us for r in running),
+                                      float, len(us) * len(running)))
+    return levels
+
+
 def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
                       quadrature_steps: int | None = None) -> Signature:
     """All iterated integrals over one period on a uniform grid.
@@ -284,6 +304,13 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     running integral of v), so level k is built from the running integrals of
     level k - 1 alone.  The grid has quadrature_steps intervals, by default
     max(4096, 512 * fastest harmonic).
+
+    The levels come from the compiled signature_levels of liees._kernel,
+    one pass over the grid per word and the last two levels in one pass per
+    word of the first, when the library loads, else from the numpy chain
+    _signature_levels.  Both give the same bits (the argument is in the
+    header of _kernel.c), and Signature.kernel records which one ran, "c" or
+    "python".
     """
     if not dithers:
         raise InvalidParameterError("need at least one dither channel")
@@ -295,7 +322,8 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     fastest = max(d.fastest_harmonic for d in dithers)
     if quadrature_steps is None:
         quadrature_steps = max(4096, 512 * fastest)
-    if quadrature_steps < 16 * fastest:
+    # at least one step even for constant channels, whose fastest harmonic is 0
+    if quadrature_steps < max(16 * fastest, 1):
         raise ResolutionError(
             f"{quadrature_steps} steps resolve the fastest harmonic ({fastest}/period) "
             f"with fewer than 16 samples"
@@ -308,19 +336,13 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     ts = np.linspace(0.0, eps, m + 1)
     us = [eval_dither(d, ts) for d in dithers]
 
-    # running: the running integrals of the previous level's words in product
-    # order.  With the first letter as the outer loop, level k comes out in
-    # product order too; the deepest level keeps no running integral.
-    levels, running = [None], [np.ones(m + 1)]
+    from . import _kernel
+
+    lib = _kernel.load()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, depth + 1):
-            if k < depth:
-                running = [_cumtrapz(u * r, dt) for u in us for r in running]
-                levels.append(np.array([r[-1] for r in running]))
-            else:
-                levels.append(np.fromiter((_cumtrapz(u * r, dt)[-1] for u in us for r in running),
-                                          float, n ** k))
-    sig = Signature(depth=depth, n_channels=n, epsilon=eps, quadrature_steps=m, levels=levels)
+        levels = (_signature_levels if lib is None else lib.signature_levels)(us, depth, dt)
+    sig = Signature(depth=depth, n_channels=n, epsilon=eps, quadrature_steps=m,
+                    levels=[None, *levels], kernel="python" if lib is None else "c")
     _check_finite("signature entry", sig.items(), eps)
     return sig
 

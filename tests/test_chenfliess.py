@@ -208,6 +208,9 @@ class TestSignature:
         with pytest.raises(ResolutionError):
             compute_signature(make_design("third1222", 1.0, kappa=8), depth=2,
                               quadrature_steps=128)
+        constant = DitherSpec("custom-harmonic", 1, 1.0, harmonic=0, bracket_length=2)
+        with pytest.raises(ResolutionError):
+            compute_signature([constant], depth=2, quadrature_steps=0)
 
     def test_mismatched_periods(self):
         d1 = DitherSpec("classic", 1, 1.0)

@@ -1,4 +1,6 @@
-"""The compiled RK4 kernel: bitwise agreement with sim._rk4, and its loader."""
+"""The compiled library: the RK4 kernel against sim._rk4, the signature
+quadrature against the numpy chain, the CSV codec against Python's, and the
+loader."""
 
 import importlib.resources
 import locale
@@ -17,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liees import _kernel, cli, costs, sim
+from liees import _kernel, chenfliess, cli, costs, sim
+from liees.dither import DESIGNS, DitherSpec, eval_dither, make_design
 from liees.errors import DivergenceError, InvalidParameterError, NumericFailureError
 from liees.sim import IntegratorConfig, build_two_input
 
@@ -279,10 +282,15 @@ def test_no_compiler_falls_back(tmp_path, monkeypatch, fresh_loader):
     lbs = sim.integrate_lbs(*lbs_args)
     assert lbs.meta["kernel"] == "c"
 
+    design = make_design("triple123", 1e-3)
+    sig = signature_outcome(design, 4, None)
+    assert sig[0] == "c"
+
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path))
     _kernel.load.cache_clear()
     assert _kernel.load() is None
+    assert signature_outcome(design, 4, None) == ("python", sig[1])
     for slow, fast in ((sim.integrate(system, 0.0, config), compiled),
                        (sim.integrate_lbs(*lbs_args), lbs)):
         assert slow.meta["kernel"] == "python"
@@ -300,11 +308,29 @@ def test_failed_compile_falls_back(tmp_path, monkeypatch, fresh_loader):
     assert not [p for p in (tmp_path / "cache" / "liees").iterdir()]
 
 
-@needs_kernel
-def test_cached_library_is_reused(tmp_path, monkeypatch, fresh_loader):
+@pytest.fixture
+def copy_compile(tmp_path_factory, monkeypatch, fresh_loader):
+    """Stub _compile with a copy of the library this process built, so a
+    loader test builds no library of its own; returns the list of the
+    (source, target) pairs it was called with."""
+    built = tmp_path_factory.getbasetemp() / "kernel.so"
+    if not built.exists():
+        # a library built outside a usable cache is gone once loaded
+        loaded = _kernel.load().cdll._name
+        if os.path.exists(loaded):
+            shutil.copyfile(loaded, built)
+        else:
+            _kernel._compile(_kernel.SOURCE, str(built))
+    _kernel.load.cache_clear()
     calls = []
-    compile_ = _kernel._compile
-    monkeypatch.setattr(_kernel, "_compile", lambda *a: calls.append(a) or compile_(*a))
+    monkeypatch.setattr(_kernel, "_compile",
+                        lambda *a: calls.append(a) or shutil.copyfile(built, a[1]))
+    return calls
+
+
+@needs_kernel
+def test_cached_library_is_reused(tmp_path, monkeypatch, copy_compile):
+    calls = copy_compile
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     first = _kernel.load()
     assert first is not None and len(calls) == 1
@@ -316,13 +342,100 @@ def test_cached_library_is_reused(tmp_path, monkeypatch, fresh_loader):
 
 
 @needs_kernel
-def test_unsafe_cache_dir_is_not_used(tmp_path, monkeypatch, fresh_loader):
+def test_unsafe_cache_dir_is_not_used(tmp_path, monkeypatch, copy_compile):
     shared = tmp_path / "liees"
     shared.mkdir()
     shared.chmod(0o777)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert _kernel.load() is not None
+    assert len(copy_compile) == 1
     assert list(shared.iterdir()) == []
+
+
+# The signature quadrature: the compiled levels against the numpy chain of
+# chenfliess._cumtrapz, which runs when the library does not load.
+
+def signature_outcome(dithers, depth, steps):
+    """The path compute_signature took and its levels as bytes, or the
+    failure as (type, message)."""
+    try:
+        sig = chenfliess.compute_signature(dithers, depth, steps)
+    except NumericFailureError as err:
+        return type(err).__name__, str(err)
+    return sig.kernel, [v.tobytes() for v in sig.levels[1:]]
+
+
+def numpy_levels(dithers, depth, steps):
+    """The levels of the numpy chain, as bytes, on the samples
+    compute_signature takes."""
+    eps = dithers[0].epsilon
+    us = [eval_dither(d, np.linspace(0.0, eps, steps + 1)) for d in dithers]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [v.tobytes() for v in chenfliess._signature_levels(us, depth, eps / steps)]
+
+
+@st.composite
+def signature_inputs(draw):
+    """1-4 channels of one period at eps 1e-6..1e-2 (channels of every
+    built-in kind at kappa 1-3, and custom cos and sin harmonics, cos at
+    harmonic 0 a constant), a grid from the 16 samples of the fastest
+    harmonic up, odd step counts included, and a depth 1-4."""
+    eps = draw(st.floats(1e-6, 1e-2))
+    builtin = st.sampled_from(sorted(DESIGNS)).flatmap(lambda kind: st.builds(
+        DitherSpec, st.just(kind), st.integers(1, len(DESIGNS[kind].channels)), st.just(eps),
+        st.integers(1, 3)))
+    custom = st.builds(lambda wave, h, amp, kappa: DitherSpec(
+        "custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=h + (wave == "sin"),
+        waveform=wave, bracket_length=2), st.sampled_from(["cos", "sin"]), st.integers(0, 3),
+        st.floats(-3.0, 3.0), st.integers(1, 3))
+    dithers = draw(st.lists(builtin | custom, min_size=1, max_size=4))
+    fastest = max(d.fastest_harmonic for d in dithers)
+    steps = max(16 * fastest, 1) + draw(st.integers(0, 257))
+    return dithers, steps, draw(st.integers(1, 4))
+
+
+# constant channels of amplitude -0.0 and 1.0: every product of the words
+# (1,), (1, 2), (1, 2, 2) and (1, 2, 2, 2) is -0.0, which a sum started from
+# 0.0, or a running integral whose first point is not 0.0, turns into 0.0
+SIGNED_ZERO = [DitherSpec("custom-harmonic", 1, 1e-3, amplitude=amp, harmonic=0,
+                          bracket_length=2) for amp in (-0.0, 1.0)]
+
+
+@needs_kernel
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(signature_inputs())
+@example((make_design("triple123", 1e-3, 3), 16 * 45 + 1, 4))
+@example((make_design("first12", 1e-6) + make_design("third1222", 1e-6), 16 * 3, 4))
+@example((SIGNED_ZERO, 17, 4))
+@example((SIGNED_ZERO, 17, 2))
+@example((SIGNED_ZERO + list(make_design("triple123", 1e-3)), 16 * 15, 3))
+def test_signature_levels_equal_the_numpy_chain(inputs):
+    dithers, steps, depth = inputs
+    compiled = signature_outcome(dithers, depth, steps)
+    assert compiled[0] == "c"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        assert signature_outcome(dithers, depth, steps) == ("python", compiled[1])
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind, eps, word", [
+    ("first12", 1e160, "1111"), ("first12", 1e300, "111"), ("triple123", 1e300, "1111")])
+def test_signature_overflow_fails_alike(kind, eps, word):
+    compiled = signature_outcome(make_design(kind, eps), 4, None)
+    assert compiled == ("NumericFailureError",
+                        f"signature entry {word} is nan at epsilon {eps:g}")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        assert signature_outcome(make_design(kind, eps), 4, None) == compiled
+
+
+def test_signature_falls_back_to_numpy(monkeypatch):
+    design = make_design("second122", 1e-3)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    kernel, levels = signature_outcome(design, 3, 64)
+    assert kernel == "python"
+    assert levels == numpy_levels(design, 3, 64)
 
 
 # The CSV codec: the compiled writer and reader against the Python ones.
