@@ -1,8 +1,8 @@
 """liees: simulation and verification toolkit for higher-order Lie-bracket
 extremum-seeking control.
 
-Submodules: costs (objectives, differentiation, assumption checkers), dither
-(bracket-exciting inputs), lie (numeric brackets and field families),
+Submodules: costs (objectives, declared derivatives, assumption checkers),
+dither (bracket-exciting inputs), lie (exact brackets and field families),
 chenfliess (iterated integrals and excitation verification), sim (system
 builders and integrators), analysis (rate fits and closeness metrics), verify
 (the property checks of `liees verify` and the acceptance tests), cli.

@@ -1,8 +1,8 @@
-"""Cost-function models, numeric differentiation, and empirical assumption checkers.
+"""Cost-function models, their declared derivatives, and empirical assumption checkers.
 
 A cost is a scalar function J of a scalar state x with an isolated minimum at
-x*.  Derivatives up to order 4 are served analytically when declared and by
-Richardson-extrapolated central differences otherwise.  The assumption
+x*.  Its derivatives up to order 4 are the analytic ones it declares; asking
+for an order it does not declare raises InvalidParameterError.  The assumption
 checkers fit the tightest constants of the power-function growth inequalities
 on a grid and validate them on a refined grid, so that constants that only
 work at grid scale are rejected.
@@ -25,18 +25,13 @@ __all__ = [
     "check_assumption",
 ]
 
-# Central-difference step per derivative order, times max(1, |x|): higher
-# orders widen the step to keep the stencil roundoff (~eps/h^k) below the
-# Richardson truncation.
-_FD_ORDER_STEP = {1: 1e-4, 2: 2e-3, 3: 1e-2, 4: 2e-2}
-
 
 @dataclass(frozen=True)
 class CostFunction:
     """Evaluable objective with optional analytic derivatives and known minimizer.
 
     analytic_derivs[k] is the derivative of order k+1; the list may be shorter
-    than 4 (missing orders fall back to finite differences).
+    than 4, and derivative() rejects the orders it leaves out.
     """
 
     eval: Callable[[float], float]
@@ -106,57 +101,23 @@ def make_power_cost(alpha: float, xstar: float, m: int) -> CostFunction:
 
 
 def make_abs_cost(xstar: float = 0.0) -> CostFunction:
-    """J(x) = |x - xstar|; kinked at the minimizer, useful as a counterexample."""
-    return CostFunction(eval=lambda x: abs(x - xstar), xstar=xstar, jstar=0.0, degree=2)
-
-
-def _central_diff(func: Callable[[float], float], order: int, x: float, h: float) -> float:
-    if order == 0:
-        return func(x)
-    if order == 1:
-        return (func(x + h) - func(x - h)) / (2 * h)
-    if order == 2:
-        return (func(x + h) - 2 * func(x) + func(x - h)) / h**2
-    if order == 3:
-        return (func(x + 2 * h) - 2 * func(x + h) + 2 * func(x - h) - func(x - 2 * h)) / (2 * h**3)
-    if order == 4:
-        return (
-            func(x + 2 * h) - 4 * func(x + h) + 6 * func(x) - 4 * func(x - h) + func(x - 2 * h)
-        ) / h**4
-    raise InvalidParameterError(f"derivative order must be in 0..4, got {order}")
-
-
-def fd_derivative(func: Callable[[float], float], x: float, order: int = 1,
-                  h: float | None = None) -> float:
-    """Central difference of the given order with one Richardson level (h, h/2).
-
-    Both stencils have O(h^2) truncation, so the (4 D(h/2) - D(h)) / 3
-    combination is O(h^4) accurate.
-    """
-    if order == 0:
-        return func(x)
-    if h is None:
-        h = _FD_ORDER_STEP[order] * max(1.0, abs(x))
-    d_h = _central_diff(func, order, x, h)
-    d_h2 = _central_diff(func, order, x, h / 2)
-    val = (4 * d_h2 - d_h) / 3
-    if not math.isfinite(val):
-        raise NumericFailureError(f"finite difference of order {order} at x={x} is not finite")
-    return val
+    """J(x) = |x - xstar|, a counterexample kinked at the minimizer: J' = +-1, then 0."""
+    derivs = (lambda x: math.copysign(1.0, x - xstar),) + (lambda x: 0.0,) * 3
+    return CostFunction(eval=lambda x: abs(x - xstar), analytic_derivs=derivs, xstar=xstar,
+                        jstar=0.0, degree=2)
 
 
 def derivative(cost: CostFunction, order: int, x: float) -> float:
-    """Derivative of the cost at x, analytic when declared, else finite differences."""
-    if order < 0 or order > 4:
-        raise InvalidParameterError(f"derivative order must be in 0..4, got {order}")
+    """Derivative of the cost at x: J itself for order 0, else the declared one."""
+    if not 0 <= order <= len(cost.analytic_derivs):
+        raise InvalidParameterError(
+            f"the cost declares derivatives of order 0..{len(cost.analytic_derivs)}, got {order}")
     if order == 0:
         return cost.eval(x)
-    if len(cost.analytic_derivs) >= order:
-        val = cost.analytic_derivs[order - 1](x)
-        if not math.isfinite(val):
-            raise NumericFailureError(f"analytic derivative of order {order} at x={x} is not finite")
-        return val
-    return fd_derivative(cost.eval, x, order)
+    val = cost.analytic_derivs[order - 1](x)
+    if not math.isfinite(val):
+        raise NumericFailureError(f"analytic derivative of order {order} at x={x} is not finite")
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ deterministic.  Dither values are precomputed on the step/half-step grid of
 one period and reused for every period.
 
 One stepper, _rk4, integrates x' = F[c](x) * Q[c] + P[c] over grid columns c.
-When every channel shape is affine in the cost value (all built-in designs
-are), F[c] is J and P, Q are precomputed tables.  Other shapes get one
-right-hand-side function per column, with Q = 1 and P = 0.  So does the
-averaged system of integrate_lbs, on two columns: it has no time dependence.
+When every channel shape is affine in the cost value, .poly of degree <= 1
+(all built-in designs are), F[c] is J and P, Q are precomputed tables.  Other
+shapes get one right-hand-side function per column, Q = 1 and P = 0, as does
+the averaged system of integrate_lbs on two columns: it has no time dependence.
 period_map runs the stepper of one system from many starts, building the
 tables and the right-hand side once.
 
@@ -67,7 +67,8 @@ from .errors import (
     ResolutionError,
     check_array_size,
 )
-from .lie import ScalarField, const_shape, linear_shape, make_generating_pair, make_triple_family
+from .lie import (ScalarField, adaptive_simpson, const_shape, linear_shape,
+                  make_generating_pair, make_triple_family)
 
 __all__ = [
     "ESSystem",
@@ -195,6 +196,8 @@ def build_two_input(cost: CostFunction, N: int, kappa: int = 1,
                     epsilon: float = 1e-4, gain: float = 1.0,
                     kind: str | None = None) -> ESSystem:
     """Generating pair of order N matched with the bracket-exciting dither pair of order N."""
+    if N not in (2, 3, 4):
+        raise InvalidParameterError(f"N must be 2, 3 or 4, got {N}")
     g1, g2 = make_generating_pair(N, gain)
     kind = kind or {2: "first12", 3: "second122", 4: "third1222"}[N]
     d1, d2 = make_design(kind, epsilon, kappa)
@@ -207,17 +210,18 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
                       kappa: int = 1) -> ESSystem:
     """Triple family fields with the three-dither [[g1,g2],g3] exciter.
 
-    phi2 may be a positive constant (fast affine path, fields (1, -phi2 z,
-    -phi2), averaged system x' = -phi2^2 J'' for every kappa) or a callable
-    shape (fields (1, -int_0^z phi2, -phi2) of make_triple_family, on the
-    Python stepper).  `liees verify excitation` checks the dither triple.
+    phi2 may be a nonzero constant (fast affine path, the fields (1, -phi2 z,
+    -phi2) of make_triple_family, averaged system x' = -phi2^2 J'' for every
+    kappa) or a callable shape: fields (1, -int_0^z phi2, -phi2) by adaptive
+    Simpson quadrature, on the Python stepper, with no exact bracket for
+    endpoint_prediction.  `liees verify excitation` checks the dither triple.
     """
     if callable(phi2):
         probe = max(abs(phi2(z)) for z in np.linspace(0.0, 4.0, 33))
         if probe < 1e-12:
             raise ConstructionError("phi2 is numerically zero: the target bracket is null")
-        g1, g2, g3 = make_triple_family(phi2)
-        shapes = (g1, g2, g3)
+        shapes = (const_shape(1.0), lambda z: -adaptive_simpson(phi2, 0.0, z),
+                  lambda z: -phi2(z))
         meta = {}
     else:
         phi = float(phi2)
@@ -227,7 +231,7 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
             gain = phi ** 2
         except OverflowError:
             raise InvalidParameterError(f"phi2 = {phi:g} is too large: phi2^2 overflows") from None
-        shapes = (const_shape(1.0), linear_shape(-phi), const_shape(-phi))
+        shapes = make_triple_family((phi,))
         meta = {"lbs_terms": [(2, gain)]}
     dithers = make_design("triple123", epsilon, kappa)
     return ESSystem(cost=cost, channels=tuple(zip(shapes, dithers)),
@@ -376,7 +380,8 @@ class _Stepper:
 
 def _system_stepper(system: ESSystem, S: int) -> _Stepper:
     """A system's stepper at S steps per period: the dither tables, then P and Q
-    for affine shapes or one right-hand-side function per column for others."""
+    for affine shapes (.poly of degree <= 1) or one right-hand-side function
+    per column for others."""
     if S < 16 * system.fastest_harmonic:
         raise ResolutionError(
             f"{S} steps/period resolve the fastest harmonic "
@@ -388,10 +393,11 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
     J = system.cost.eval
     ts = np.arange(2 * S) * (system.epsilon / (2 * S))
     tables = [eval_dither(d, ts) for d in system.dithers]
-    affine = [getattr(g, "affine", None) for g in system.shapes]
-    if all(a is not None for a in affine):
-        return _Stepper(J, h, sum(a[0] * u for a, u in zip(affine, tables)),
-                        sum(a[1] * u for a, u in zip(affine, tables)))
+    polys = [getattr(g, "poly", None) for g in system.shapes]
+    if all(p is not None and len(p) <= 2 for p in polys):
+        # P and Q from the constant and linear coefficients, 0.0 where there is none
+        return _Stepper(J, h, sum(p[0] * u for p, u in zip(polys, tables)),
+                        sum((*p, 0.0)[1] * u for p, u in zip(polys, tables)))
     shapes = system.shapes
 
     def column(us):

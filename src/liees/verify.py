@@ -31,8 +31,9 @@ def brackets() -> list[Check]:
     checks = []
     quad = costs.make_power_cost(1.0, 0.0, 2)
     quart = costs.make_power_cost(1.0, 1.0, 4)
-    shapes = [lie.ScalarField(lambda z: z, quart), lie.ScalarField(lambda z: 1.0, quart),
-              lie.ScalarField(math.sin, quart), lie.ScalarField(math.cos, quart)]
+    # z, 1, and the Taylor polynomials z - z^3/6 of sin and 1 - z^2/2 of cos
+    shapes = [lie.ScalarField(lie.poly_shape(p), quart)
+              for p in ((0.0, 1.0), (1.0,), (0.0, 1.0, 0.0, -1.0 / 6.0), (1.0, 0.0, -0.5))]
     worst_anti = 0.0
     for f in shapes:
         for g in shapes:
@@ -67,7 +68,7 @@ def brackets() -> list[Check]:
                         " ".join(f"N={N}:{r:.1e}" for N, r in zip((2, 3, 4), rels)),
                         tuple(rels)))
 
-    g1, g2, g3, g4 = lie.make_quadruple_family(lambda z: 1.0)
+    g1, g2, g3, g4 = lie.make_quadruple_family((1.0,))
     fields = [lie.ScalarField(g, quart) for g in (g1, g2, g3, g4)]
     val = lie.iterated_bracket(fields, (1, 2, 3, 4), 0.0)
     rel = abs(val - 24.0) / 24.0
@@ -111,8 +112,7 @@ def lemma3() -> list[Check]:
     checks = []
     for cost, dom in ((costs.make_power_cost(1.0, 0.0, 2), (-1.0, 1.0)),
                       (costs.make_power_cost(1.0, 1.0, 4), (0.0, 2.0))):
-        for phi_name, phi in (("1", lambda z: 1.0), ("sqrt2", lambda z: math.sqrt(2.0)),
-                              ("z", lambda z: z)):
+        for phi_name, phi in (("1", (1.0,)), ("sqrt2", (math.sqrt(2.0),)), ("z", (0.0, 1.0))):
             g1, g2, g3 = lie.make_triple_family(phi)
             fields = [lie.ScalarField(g, cost) for g in (g1, g2, g3)]
             xs = [x for x in np.linspace(dom[0], dom[1], 50)
@@ -120,7 +120,7 @@ def lemma3() -> list[Check]:
             resid = scale = 0.0
             for x in xs:
                 val = lie.iterated_bracket(fields, (1, 2, 3), x)
-                target = -phi(cost.eval(x)) ** 2 * costs.derivative(cost, 2, x)
+                target = -g3(cost.eval(x)) ** 2 * costs.derivative(cost, 2, x)  # g3 = -phi2
                 resid = max(resid, abs(val - target))
                 scale = max(scale, abs(target))
             rel = resid / max(scale, 1e-12)

@@ -4,7 +4,10 @@ import, and every name the benchmark's span recorder wraps."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,27 @@ def test_moved_shapes_keep_their_sim_names():
 
     assert sim.const_shape is lie.const_shape
     assert sim.linear_shape is lie.linear_shape
+
+
+def test_bracket_paths_import_no_heavy_modules():
+    # numpy.polynomial costs about 2.7 ms at import, numpy.ma about 15 ms (see
+    # analysis._median) and hashlib about 3 MB of resident memory (see
+    # _kernel.py); the exact brackets, the verify suites and a prediction need none
+    code = """
+import sys
+import liees
+from liees import chenfliess, costs, sim, verify
+verify.brackets()
+verify.lemma3()
+system = sim.build_mixed(costs.make_power_cost(1.0, 1.0, 4), 5, 1, 0.7, 0.4, 1e-3)
+chenfliess.endpoint_prediction(system, 0.6, order=4)
+print(sorted(m for m in ("numpy.polynomial", "numpy.ma", "hashlib") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(liees.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, stdin=subprocess.DEVNULL, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def load_tracing():

@@ -194,8 +194,11 @@ def test_lbs_failures_match_python(cost, terms, x0, total_time, steps, kind):
 
 def test_lbs_records_its_path(monkeypatch):
     args = ([(1, 1.0)], 0.0, 1.0, 10)
-    fd_only = costs.CostFunction(eval=QUARTIC.eval, xstar=1.0, jstar=0.0, degree=4)
-    assert sim.integrate_lbs(fd_only, *args).meta["kernel"] == "python"
+    # analytic derivatives without make_power_cost's .power tags
+    untagged = costs.CostFunction(
+        eval=lambda x: QUARTIC.eval(x), xstar=1.0, jstar=0.0, degree=4,
+        analytic_derivs=tuple(lambda x, d=d: d(x) for d in QUARTIC.analytic_derivs))
+    assert sim.integrate_lbs(untagged, *args).meta["kernel"] == "python"
     assert sim.integrate_lbs(QUARTIC, [(1, 1.0)], 0, 1.0, 10).meta["kernel"] == "python"
     monkeypatch.setattr(_kernel, "load", lambda: None)
     assert sim.integrate_lbs(QUARTIC, *args).meta["kernel"] == "python"

@@ -89,7 +89,7 @@ class TestBuilders:
         for N in (2, 3, 4):
             assert build_two_input(QUARTIC, N, 1, 1e-4, 1e-13).arity == 2
         assert build_mixed(QUARTIC, 5, 1, 1.0, 1e-14, 1e-4).arity == 4
-        assert len(lie.make_quadruple_family(lambda z: 1.0 + z * z)) == 4
+        assert len(lie.make_quadruple_family((1.0, 0.0, 1.0))) == 4
 
     def test_three_input_zero_phi_rejected(self):
         with pytest.raises(ConstructionError):
@@ -247,7 +247,7 @@ class TestIntegrate:
         # generic (slow) path agrees with the affine fast path
         eps = 1e-3
         fast = build_two_input(QUAD, 2, 1, eps, 1.0, kind="classic")
-        slow_shapes = (lambda z: 1.0 * z, lambda z: 1.0)   # no .affine attribute
+        slow_shapes = (lambda z: 1.0 * z, lambda z: 1.0)   # no .poly tag
         slow = sim.ESSystem(cost=QUAD, channels=tuple(
             (g, d) for g, d in zip(slow_shapes, fast.dithers)))
         cfg = IntegratorConfig(total_time=5 * eps, steps_per_period=256, decimation=256)
