@@ -138,10 +138,41 @@
  *     __int128, is written by snprintf "%.17g".
  *   - liees_parse_rows reads only the writer's own grammar: fields
  *     -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf, -inf and nan, separated by
- *     commas, with \n or \r\n line ends.  glibc's strtod and CPython's float
- *     both round a decimal string correctly (to the nearest double, ties to
- *     even, overflow to inf and underflow to a subnormal or zero), so they
- *     agree on every such field; inf and nan are the constants float() returns.
+ *     commas, with \n or \r\n line ends.  inf and nan are the constants
+ *     float() returns.  Each numeric field is read once: the pass that checks
+ *     the grammar also collects its significand w (the digits after the
+ *     leading zeros, at most 19 of them, so w < 10^19 < 2^64) and its decimal
+ *     exponent e, the value being w 10^e exactly.  w = 0 is +-0.  Otherwise
+ *     the Eisel-Lemire algorithm (D. Lemire, "Number parsing at a gigabyte
+ *     per second", Softw. Pract. Exp. 51(8), 2021), in the form of Go's
+ *     strconv that declines what it cannot decide, converts it:
+ *       1. POW10 holds 10^e for -55 <= e <= 55 as M 2^e2 with
+ *          2^127 <= M < 2^128 and M = floor(10^e 2^-e2): for e >= 0, M is
+ *          5^e < 2^128 shifted left, exact; for e < 0, floor(2^b / 5^-e) by
+ *          long division.  The constructor computes it in unsigned __int128.
+ *       2. With w shifted up to bit 63, the product of w and M's high word is
+ *          exact and lies below w M by less than w units of its low word.
+ *          That error can reach the 54 bits kept of its high word only when
+ *          adding w overflows the low word and the high word's lowest 9 bits,
+ *          all below the kept ones, are ones.  Only then is the product with
+ *          M's low word added, whose error is again below w units of the word
+ *          under it; if that sum can still carry into the kept bits, it
+ *          declines.  Otherwise the kept bits are those of w 10^e.
+ *       3. They round to 53 bits, half up.  When the low word and the lowest
+ *          9 bits are zero, the rounding bit one and the bit above it zero,
+ *          w 10^e may be an exact tie, which rounds to even: it declines.
+ *          Every other result is w 10^e correctly rounded, ties to even.
+ *       4. It declines a result out of the normal range, which w 10^e with
+ *          |e| <= 55 never reaches.
+ *     Fields with more than 19 significant digits, an exponent outside the
+ *     table, or a declined conversion go to glibc's strtod.  strtod and
+ *     CPython's float both round a decimal string correctly (to the nearest
+ *     double, ties to even, overflow to inf and underflow to a subnormal or
+ *     zero), so every field reads as float() reads it, whichever path takes
+ *     it.  The fields of the writer's exact path have at most 17 digits and
+ *     |e| <= 54, so strtod reads only the declined ones, such as exact binary
+ *     values with a short decimal (1.625).  Without unsigned __int128 every
+ *     numeric field goes to strtod.
  *     The first line outside that grammar stops the parser, and the caller
  *     then reads the whole file in Python: one parser per file.
  *
@@ -149,7 +180,8 @@
  * LC_NUMERIC, which a host program may set to a decimal comma.  So both run
  * under a C locale object of their own (uselocale around each snprintf,
  * strtod_l) and write and read the same bytes under any locale; the exact
- * path of the writer reads no locale.
+ * path of the writer and the Eisel-Lemire path of the reader read no
+ * locale.
  */
 
 #define _GNU_SOURCE
@@ -548,9 +580,54 @@ void liees_trapz_last_two(const double *const *us, int64_t n, const double *cons
  * failed, and then the codec entry points return -1. */
 static locale_t c_locale;
 
-__attribute__((constructor)) static void make_c_locale(void)
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* The reader's powers of ten 10^e = (m + delta) 2^e2, 0 <= delta < 1,
+ * 2^127 <= m < 2^128, at POW10[e + POW10_MAX] (see the header). */
+#define POW10_MAX 55
+static struct {
+    u128 m;
+    int e2;
+} POW10[2 * POW10_MAX + 1];
+
+static void make_pow10(void)
+{
+    u128 five = 1;
+    int e, k;
+
+    /* 5^e < 2^128 for e <= 55 */
+    for (e = 0; e <= POW10_MAX; e++, five *= 5) {
+        const int z = 128 - (five >> 64 ? __builtin_clzll((uint64_t) (five >> 64))
+                                        : 64 + __builtin_clzll((uint64_t) five));
+        POW10[POW10_MAX + e].m = five << (128 - z);
+        POW10[POW10_MAX + e].e2 = e + z - 128;
+        if (e > 0) {
+            /* floor(2^(z+127) / 5^e), 5^e having z bits: its first bit is 1,
+             * with remainder 2^z - 5^e, then one bit per step */
+            u128 q = 1, r = (z < 128 ? (u128) 1 << z : 0) - five;
+            for (k = 0; k < 127; k++) {
+                const int top = (int) (r >> 127);
+                r <<= 1;
+                q <<= 1;
+                if (top || r >= five) {
+                    r -= five;
+                    q |= 1;
+                }
+            }
+            POW10[POW10_MAX - e].m = q;
+            POW10[POW10_MAX - e].e2 = -e - z - 127;
+        }
+    }
+}
+#endif
+
+__attribute__((constructor)) static void make_codec_tables(void)
 {
     c_locale = newlocale(LC_ALL_MASK, "C", (locale_t) 0);
+#ifdef __SIZEOF_INT128__
+    make_pow10();
+#endif
 }
 
 /* "%.17g" of v by glibc's snprintf in the C locale, at p; returns its length. */
@@ -564,8 +641,6 @@ static int format_libc(char *p, double v)
 }
 
 #ifdef __SIZEOF_INT128__
-typedef unsigned __int128 u128;
-
 static const char DIGIT_PAIRS[] =
     "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
@@ -755,46 +830,120 @@ int64_t liees_format_rows(const double *cols, int64_t ncol, int64_t stride, int6
     return p - buf;
 }
 
-/* The end of the digits [0-9]+ at p, or p when there are none. */
-static const char *digits(const char *p, const char *end)
+/* The end of the digits [0-9]* at p.  Each digit after the leading zeros
+ * counts in *nd, and the first 19 of them accumulate in *w. */
+static inline const char *digits(const char *p, const char *end, uint64_t *w, int64_t *nd)
 {
-    while (p < end && *p >= '0' && *p <= '9')
-        p++;
+    for (; p < end && (unsigned) (*p - '0') < 10; p++) {
+        if (*nd || *p != '0') {
+            if (*nd < 19)
+                *w = 10 * *w + (uint64_t) (*p - '0');
+            ++*nd;
+        }
+    }
     return p;
 }
 
-/* The end of the field at p if it is -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf,
- * -inf or nan, else NULL; *special is set for the last three. */
-static const char *scan_field(const char *p, const char *end, int *special)
+#ifdef __SIZEOF_INT128__
+/* w 10^e for w < 2^64 and |e| <= POW10_MAX, with the sign neg, into *v
+ * by Eisel-Lemire; returns 0 where it declines (see the header). */
+static inline int eisel_lemire(uint64_t w, int e, int neg, double *v)
 {
-    const char *q;
+    const u128 m = POW10[e + POW10_MAX].m;
+    u128 x;
+    uint64_t hi, lo, mant, bits;
+    int lz, msb, e2;
 
-    *special = 1;
-    if (end - p >= 3 && memcmp(p, "nan", 3) == 0)
+    if (w == 0) {
+        *v = neg ? -0.0 : 0.0;
+        return 1;
+    }
+    lz = __builtin_clzll(w);
+    w <<= lz;
+    x = (u128) w * (uint64_t) (m >> 64);
+    hi = (uint64_t) (x >> 64);
+    lo = (uint64_t) x;
+    if ((hi & 0x1FF) == 0x1FF && lo + w < w) {
+        /* the low word of m may carry into the kept bits: add its product */
+        const u128 y = (u128) w * (uint64_t) m;
+        const uint64_t ylo = (uint64_t) y;
+        lo += (uint64_t) (y >> 64);
+        hi += lo < (uint64_t) (y >> 64);
+        if ((hi & 0x1FF) == 0x1FF && lo == UINT64_MAX && ylo + w < w)
+            return 0;
+    }
+    /* the 54 bits kept lie above the lowest 9 of hi, or 10 when msb is set */
+    msb = (int) (hi >> 63);
+    mant = hi >> (msb + 9);
+    if (lo == 0 && (hi & 0x1FF) == 0 && (mant & 3) == 1)
+        return 0;
+    mant = (mant + (mant & 1)) >> 1;
+    /* w 10^e is about hi:lo 2^(64 + e2 - lz), and hi:lo has bit 126 + msb on top */
+    e2 = POW10[e + POW10_MAX].e2 + 190 + msb - lz + 1023;
+    if (mant >> 53) {
+        mant >>= 1;
+        e2++;
+    }
+    if (e2 < 1 || e2 > 0x7FE)
+        return 0;
+    bits = (uint64_t) neg << 63 | (uint64_t) e2 << 52 | (mant & 0x000FFFFFFFFFFFFFULL);
+    memcpy(v, &bits, sizeof bits);
+    return 1;
+}
+#endif
+
+/* The end of the field at p if it is -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf,
+ * -inf or nan, with its value in *v, else NULL: one pass that checks the
+ * grammar and collects the significand and the exponent, converted by
+ * Eisel-Lemire, or by strtod where that declines or cannot take them. */
+static inline const char *parse_field(const char *p, const char *end, double *v)
+{
+    const char *const f = p, *q;
+    uint64_t w = 0;
+    int64_t nd = 0, e = 0, x = 0;
+    int neg = 0;
+
+    if (end - p >= 3 && memcmp(p, "nan", 3) == 0) {
+        *v = NAN;
         return p + 3;
-    if (p < end && *p == '-')
+    }
+    if (p < end && *p == '-') {
+        neg = 1;
         p++;
-    if (end - p >= 3 && memcmp(p, "inf", 3) == 0)
+    }
+    if (end - p >= 3 && memcmp(p, "inf", 3) == 0) {
+        *v = neg ? -INFINITY : INFINITY;
         return p + 3;
-    *special = 0;
-    q = digits(p, end);
-    if (q == p)
+    }
+    q = p;
+    p = digits(p, end, &w, &nd);
+    if (p == q)
         return NULL;
-    if (q < end && *q == '.') {
-        p = q + 1;
-        q = digits(p, end);
-        if (q == p)
+    if (p < end && *p == '.') {
+        q = ++p;
+        p = digits(p, end, &w, &nd);
+        if (p == q)
             return NULL;
+        e = q - p;
     }
-    if (q < end && *q == 'e') {
-        if (end - q < 2 || (q[1] != '+' && q[1] != '-'))
+    if (p < end && *p == 'e') {
+        if (end - p < 2 || (p[1] != '+' && p[1] != '-'))
             return NULL;
-        p = q + 2;
-        q = digits(p, end);
-        if (q == p)
+        q = p += 2;
+        /* past 10^6 the exponent is out of the table whatever the digits */
+        for (; p < end && (unsigned) (*p - '0') < 10; p++)
+            if (x < 1000000)
+                x = 10 * x + (*p - '0');
+        if (p == q)
             return NULL;
+        e += q[-1] == '-' ? -x : x;
     }
-    return q;
+#ifdef __SIZEOF_INT128__
+    if (nd <= 19 && e >= -POW10_MAX && e <= POW10_MAX && eisel_lemire(w, (int) e, neg, v))
+        return p;
+#endif
+    *v = strtod_l(f, NULL, c_locale);
+    return p;
 }
 
 /* Parses up to max_rows CSV lines of ncol fields each from text[0..len),
@@ -815,9 +964,7 @@ int64_t liees_parse_rows(const char *text, int64_t len, int64_t ncol, double *ou
     for (r = 0; r < max_rows; r++) {
         const char *q = p;
         for (k = 0; k < ncol; k++) {
-            int special;
-            const char *f = q;
-            q = scan_field(f, end, &special);
+            q = parse_field(q, end, out + k * stride + r);
             if (q == NULL || q == end)
                 goto stop;
             if (k + 1 < ncol) {
@@ -829,12 +976,6 @@ int64_t liees_parse_rows(const char *text, int64_t len, int64_t ncol, double *ou
             } else if (*q != '\n') {
                 goto stop;
             }
-            if (!special)
-                out[k * stride + r] = strtod_l(f, NULL, c_locale);
-            else if (*f == 'n')
-                out[k * stride + r] = NAN;
-            else
-                out[k * stride + r] = *f == '-' ? -INFINITY : INFINITY;
             q++;
         }
         p = q;

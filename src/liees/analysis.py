@@ -30,7 +30,7 @@ __all__ = [
     "contraction_check",
 ]
 
-STALL_THRESHOLD = 0.05      # total envelope decrease below this is "stalled"
+STALL_THRESHOLD = 0.05      # relative envelope change: "stalled" within it, "receding" above
 R2_MARGIN = 0.02            # r^2 tie margin for the model dichotomy
 HEAD_TRIM = 0.6             # fit starts once the excess has decayed to this fraction
 
@@ -106,7 +106,9 @@ def _median(a: np.ndarray) -> float:
 
 
 def fit_rate(env: Envelope) -> RateEstimate:
-    """Classify the envelope decay as exponential, polynomial, or stalled."""
+    """Classify the envelope decay as exponential, polynomial, stalled (the
+    median distance changes by less than STALL_THRESHOLD of its start) or
+    receding (it grows by at least that much)."""
     d = np.asarray(env.distances, dtype=float)
     t = np.asarray(env.sample_times, dtype=float)
     n = len(d)
@@ -117,8 +119,8 @@ def fit_rate(env: Envelope) -> RateEstimate:
     tail = _median(d[int(0.9 * n):])
     total_dec = 1.0 - tail / head if head > 0 else 0.0
     if total_dec < STALL_THRESHOLD:
-        return RateEstimate(rate_class="stalled", lam=None, power_exponent=None,
-                            r_squared=0.0, rho=tail)
+        return RateEstimate(rate_class="receding" if total_dec <= -STALL_THRESHOLD else "stalled",
+                            lam=None, power_exponent=None, r_squared=0.0, rho=tail)
 
     # the tail median is a floor estimate only once the envelope has flattened
     late = _median(d[int(0.95 * n):])

@@ -41,10 +41,15 @@ write_csv_rows spells each value as "%.17g" with exact integer arithmetic
 (17 digits from m 5^j in 64-bit limbs, rounded half to even), calling C's
 snprintf in the C locale only for subnormals, 0 < |v| <= 1e-38 and
 |v| >= 2^128.  read_trajectory_csv runs one parser per file: a file whose
-every line is in that writer's own grammar is parsed with strtod in the C
-locale into one array sized by the file's line ends, and any other file by
-Python's float.  The bytes written and the values read are those of the
-Python codec, which runs without the library.
+every line is in that writer's own grammar is parsed into one array sized by
+the file's line ends, and any other file by Python's float.  The compiled
+parser reads each field once, checking its grammar while it collects the
+significand and the decimal exponent, and converts them by the Eisel-Lemire
+algorithm (one 64 x 128-bit product with a power of ten, rarely a second);
+strtod in the C locale reads the fields that algorithm declines (possible
+ties and carries, more than 19 digits, exponents past +-55).  Both round
+correctly, as float does.  The bytes written and the values read are those
+of the Python codec, which runs without the library.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -527,10 +534,21 @@ def write_csv_rows(fh, columns) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """CSV with header t,x,J and 17 significant digits per value."""
-    with open(path, "w") as fh:
-        fh.write("t,x,J\n")
-        write_csv_rows(fh, (traj.times, traj.states, traj.cost_values))
+    """CSV with header t,x,J and 17 significant digits per value.
+
+    An existing regular file is overwritten in place and then cut to the
+    bytes written, never truncated to zero first: ext4 (with its default
+    auto_da_alloc) starts writing a file truncated to zero back to disk when
+    it closes, so every rewrite would start disk I/O and the next one could
+    wait on it.  The bytes left are those that open(path, "w") would leave.
+    """
+    with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            fh.write("t,x,J\n")
+            write_csv_rows(fh, (traj.times, traj.states, traj.cost_values))
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _parse_rows(lines: list[str], first_row: int, path: str) -> np.ndarray:
@@ -649,8 +667,10 @@ def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
     when it loads, the file is seekable and every line is in the writer's own
     grammar ("%.17g" fields, \\n or \\r\\n line ends); else Python's float,
     CSV_BLOCK lines at a time, which also takes spellings such as " 1_0.5 ",
-    "+1" or "Infinity" and names the line of a malformed row.  Both round
-    each decimal string correctly, so the values are the same either way.
+    "+1" or "Infinity" and names the line of a malformed row.  The compiled
+    codec converts a field by Eisel-Lemire, which returns the correctly
+    rounded double or declines, and a declined field by strtod, which rounds
+    correctly too.  So every value is the one float returns, either way.
     """
     with open(path, "rb") as raw:
         values = _read_compiled(raw)

@@ -70,6 +70,25 @@ class TestFitRate:
         est = fit_rate(Envelope(t, np.full_like(t, 0.8)))
         assert est.rate_class == "stalled"
 
+    @pytest.mark.parametrize("growth, expected", [(0.0, "stalled"), (0.04, "stalled"),
+                                                  (-0.04, "stalled"), (0.05, "receding"),
+                                                  (12.0, "receding")])
+    def test_growth_past_the_stall_band_is_receding(self, growth, expected):
+        t = np.arange(1, 201) * 0.01
+        est = fit_rate(Envelope(t, np.where(t <= 1.0, 0.5, 0.5 * (1.0 + growth))))
+        assert (est.rate_class, est.lam, est.power_exponent) == (expected, None, None)
+
+    def test_drift_away_from_the_minimizer_is_receding(self):
+        # N = 3 on a quadratic: the averaged field -c J''(x) = -2c is a drift,
+        # which carries x from 0.5 away from x* = 1
+        cost = costs.make_power_cost(1.0, 1.0, 2)
+        traj = sim.integrate(build_two_input(cost, 3, 1, 1e-4, 1.0), 0.5,
+                             sim.IntegratorConfig(total_time=0.05, steps_per_period=128,
+                                                  decimation=128))
+        env = envelope(traj, 1.0)
+        assert env.distances[-1] > 1.1 * env.distances[0]
+        assert fit_rate(env).rate_class == "receding"
+
     def test_floor_recovery(self):
         # exponential decay onto a visible floor
         t = np.arange(1, 2001) * 0.01

@@ -2,6 +2,7 @@
 quadrature against the numpy chain, the CSV codec against Python's, and the
 loader."""
 
+import decimal
 import importlib.resources
 import locale
 import math
@@ -443,6 +444,32 @@ def test_signature_falls_back_to_numpy(monkeypatch):
 
 # The CSV codec: the compiled writer and reader against the Python ones.
 
+@pytest.fixture(scope="session", params=["default", "no-int128"])
+def codec_lib(request, tmp_path_factory):
+    """A build of the compiled codec: the library the loader returns, or the
+    source compiled as by a compiler with no unsigned __int128, whose writer
+    calls snprintf and whose reader calls strtod for every numeric field."""
+    if request.param == "default":
+        lib = _kernel.load()
+    else:
+        cc, lib = shutil.which(_kernel.COMPILER), None
+        if cc is not None:
+            target = str(tmp_path_factory.mktemp("no-int128") / "kernel.so")
+            subprocess.run([cc, *_kernel.FLAGS, "-U__SIZEOF_INT128__", "-o", target,
+                            _kernel.SOURCE, "-lm"], check=True, capture_output=True,
+                           stdin=subprocess.DEVNULL, timeout=120)
+            lib = _kernel._bind(target)
+    if lib is None:
+        pytest.skip("the compiled codec cannot be built here")
+    return lib
+
+
+@pytest.fixture
+def codec(codec_lib, monkeypatch):
+    """Run liees.sim's codec on each build of codec_lib."""
+    monkeypatch.setattr(_kernel, "load", lambda: codec_lib)
+
+
 def python_codec(fn, *args):
     """fn(*args) with the loader finding no compiled library."""
     with pytest.MonkeyPatch.context() as m:
@@ -529,8 +556,7 @@ def test_boundaries_reach_the_carry_and_the_sticky_bit():
     assert {math.floor(Fraction(v) * 10 ** 33) % 2 for v in STICKY} == {0, 1}
 
 
-@needs_kernel
-def test_writer_bytes_equal_python_on_a_sweep(tmp_path):
+def test_writer_bytes_equal_python_on_a_sweep(tmp_path, codec):
     gen = np.random.default_rng(13)
     log_uniform = 10.0 ** gen.uniform(-40.0, 40.0, 200_000) * gen.choice([-1.0, 1.0], 200_000)
     bit_patterns = gen.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64)
@@ -616,10 +642,9 @@ CSV_FILES = {
 }
 
 
-@needs_kernel
 @pytest.mark.parametrize("chunk", [97, sim.CSV_CHUNK])
 @pytest.mark.parametrize("name", CSV_FILES)
-def test_reader_equals_python(tmp_path, monkeypatch, name, chunk):
+def test_reader_equals_python(tmp_path, monkeypatch, codec, name, chunk):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(CSV_FILES[name].encode(errors="surrogateescape"))
     monkeypatch.setattr(sim, "CSV_CHUNK", chunk)
@@ -658,8 +683,7 @@ def test_reader_declines_a_long_open_line_in_linear_time(tmp_path, monkeypatch):
     assert sizes and max(sizes) <= 2 * 64
 
 
-@needs_kernel
-def test_compiled_reader_reads_every_written_file_whole(tmp_path):
+def test_compiled_reader_reads_every_written_file_whole(tmp_path, codec):
     # writer and grammar must not drift apart: a written line outside the
     # grammar would send the whole file to the Python reader
     gen = np.random.default_rng(14)
@@ -677,6 +701,90 @@ def test_compiled_reader_reads_every_written_file_whole(tmp_path):
     nan = np.isnan(columns)
     assert (np.isnan(got) == nan).all()
     assert (got[~nan].view(np.uint64) == columns[~nan].view(np.uint64)).all()
+
+
+def read_fields(lib, fields):
+    """The doubles the compiled reader lib reads from fields, one a line."""
+    text = "".join(f + "\n" for f in fields).encode()
+    out = np.empty((1, len(fields)))
+    assert lib.parse_rows(text, out, 0) == (len(fields), len(text))
+    return out[0]
+
+
+def assert_read_as_float(lib, fields):
+    for f, v in zip(fields, read_fields(lib, fields)):
+        assert v.tobytes() == np.float64(float(f)).tobytes(), f
+
+
+def field(digits: str, e: int, point: int, sign: str = "", spell_e0: bool = False) -> str:
+    """The field of value digits 10^e with the point after digits[:point]
+    (none when point is len(digits)): it carries an exponent unless that is
+    0 and spell_e0 is false."""
+    frac = len(digits) - point
+    x = e + frac
+    return (sign + digits[:point] + ("." + digits[point:] if frac else "")
+            + (f"e{x:+d}" if x or spell_e0 else ""))
+
+
+@st.composite
+def decimal_fields(draw):
+    """Fields of w 10^e: w of 1-40 significant digits after up to three
+    leading zeros, e from -56 to 56 (the reader's table ends at +-55)."""
+    n = draw(st.integers(1, 40))
+    digits = "0" * draw(st.integers(0, 3)) + str(draw(st.integers(10 ** (n - 1), 10 ** n - 1)))
+    return field(digits, draw(st.integers(-56, 56)), draw(st.integers(1, len(digits))),
+                 draw(st.sampled_from(["", "-"])), draw(st.booleans()))
+
+
+EXACT = decimal.Context(prec=2000)
+
+
+def midpoint_fields(v: float) -> list[str]:
+    """The exact decimal midpoint of v and the next double up, and the
+    decimals one unit above and below it in its last digit."""
+    mid = EXACT.divide(EXACT.add(Decimal(v), Decimal(math.nextafter(v, math.inf))), 2)
+    mid = mid.normalize(EXACT)
+    unit = Decimal((0, (1,), mid.as_tuple().exponent))
+    return [format(d, "e") for d in (mid, EXACT.add(mid, unit), EXACT.subtract(mid, unit))]
+
+
+# doubles m 2^q: the midpoint (2m + 1) 2^(q-1) has at most 19 significant
+# digits for nearly every m at -3 <= q <= 10, where the fast path must decline
+# the ties, and more digits elsewhere, where strtod reads it
+MIDPOINTS = st.builds(math.ldexp, st.integers(2 ** 52, 2 ** 53 - 1),
+                      st.integers(-3, 10) | st.integers(-1074, 970)).filter(
+    lambda v: math.isfinite(math.nextafter(v, math.inf)))
+BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: "%.17g" % np.array(b, np.uint64).view(np.float64))
+# subnormal, underflowing and overflowing fields, and zeros
+EXTREMES = ["-0", "0", "000", "0.000", "-0.0e-5", "0e+999", "00012.5", "1e-400", "-1e+400",
+            "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+            "2.2250738585072011e-308", "1.7976931348623158e+308", "1.7976931348623159e+308",
+            *["%.17g" % v for v in SPECIALS]]
+
+
+def test_midpoint_fields_are_exact_ties():
+    assert midpoint_fields(2.0 ** 53) == ["9.007199254740993e+15", "9.007199254740994e+15",
+                                          "9.007199254740992e+15"]
+    assert float("9.007199254740993e+15") == 2.0 ** 53
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(groups=st.lists((BIT_PATTERNS | decimal_fields() | st.sampled_from(EXTREMES)).map(
+    lambda f: [f]) | MIDPOINTS.map(midpoint_fields), min_size=30, max_size=60))
+def test_reader_reads_as_float(codec_lib, groups):
+    assert_read_as_float(codec_lib, [f for group in groups for f in group])
+
+
+def test_reader_reads_as_float_at_every_exponent(codec_lib):
+    # each decimal exponent through the table's ends and past them, at each
+    # length from 1 to 40 significant digits, the point after the first digit
+    # or none
+    gen = np.random.default_rng(21)
+    fields = [field("".join(map(str, [gen.integers(1, 10), *gen.integers(0, 10, n - 1)])),
+                    e, point)
+              for e in range(-56, 57) for n in range(1, 41) for point in (1, n)]
+    assert_read_as_float(codec_lib, fields)
 
 
 @needs_kernel

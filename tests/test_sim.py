@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -416,6 +417,34 @@ class TestTrajectoryCsv:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidParameterError):
             sim.read_trajectory_csv(str(p))
+
+    def test_rewrite_is_in_place_and_cut_to_length(self, tmp_path):
+        t = np.arange(B + 5) * 0.1
+        long, short = (sim.Trajectory(t[:n], np.sin(t[:n]), np.cos(t[:n]), 1.0) for n in (B + 5, 7))
+        path = tmp_path / "traj.csv"
+        sim.write_trajectory_csv(long, str(path))
+        inode = path.stat().st_ino
+        sim.write_trajectory_csv(short, str(path))
+        assert path.read_bytes() == oracle_csv(short.times, short.states, short.cost_values)
+        assert path.stat().st_ino == inode
+
+    def test_failed_rewrite_leaves_what_was_written(self, tmp_path, monkeypatch):
+        t = np.arange(B + 5) * 0.1
+        path = tmp_path / "traj.csv"
+        sim.write_trajectory_csv(sim.Trajectory(t, t, t, 1.0), str(path))
+
+        def fail(fh, columns):
+            fh.write("1,2,3\n")
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(sim, "write_csv_rows", fail)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            sim.write_trajectory_csv(sim.Trajectory(t, t, t, 1.0), str(path))
+        assert path.read_bytes() == b"t,x,J\n1,2,3\n"
+
+    def test_writes_to_a_device(self):
+        t = np.arange(5) * 0.1
+        sim.write_trajectory_csv(sim.Trajectory(t, t, t, 1.0), os.devnull)
 
 
 def oracle_csv(times, states, cost_values) -> bytes:
