@@ -1,4 +1,7 @@
-/* Classical RK4 for x' = f(x) * Q[c] + P[c]: the loop of liees.sim._rk4,
+/* The compiled library of liees: the RK4 kernel of liees.sim and its
+ * trajectory CSV codec.
+ *
+ * Classical RK4 for x' = f(x) * Q[c] + P[c]: the loop of liees.sim._rk4,
  * specialised to two stage functions f of a power cost
  * J(x) = alpha * (x - xstar)^m.  With no terms, f is J itself (the full
  * system, integrate).  With terms, f is the averaged Lie-bracket field of
@@ -63,29 +66,6 @@
  * contraction anywhere else (in the split, the band test or the stepper) or
  * a pow expanded into multiplications, which would round differently, never
  * happens.
- *
- * The same library holds the signature quadrature of liees.chenfliess,
- * liees_trapz_level and liees_trapz_last_two, whose levels are bitwise
- * those of the numpy chain _cumtrapz(u * r, dt), which runs when this
- * library does not load.  For each word numpy forms the products
- * y_t = u[t] r[t], the neighbour sums y[1:] + y[:-1], their products with
- * the scale 0.5 dt, and the running sums of np.cumsum, which is
- * add.accumulate: strictly sequential, out[t + 1] = out[t] + T_t from
- * out[1] = T_0 after out[0] = 0.0, with none of the pairwise summation of
- * np.sum.  The kernel performs the same IEEE operations on the same
- * operands in the same order: the product u[t] r[t], the neighbour sum
- * (addition commutes exactly, so y_(t+1) + y_t is y_t + y_(t+1)), the
- * product with the scale, itself the one product 0.5 dt, and one
- * sequential sum per word.  Each operation rounds once to nearest, so each
- * gives the same double, and -ffp-contract=off keeps a product and the add
- * after it from fusing into one rounding.  The sum starts from -0.0, the
- * one double x with x + T == T for every T, so its first value is T_0
- * itself, -0.0 included.  The last two levels take one pass per word of the
- * first: its running integral r is formed point by point, r[0] = 0.0 then
- * the running sum, and fed at once to the sums of the words one letter
- * longer, whose products u[t] r[t] are then those numpy forms from the
- * stored array.  Summing several words in one pass changes no word's
- * operations or their order.
  *
  * The same library holds the trajectory CSV codec of liees.sim.  Its bytes
  * and values equal those of the Python codec, which runs when this library
@@ -487,94 +467,6 @@ int liees_rk4_uses_fma(void)
 {
     return rk4_build != liees_rk4_split;
 }
-
-
-/* One point of a running trapezoid integral with the half step hdt, in the
- * operations of numpy's _cumtrapz (see the header): returns
- * s + (x + *y) * hdt for the product x at this point and *y at the one
- * before, and moves x to *y. */
-INLINE double trapz_step(double hdt, double x, double *y, double s)
-{
-    const double term = (x + *y) * hdt;
-
-    *y = x;
-    return s + term;
-}
-
-/* A level of the signature of liees.chenfliess.compute_signature that the
- * next level reads: for each channel a of the n sample arrays us (the outer
- * loop) and each running integral j of the nr arrays running (the inner
- * loop), word w = a * nr + j has the running trapezoid integral of
- * us[a] * running[j] over m steps of size dt in out[w], and its last value
- * in last[w].  Every array holds m + 1 doubles, m >= 1.  Each sum starts
- * from -0.0 (see the header). */
-void liees_trapz_level(const double *const *us, int64_t n, const double *const *running,
-                       int64_t nr, int64_t m, double dt, double *const *out, double *last)
-{
-    const double hdt = 0.5 * dt;
-    int64_t a, j, t;
-
-    for (a = 0; a < n; a++) {
-        for (j = 0; j < nr; j++) {
-            const double *u = us[a], *r = running[j];
-            double *o = out[a * nr + j];
-            double y = u[0] * r[0], s = -0.0;
-
-            o[0] = 0.0;
-            for (t = 1; t <= m; t++)
-                o[t] = s = trapz_step(hdt, u[t] * r[t], &y, s);
-            last[a * nr + j] = s;
-        }
-    }
-}
-
-/* The last two levels of a signature, in one pass over the grid per word of
- * the first, storing no running integral: word w of that level, as in
- * liees_trapz_level, has its running integral s formed point by point and
- * its last value in last[w], and the word (b,) + w of the last level, at
- * b * n * nr + w, has the trapezoid sum of us[b] * s in last2, where s is
- * 0.0 at point 0, the value liees_trapz_level stores there.  Four channels
- * b share each pass (a short group repeats channel n - 1 and drops it):
- * with the sum of w, five independent sums hide the latency of each add. */
-void liees_trapz_last_two(const double *const *us, int64_t n, const double *const *running,
-                          int64_t nr, int64_t m, double dt, double *last, double *last2)
-{
-    const double hdt = 0.5 * dt;
-    int64_t a, j, b, t;
-    int l;
-
-    for (a = 0; a < n; a++) {
-        for (j = 0; j < nr; j++) {
-            const int64_t w = a * nr + j;
-            const double *u = us[a], *r = running[j];
-
-            for (b = 0; b < n; b += 4) {
-                const double *v0 = us[b], *v1 = us[b + 1 < n ? b + 1 : n - 1],
-                             *v2 = us[b + 2 < n ? b + 2 : n - 1],
-                             *v3 = us[b + 3 < n ? b + 3 : n - 1];
-                double y = u[0] * r[0], s = -0.0;
-                double z0 = v0[0] * 0.0, z1 = v1[0] * 0.0, z2 = v2[0] * 0.0, z3 = v3[0] * 0.0;
-                double s0 = -0.0, s1 = -0.0, s2 = -0.0, s3 = -0.0;
-
-                for (t = 1; t <= m; t++) {
-                    s = trapz_step(hdt, u[t] * r[t], &y, s);
-                    s0 = trapz_step(hdt, v0[t] * s, &z0, s0);
-                    s1 = trapz_step(hdt, v1[t] * s, &z1, s1);
-                    s2 = trapz_step(hdt, v2[t] * s, &z2, s2);
-                    s3 = trapz_step(hdt, v3[t] * s, &z3, s3);
-                }
-                last[w] = s;
-                {
-                    const double sums[4] = {s0, s1, s2, s3};
-
-                    for (l = 0; l < 4 && b + l < n; l++)
-                        last2[(b + l) * n * nr + w] = sums[l];
-                }
-            }
-        }
-    }
-}
-
 
 /* The C locale, made once when the library loads; (locale_t) 0 if that
  * failed, and then the codec entry points return -1. */

@@ -1,6 +1,5 @@
 """Build, cache and load the compiled library of _kernel.c: the RK4 kernel
-of liees.sim, the signature quadrature of liees.chenfliess and the
-trajectory CSV codec.
+of liees.sim and the trajectory CSV codec.
 
 load() compiles the library with the C compiler `cc` on first use and caches
 the shared library in $XDG_CACHE_HOME/liees (else ~/.cache/liees), keyed by
@@ -9,10 +8,9 @@ directory that is missing and cannot be made, is not owned by the user, or
 is writable by others is not used: the library is then built in a private
 temporary directory for this process only.  Any failure (no compiler, a
 failed compile, a library that does not load) makes load() return None and
-the caller integrates, computes signatures, writes and reads CSV in Python,
-with the same results.  The result is memoised per process; nothing is
-loaded before the first integration, signature or CSV call, so
-`import liees` loads no shared library.
+the caller integrates, writes and reads CSV in Python, with the same
+results.  The result is memoised per process; nothing is loaded before the
+first integration or CSV call, so `import liees` loads no shared library.
 """
 
 from __future__ import annotations
@@ -167,57 +165,16 @@ def _bind(path: str) -> types.SimpleNamespace:
                      stride - fill, ctypes.byref(used))
         return rows, used.value
 
-    level, last_two = lib.liees_trapz_level, lib.liees_trapz_last_two
-    level.argtypes = last_two.argtypes = [ptr, i64, ptr, i64, i64, ctypes.c_double, ptr, ptr]
-    level.restype = last_two.restype = None
-
-    def addresses(arrays, m):
-        """The data addresses of arrays, each m + 1 contiguous float64s."""
-        if not all(a.dtype == np.float64 and a.flags.c_contiguous and a.shape == (m + 1,)
-                   for a in arrays):
-            raise ValueError("signature_levels: an array of the wrong shape or type")
-        return np.array([a.ctypes.data for a in arrays], np.uintp)
-
-    def signature_levels(us, depth, dt):
-        """Levels 1..depth of the signature of the channels sampled in us,
-        m + 1 points each, m >= 1, with step dt, as compute_signature
-        defines them: each level below depth - 1 by liees_trapz_level, its
-        running integrals kept for the next, and the last two by
-        liees_trapz_last_two, which keeps none (at depth 1, levels 1 and 2,
-        and level 2 is dropped)."""
-        us = [np.ascontiguousarray(u, dtype=np.float64) for u in us]
-        n, m = len(us), len(us[0]) - 1
-        if m < 1:
-            raise ValueError("signature_levels: fewer than two points")
-        # every address table stays referenced until the call that reads it returns
-        u_table = addresses(us, m)
-        running = [np.ones(m + 1)]
-        r_table = addresses(running, m)
-        levels = []
-        for _ in range(depth - 2):
-            out = [np.empty(m + 1) for _ in range(n * len(running))]
-            o_table = addresses(out, m)
-            levels.append(np.empty(len(out)))
-            level(u_table.ctypes.data, n, r_table.ctypes.data, len(running), m, dt,
-                  o_table.ctypes.data, levels[-1].ctypes.data)
-            running, r_table = out, o_table
-        levels += [np.empty(n * len(running)), np.empty(n * n * len(running))]
-        last_two(u_table.ctypes.data, n, r_table.ctypes.data, len(running), m, dt,
-                 levels[-2].ctypes.data, levels[-1].ctypes.data)
-        return levels[:depth]
-
     return types.SimpleNamespace(rk4=rk4_entry(lib.liees_rk4), format_rows=format_rows,
-                                 parse_rows=parse_rows, signature_levels=signature_levels,
-                                 cdll=lib)
+                                 parse_rows=parse_rows, cdll=lib)
 
 
 @functools.lru_cache(maxsize=None)
 def load():
     """The compiled library, or None when it cannot be built or loaded.
     Its entry points: rk4, the RK4 loop of sim.integrate and
-    sim.integrate_lbs; signature_levels, the quadrature of
-    chenfliess.compute_signature; format_rows and parse_rows, the CSV codec;
-    and cdll, the ctypes library itself."""
+    sim.integrate_lbs; format_rows and parse_rows, the CSV codec; and cdll,
+    the ctypes library itself."""
     try:
         with open(SOURCE, "rb") as fh:
             key = sha256(fh.read())

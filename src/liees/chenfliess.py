@@ -19,8 +19,8 @@ dynamics: over one period the state moves by
 Basis label words are chosen per degree by a deterministic greedy sweep that
 prefers Lyndon words, so the targets (1,2), (1,2,2), (1,2,3), (1,2,2,2) are
 always labels.  The projection solves a small exact-rank least-squares system;
-its residual measures how far the computed logarithm is from a Lie element
-and is dominated by quadrature error.
+its residual measures how far the computed logarithm is from a Lie element.
+The signature is exact (`compute_signature`), so the residual is roundoff.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericFailureError, ResolutionError, check_array_size
-from .dither import DitherSpec, eval_dither
+from .errors import InvalidParameterError, NumericFailureError, check_array_size
+from .dither import DitherSpec
 from .lie import iterated_bracket
 from .sim import ESSystem
 
@@ -231,14 +231,13 @@ def tensor_exp(X: list, depth: int) -> list:
 class Signature:
     """Iterated integrals of a dither set over one period, as a level list:
     levels[k] holds the integrals of the n_channels^k words of length k.
-    kernel is the quadrature that computed them, "c" or "python"."""
+    quadrature_steps is 0: the integrals are exact and sample no grid."""
 
     depth: int
     n_channels: int
     epsilon: float
-    quadrature_steps: int
+    quadrature_steps: int = 0
     levels: list = field(default_factory=list)
-    kernel: str = "python"
 
     def entry(self, word: tuple) -> float:
         """The integral of one word; KeyError for a word not in the signature."""
@@ -270,47 +269,67 @@ class BracketCoefficients:
         return sorted(self.coefficients, key=lambda w: (len(w), w))
 
 
-def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum((y[1:] + y[:-1]) * (0.5 * dt), out=out[1:])
-    return out
+def _spectra(dithers: Sequence[DitherSpec], depth: int) -> tuple[float, int, np.ndarray]:
+    """(omega, band, V): with tau = t / eps, channel a over one period is
+    u_a(eps tau) = eps^(-1) sum_k V[a, band + k] e^(i omega k tau), |k| <= band,
+    so V carries each letter's factor eps^(1/N) coef scale(kappa).  The
+    harmonics h kappa are counted in units of their greatest common divisor,
+    omega / (2 pi).  Rejects a band whose depth-level arrays numpy cannot size."""
+    n = len(dithers)
+    # (channel, harmonic h kappa, cos | sin, amplitude times the letter factor)
+    terms = []
+    for a, d in enumerate(dithers):
+        factor, series = d.series
+        terms += [(a, int(h) * int(d.kappa), trig, factor * d.epsilon * amp)
+                  for h, trig, amp in series]
+    unit = math.gcd(*(k for _, k, _, _ in terms)) or 1
+    band = max(k for _, k, _, _ in terms) // unit
+    # every array of compute_signature holds at most this many doubles
+    check_array_size(2 * (n ** (depth - 1) + depth + 1) * depth * (2 * depth * band + 1),
+                     f"the signature's {n}^{depth - 1} words at {2 * band + 1} harmonics")
+    V = np.zeros((n, 2 * band + 1), complex)
+    for a, k, trig, c in terms:
+        # cos = (e^+ + e^-) / 2 and sin = (e^+ - e^-) / 2i
+        half = 0.5 * c * (1.0 if trig == "cos" else -1j)
+        V[a, band + k // unit] += half
+        V[a, band - k // unit] += half.conjugate()
+    return 2.0 * math.pi * unit, band, V
 
 
-def _signature_levels(us: list, depth: int, dt: float) -> list:
-    """Levels 1..depth of compute_signature in numpy, from the samples us of
-    each channel: the fallback, and the oracle of the compiled
-    signature_levels of liees._kernel."""
-    # running: the running integrals of the previous level's words in product
-    # order.  With the first letter as the outer loop, level k comes out in
-    # product order too; the deepest level keeps no running integral.
-    levels, running = [], [np.ones(len(us[0]))]
-    for k in range(1, depth + 1):
-        if k < depth:
-            running = [_cumtrapz(u * r, dt) for u in us for r in running]
-            levels.append(np.array([r[-1] for r in running]))
-        else:
-            levels.append(np.fromiter((_cumtrapz(u * r, dt)[-1] for u in us for r in running),
-                                      float, len(us) * len(running)))
-    return levels
+def _integration_map(depth: int, band: int, omega: float) -> np.ndarray:
+    """M[i, j, K + k], K = depth * band, for |k| <= K and j < depth:
+    int_0^tau s^j e^(i omega k s) ds = sum_i M[i, j, K + k] tau^i e^(i omega k tau)
+    plus the constant that makes it 0 at tau = 0.  For k != 0, by parts,
+    M[i, j] = (-1)^(j-i) j!/i! / beta^(j-i+1) with beta = i omega k for
+    i <= j; for k = 0, M[j + 1, j] = 1 / (j + 1).  The map of a lower level l
+    is the block M[:l + 1, :l, (depth - l) band:(depth + l) band + 1]."""
+    K = depth * band
+    beta = 1j * omega * np.arange(-K, K + 1)
+    beta[K] = 1.0
+    inv = 1.0 / beta
+    # F_j = tau^j e^(beta tau) / beta - (j / beta) F_(j-1)
+    M = np.zeros((depth + 1, depth, 2 * K + 1), complex)
+    for j in range(depth):
+        M[j, j] = inv
+        M[:j, j] = -j * inv * M[:j, j - 1]
+    M[:, :, K] = 0.0
+    for j in range(depth):
+        M[j + 1, j, K] = 1.0 / (j + 1)
+    return M
 
 
-def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
-                      quadrature_steps: int | None = None) -> Signature:
-    """All iterated integrals over one period on a uniform grid.
+def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH) -> Signature:
+    """All iterated integrals over one period, in closed form.
 
-    The integrals accumulate level by level: the running integral of a word
-    (a,) + v is the running trapezoid integral of (channel a's samples * the
-    running integral of v), so level k is built from the running integrals of
-    level k - 1 alone.  The grid has quadrature_steps intervals, by default
-    max(4096, 512 * fastest harmonic).
-
-    The levels come from the compiled signature_levels of liees._kernel,
-    one pass over the grid per word and the last two levels in one pass per
-    word of the first, when the library loads, else from the numpy chain
-    _signature_levels.  Both give the same bits (the argument is in the
-    header of _kernel.c), and Signature.kernel records which one ran, "c" or
-    "python".
+    Each letter contributes eps^(1/N) times a trigonometric polynomial in
+    tau = t / eps (_spectra), so the running integral of a word over tau in
+    [0, 1] is a sum of c tau^j e^(i omega k tau): multiplying by a channel
+    shifts k by its harmonics, and integrating from 0 is exact
+    (_integration_map).  The running integral of (a,) + v comes from that of
+    v, so level l comes from level l - 1 alone, on the band |k| <= l band.
+    At tau = 1 every e^(i omega k) is 1, so a word's integral is the sum of
+    its coefficients; the last level is a dot product with the integrals
+    over [0, 1] of tau^j e^(i omega k tau).
     """
     if not dithers:
         raise InvalidParameterError("need at least one dither channel")
@@ -319,31 +338,40 @@ def compute_signature(dithers: Sequence[DitherSpec], depth: int = MAX_DEPTH,
     eps = dithers[0].epsilon
     if any(abs(d.epsilon - eps) > 1e-15 * eps for d in dithers):
         raise InvalidParameterError("all dither channels must share one period")
-    fastest = max(d.fastest_harmonic for d in dithers)
-    if quadrature_steps is None:
-        quadrature_steps = max(4096, 512 * fastest)
-    # at least one step even for constant channels, whose fastest harmonic is 0
-    if quadrature_steps < max(16 * fastest, 1):
-        raise ResolutionError(
-            f"{quadrature_steps} steps resolve the fastest harmonic ({fastest}/period) "
-            f"with fewer than 16 samples"
-        )
-    check_array_size(quadrature_steps + 1, f"{quadrature_steps} quadrature steps")
-
     n = len(dithers)
-    m = quadrature_steps
-    dt = eps / m
-    ts = np.linspace(0.0, eps, m + 1)
-    us = [eval_dither(d, ts) for d in dithers]
-
-    from . import _kernel
-
-    lib = _kernel.load()
+    try:
+        omega, band, V = _spectra(dithers, depth)
+    except OverflowError:
+        raise InvalidParameterError("a harmonic or kappa is too large for a float") from None
+    # the (channel, harmonic) pairs of each channel's terms
+    shifts = list(zip(*np.nonzero(V)))
+    M = _integration_map(depth, band, omega)
+    # running[w, j, (l - 1) band + k]: the tau^j e^(i omega k tau) coefficient
+    # of word w's running integral at level l - 1, words in product order
+    running = np.ones((1, 1, 1), complex)
+    levels: list = [None]
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = (_signature_levels if lib is None else lib.signature_levels)(us, depth, dt)
-    sig = Signature(depth=depth, n_channels=n, epsilon=eps, quadrature_steps=m,
-                    levels=[None, *levels], kernel="python" if lib is None else "c")
-    _check_finite("signature entry", sig.items(), eps)
+        for level in range(1, depth):
+            width = running.shape[2]
+            shifted = np.zeros((n, len(running), level, width + 2 * band), complex)
+            for a, m in shifts:
+                shifted[a, ..., m:m + width] += V[a, m] * running
+            shifted = shifted.reshape(n * len(running), level, -1)
+            low = (depth - level) * band
+            running = np.einsum("wjk,ijk->wik", shifted,
+                                M[:level + 1, :level, low:low + shifted.shape[2]])
+            running[:, 0, level * band] = -running[:, 0].sum(axis=1)
+            levels.append(running.sum(axis=(1, 2)).real.copy())
+        # tau^j e^(i omega k tau) integrates over [0, 1] to the sum over i >= 1 of M
+        last = M[1:].sum(axis=0)
+        width = running.shape[2]
+        weights = np.zeros((n, depth, width), complex)
+        for a, m in shifts:
+            weights[a] += V[a, m] * last[:, m:m + width]
+        levels.append((weights.reshape(n, -1) @ running.reshape(len(running), -1).T).real.ravel())
+    sig = Signature(depth=depth, n_channels=n, epsilon=eps, levels=levels)
+    if not all(np.isfinite(v).all() for v in levels[1:]):
+        _check_finite("signature entry", sig.items(), eps)
     return sig
 
 
@@ -358,9 +386,10 @@ def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> fl
 
     Each pair's defect is divided by the largest of |lhs|, |rhs| and the
     largest absolute entry of the signature (1 when every entry is 0).  The
-    scale is one number for all word lengths, not a per-length magnitude, so
-    on a correct signature whose largest entry is small against the scale of
-    its path, quadrature error alone can read as a large residual.
+    scale is one number for all word lengths, not a per-length magnitude: on
+    the exact signature of compute_signature the residual is roundoff, but on
+    a quadrature estimate whose largest entry is small against the scale of
+    its path, the quadrature error alone can read as a large residual.
     """
     if pairs is None:
         ws = [w for w, _ in sig.items() if len(w) <= sig.depth - 1]
@@ -442,14 +471,14 @@ def _canonical_target(target: tuple, n_channels: int) -> tuple[tuple, float]:
     )
 
 
-def verify_excitation(dithers: Sequence[DitherSpec], target: tuple, tol: float = 1e-3,
-                      quadrature_steps: int | None = None) -> ExcitationReport:
+def verify_excitation(dithers: Sequence[DitherSpec], target: tuple,
+                      tol: float = 1e-3) -> ExcitationReport:
     """Check that exactly the target bracket is excited up to depth MAX_DEPTH."""
     target = tuple(target)
     if not 2 <= len(target) <= MAX_DEPTH:
         raise InvalidParameterError(f"target length must be 2..{MAX_DEPTH}, got {len(target)}")
     label, sign = _canonical_target(target, len(dithers))
-    sig = compute_signature(dithers, MAX_DEPTH, quadrature_steps)
+    sig = compute_signature(dithers, MAX_DEPTH)
     coeffs = log_signature(sig)
     target_coeff = sign * coeffs.coefficient(label)
     worst, worst_w = 0.0, None
@@ -464,12 +493,11 @@ def verify_excitation(dithers: Sequence[DitherSpec], target: tuple, tol: float =
                             tol=tol, ok=ok, coefficients=coeffs)
 
 
-def endpoint_prediction(system, x0: float, order: int = MAX_DEPTH,
-                        quadrature_steps: int | None = None) -> float:
+def endpoint_prediction(system, x0: float, order: int = MAX_DEPTH) -> float:
     """Truncated one-period endpoint x0 + sum coeff * eps * bracket(x0)."""
     if not isinstance(system, ESSystem):
         raise InvalidParameterError("endpoint_prediction expects an ESSystem")
-    sig = compute_signature(system.dithers, order, quadrature_steps)
+    sig = compute_signature(system.dithers, order)
     coeffs = log_signature(sig)
     fields = system.fields
     x = x0

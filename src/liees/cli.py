@@ -2,9 +2,9 @@
 rate fits, and the bundled verification suites.
 
 Subcommands: run, compare, coeffs, rate, verify.  Exit codes: 0 success,
-2 configuration, validation or I/O error (a step or quadrature count too
-coarse for the design, or one whose arrays cannot be allocated, included),
-3 numeric failure (verify: 1 on any failed check).
+2 configuration, validation or I/O error (a step count too coarse for the
+design, or one whose arrays cannot be allocated, included), 3 numeric
+failure (verify: 1 on any failed check).
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ def cmd_coeffs(args) -> int:
     eps = _finite("--epsilon", args.epsilon)
     tol = _positive("--tol", args.tol)
     specs = dither.make_design(args.kind, eps, args.kappa)
-    quad = args.quadrature_steps or None
     verdict = None
     if args.target:
         try:
@@ -260,7 +259,7 @@ def cmd_coeffs(args) -> int:
         except ValueError:
             raise InvalidParameterError(
                 f"--target must be comma-separated integers, got {args.target!r}") from None
-        report = chenfliess.verify_excitation(specs, target, tol=tol, quadrature_steps=quad)
+        report = chenfliess.verify_excitation(specs, target, tol=tol)
         coeffs = report.coefficients
         verdict = {
             "target": list(report.target),
@@ -269,7 +268,7 @@ def cmd_coeffs(args) -> int:
             "ok": report.ok,
         }
     else:
-        coeffs = chenfliess.log_signature(chenfliess.compute_signature(specs, quadrature_steps=quad))
+        coeffs = chenfliess.log_signature(chenfliess.compute_signature(specs))
     lines = ["bracket_word,coefficient"]
     for w in coeffs.labels():
         lines.append(f"{''.join(map(str, w))},{coeffs.coefficient(w):.17g}")
@@ -345,7 +344,8 @@ def make_parser() -> argparse.ArgumentParser:
     pk.add_argument("--kappa", type=int, default=1)
     pk.add_argument("--target", default="", help="comma-separated bracket index")
     pk.add_argument("--tol", type=float, default=1e-3)
-    pk.add_argument("--quadrature-steps", type=int, default=0)
+    pk.add_argument("--quadrature-steps", type=int, default=0,
+                    help="no effect: the coefficients are exact")
     pk.add_argument("--out", default="", help="output path prefix (.csv/.json)")
     pk.set_defaults(fn=cmd_coeffs)
 

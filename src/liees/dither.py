@@ -165,6 +165,15 @@ class DitherSpec:
         return self.design.length
 
     @property
+    def series(self) -> tuple[float, tuple[tuple[int, str, float], ...]]:
+        """(factor, terms): u(t) = factor * sum a * trig(2 pi h kappa t / eps)
+        over the (harmonic h, "cos" | "sin", amplitude a) terms, with
+        factor = eps^(1/N - 1) * coef * scale(kappa) of the channel's row."""
+        design = self.design
+        coef, terms = design.channels[self.channel - 1]
+        return self.epsilon ** (1.0 / design.length - 1.0) * coef * design.scale(self.kappa), terms
+
+    @property
     def fastest_harmonic(self) -> int:
         """Number of full oscillations of the fastest component per period."""
         _, terms = self.design.channels[self.channel - 1]
@@ -183,15 +192,12 @@ def eval_dither(spec: DitherSpec, t: float | np.ndarray) -> float | np.ndarray:
 
 
 def _signal(spec: DitherSpec, tau: np.ndarray) -> np.ndarray:
-    design = spec.design
-    kap = spec.kappa
-    coef, terms = design.channels[spec.channel - 1]
-    pre = spec.epsilon ** (1.0 / design.length - 1.0)
+    factor, terms = spec.series
     val = None
     for h, trig, a in terms:
-        term = a * _TRIG[trig](2.0 * math.pi * h * kap * tau)
+        term = a * _TRIG[trig](2.0 * math.pi * h * spec.kappa * tau)
         val = term if val is None else val + term
-    return pre * coef * design.scale(kap) * val
+    return factor * val
 
 
 def sample_dither(spec: DitherSpec, n: int, t0: float = 0.0, t1: float | None = None):

@@ -77,10 +77,9 @@ def brackets() -> list[Check]:
     return checks
 
 
-def excitation(quadrature_steps: int | None = None) -> list[Check]:
-    """Each dither design excites its target bracket alone at the given
-    quadrature (None: compute_signature's default).  A design's values are
-    (target coefficient, worst off-target), the classic pair's (I12, I21).
+def excitation() -> list[Check]:
+    """Each dither design excites its target bracket alone.  A design's values
+    are (target coefficient, worst off-target), the classic pair's (I12, I21).
     """
     checks = []
     # depth > N contamination of the first-order pair scales as sqrt(eps),
@@ -92,14 +91,12 @@ def excitation(quadrature_steps: int | None = None) -> list[Check]:
         ("triple123", 1e-4, (1, 2, 3)),
     ]
     for name, eps, target in cases:
-        rep = chenfliess.verify_excitation(dither.make_design(name, eps), target, tol=1e-3,
-                                           quadrature_steps=quadrature_steps)
+        rep = chenfliess.verify_excitation(dither.make_design(name, eps), target, tol=1e-3)
         checks.append(Check(f"excitation {name} -> {target}", rep.ok,
                             f"target {rep.target_coeff:.4f} max_off {rep.max_offtarget:.1e}",
                             (rep.target_coeff, rep.max_offtarget)))
     eps = 1.0
-    sig = chenfliess.compute_signature(dither.make_design("classic", eps), depth=2,
-                                       quadrature_steps=quadrature_steps or 1 << 14)
+    sig = chenfliess.compute_signature(dither.make_design("classic", eps), depth=2)
     i12, i21 = sig.entry((1, 2)), sig.entry((2, 1))
     err = max(abs(i12 + eps) / eps, abs(i21 - eps) / eps)
     checks.append(Check("classic pair I12 = -eps, I21 = +eps (rel 1e-6)", err <= 1e-6,

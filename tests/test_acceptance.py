@@ -66,9 +66,9 @@ def test_criterion_1_fig1_reproduction(fig1_runs, capsys):
 
 
 def test_criterion_2_excitation_verification(capsys):
-    # the checks of `liees verify excitation`, at a finer quadrature; the
-    # line reports the two-channel designs and the classic pair
-    checks = verify.excitation(quadrature_steps=1 << 14)
+    # the checks of `liees verify excitation`; the line reports the
+    # two-channel designs and the classic pair
+    checks = verify.excitation()
     assert all(c.ok for c in checks), checks
     first12, second122, third1222, _, classic = checks
     details = [f"{c.label.split()[1]}:{c.values[0]:.4f}" for c in (first12, second122, third1222)]
@@ -155,8 +155,7 @@ def test_criterion_7_property_suites(capsys):
     assert "FAIL" not in out
 
     # signature shuffle identities
-    sig = compute_signature(make_design("third1222", 1.0), depth=4,
-                            quadrature_steps=1 << 14)
+    sig = compute_signature(make_design("third1222", 1.0), depth=4)
     assert chenfliess.shuffle_residual(sig) <= 1e-6
 
     # log/exp round trip

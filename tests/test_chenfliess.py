@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liees import chenfliess, costs, sim
+from liees import chenfliess, costs, dither, sim
 from liees.chenfliess import (
     basis_labels,
     compute_signature,
@@ -22,9 +22,11 @@ from liees.chenfliess import (
     verify_excitation,
 )
 from liees.dither import DitherSpec, eval_dither, make_design
-from liees.errors import InvalidParameterError, ResolutionError
+from liees.errors import InvalidParameterError
+from quad_oracle import quad_signature
 
-QUAD_STEPS = 1 << 14
+# samples per period of the path-length estimates
+LENGTH_SAMPLES = 1 << 14
 
 
 def reversed_words(sig):
@@ -84,27 +86,23 @@ class TestSignature:
     def test_classic_pair_closed_form(self):
         # closed-form integration of the cos/sin pair gives -eps and +eps
         eps = 1.0
-        sig = compute_signature(make_design("classic", eps), depth=2,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("classic", eps), depth=2)
         assert sig.entry((1, 2)) == pytest.approx(-eps, rel=1e-6)
         assert sig.entry((2, 1)) == pytest.approx(+eps, rel=1e-6)
 
     def test_zero_mean_word(self):
-        sig = compute_signature(make_design("classic", 1.0), depth=1,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("classic", 1.0), depth=1)
         assert abs(sig.entry((1,))) <= 1e-10
         assert abs(sig.entry((2,))) <= 1e-10
 
     def test_repeated_letter_word(self):
         # I_(1,1) = (int u1)^2 / 2 = 0 for a zero-mean channel
-        sig = compute_signature(make_design("classic", 1.0), depth=2,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("classic", 1.0), depth=2)
         assert abs(sig.entry((1, 1))) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["classic", "second122", "third1222"])
     def test_shuffle_identity(self, kind):
-        sig = compute_signature(make_design(kind, 1.0), depth=4,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design(kind, 1.0), depth=4)
         assert shuffle_residual(sig) <= 1e-6
 
     # The shuffle identity holds for the signature of any path (Reizenstein
@@ -134,8 +132,8 @@ class TestSignature:
         specs = [DitherSpec("custom-harmonic", 1, eps, amplitude=amp, harmonic=harmonic,
                             waveform=waveform, bracket_length=length)
                  for (waveform, harmonic), amp, length in channels]
-        sig = compute_signature(specs, depth=4, quadrature_steps=QUAD_STEPS)
-        ts = np.linspace(0.0, eps, QUAD_STEPS + 1)
+        sig = compute_signature(specs, depth=4)
+        ts = np.linspace(0.0, eps, LENGTH_SAMPLES + 1)
         length = sum(np.abs(eval_dither(d, ts)).mean() * eps for d in specs)
         words = [w for w, _ in sig.items() if len(w) <= 3]
         for w1, w2 in product(words, words):
@@ -182,8 +180,8 @@ class TestSignature:
         depth = chenfliess.MAX_DEPTH
         one, two = self.chen_design(kind, eps, kappa), self.chen_design(kind, 2 * eps, 2 * kappa)
         steps = 512 * max(d.fastest_harmonic for d in one)
-        S = compute_signature(one, depth, steps).levels
-        S2 = compute_signature(two, depth, 2 * steps).levels
+        S = compute_signature(one, depth).levels
+        S2 = compute_signature(two, depth).levels
         SS = chenfliess._tensor_mul(S, S, depth)
         ts = np.linspace(0.0, 2 * eps, 2 * steps + 1)
         length = sum(np.abs(eval_dither(d, ts)).mean() * 2 * eps for d in two)
@@ -199,18 +197,10 @@ class TestSignature:
         gc.collect()
         gc.disable()
         try:
-            compute_signature(make_design("triple123", 1.0), depth=4, quadrature_steps=QUAD_STEPS)
+            compute_signature(make_design("triple123", 1.0), depth=4)
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_resolution_error(self):
-        with pytest.raises(ResolutionError):
-            compute_signature(make_design("third1222", 1.0, kappa=8), depth=2,
-                              quadrature_steps=128)
-        constant = DitherSpec("custom-harmonic", 1, 1.0, harmonic=0, bracket_length=2)
-        with pytest.raises(ResolutionError):
-            compute_signature([constant], depth=2, quadrature_steps=0)
 
     def test_mismatched_periods(self):
         d1 = DitherSpec("classic", 1, 1.0)
@@ -221,16 +211,14 @@ class TestSignature:
 
 class TestLogSignature:
     def test_classic_first_order_coefficient(self):
-        sig = compute_signature(make_design("classic", 1.0), depth=2,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("classic", 1.0), depth=2)
         co = log_signature(sig)
         assert co.coefficient((1, 2)) == pytest.approx(1.0, abs=1e-6)
         assert abs(co.coefficient((1,))) <= 1e-6
         assert abs(co.coefficient((2,))) <= 1e-6
 
     def test_third1222_isolates_length_four_bracket(self):
-        sig = compute_signature(make_design("third1222", 1e-4), depth=4,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("third1222", 1e-4), depth=4)
         co = log_signature(sig)
         c4 = co.coefficient((1, 2, 2, 2))
         # the built-in amplitude normalization makes the target coefficient exactly 1
@@ -240,8 +228,7 @@ class TestLogSignature:
                 assert abs(v) <= 1e-3 * abs(c4), (w, v)
 
     def test_second122_isolates_length_three_bracket(self):
-        sig = compute_signature(make_design("second122", 1e-4), depth=4,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("second122", 1e-4), depth=4)
         co = log_signature(sig)
         c3 = co.coefficient((1, 2, 2))
         assert c3 == pytest.approx(1.0, abs=1e-5)
@@ -250,7 +237,7 @@ class TestLogSignature:
                 assert abs(v) <= 1e-3 * abs(c3), (w, v)
 
     def test_zero_dither_all_zero(self):
-        sig = compute_signature([zero_dither()], depth=3, quadrature_steps=4096)
+        sig = compute_signature([zero_dither()], depth=3)
         co = log_signature(sig)
         assert all(v == 0.0 for v in co.coefficients.values())
 
@@ -262,7 +249,7 @@ class TestLogSignature:
                             bracket_length=2)
         zero_mean = DitherSpec("custom-harmonic", 1, eps, amplitude=2.0, waveform="sin",
                                bracket_length=2)
-        sig = compute_signature([biased, zero_mean], depth=1, quadrature_steps=QUAD_STEPS)
+        sig = compute_signature([biased, zero_mean], depth=1)
         co = log_signature(sig)
         assert co.coefficient((1,)) == pytest.approx(0.75 * eps ** -0.5, rel=1e-12)
         assert abs(co.coefficient((2,))) <= 1e-12
@@ -272,8 +259,7 @@ class TestLogSignature:
         # the fourth into the series; third1222's levels one and two nearly
         # vanish
         for kind in ("third1222", "biased"):
-            sig = compute_signature(TestSignature.chen_design(kind, 1.0, 1), depth=4,
-                                    quadrature_steps=QUAD_STEPS)
+            sig = compute_signature(TestSignature.chen_design(kind, 1.0, 1), depth=4)
             std = reversed_words(sig)
             back = tensor_exp(tensor_log(std, 4), 4)
             scale = max(float(np.abs(v).max()) for v in std[1:])
@@ -281,33 +267,28 @@ class TestLogSignature:
                 assert np.abs(back[k] - std[k]).max() <= 1e-9 * max(scale, 1.0), (kind, k)
 
     def test_projection_residual_small(self):
-        sig = compute_signature(make_design("second122", 1.0), depth=4,
-                                quadrature_steps=QUAD_STEPS)
+        sig = compute_signature(make_design("second122", 1.0), depth=4)
         co = log_signature(sig)
         assert co.projection_residual <= 1e-6
 
 
 class TestVerifyExcitation:
     def test_classic_first_order_target(self):
-        rep = verify_excitation(make_design("classic", 1e-6), (1, 2), tol=1e-3,
-                                quadrature_steps=QUAD_STEPS)
+        rep = verify_excitation(make_design("classic", 1e-6), (1, 2), tol=1e-3)
         assert rep.ok
         assert rep.target_coeff == pytest.approx(1.0, abs=1e-4)
 
     def test_classic_swapped_target_sign(self):
-        rep = verify_excitation(make_design("classic", 1e-6), (2, 1), tol=1e-3,
-                                quadrature_steps=QUAD_STEPS)
+        rep = verify_excitation(make_design("classic", 1e-6), (2, 1), tol=1e-3)
         assert rep.ok
         assert rep.target_coeff == pytest.approx(-1.0, abs=1e-4)
 
     def test_third1222_wrong_target_rejected(self):
-        rep = verify_excitation(make_design("third1222", 1e-4), (1, 2), tol=1e-3,
-                                quadrature_steps=QUAD_STEPS)
+        rep = verify_excitation(make_design("third1222", 1e-4), (1, 2), tol=1e-3)
         assert not rep.ok
 
     def test_second122_target(self):
-        rep = verify_excitation(make_design("second122", 1e-4), (1, 2, 2), tol=1e-3,
-                                quadrature_steps=QUAD_STEPS)
+        rep = verify_excitation(make_design("second122", 1e-4), (1, 2, 2), tol=1e-3)
         assert rep.ok
 
     def test_triple123_target(self):
@@ -326,8 +307,7 @@ class TestVerifyExcitation:
 
     def test_non_basis_target_rejected(self):
         with pytest.raises(InvalidParameterError):
-            verify_excitation(make_design("classic", 1e-4), (1, 1), tol=1e-3,
-                              quadrature_steps=4096)
+            verify_excitation(make_design("classic", 1e-4), (1, 1), tol=1e-3)
 
 
 class TestEndpointPrediction:
@@ -336,16 +316,14 @@ class TestEndpointPrediction:
         eps = 1e-3
         cost = costs.make_power_cost(1.0, 1.0, 2)
         system = sim.build_two_input(cost, 2, 1, eps, 1.0, kind="classic")
-        pred = chenfliess.endpoint_prediction(system, 0.0, order=2,
-                                              quadrature_steps=QUAD_STEPS)
+        pred = chenfliess.endpoint_prediction(system, 0.0, order=2)
         assert pred == pytest.approx(2 * eps, rel=1e-4)
 
     def test_prediction_matches_integration(self):
         eps = 1e-3
         cost = costs.make_power_cost(1.0, 1.0, 2)
         system = sim.build_two_input(cost, 2, 1, eps, 1.0, kind="classic")
-        pred = chenfliess.endpoint_prediction(system, 0.0, order=2,
-                                              quadrature_steps=QUAD_STEPS)
+        pred = chenfliess.endpoint_prediction(system, 0.0, order=2)
         cfg = sim.IntegratorConfig(total_time=eps, steps_per_period=8192, decimation=8192)
         got = sim.integrate(system, 0.0, cfg).states[-1]
         # agreement up to the Chen remainder O(eps^{3/2})
@@ -355,8 +333,7 @@ class TestEndpointPrediction:
         eps = 1e-3
         cost = costs.make_power_cost(1.0, 0.0, 2)
         system = sim.build_two_input(cost, 4, 1, eps, 1.0)
-        pred = chenfliess.endpoint_prediction(system, 0.5, order=4,
-                                              quadrature_steps=QUAD_STEPS)
+        pred = chenfliess.endpoint_prediction(system, 0.5, order=4)
         assert pred == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_dithers_fixed_point(self):
@@ -364,8 +341,7 @@ class TestEndpointPrediction:
         ch = ((sim.linear_shape(1.0), zero_dither()),
               (sim.const_shape(1.0), zero_dither()))
         system = sim.ESSystem(cost=cost, channels=ch)
-        pred = chenfliess.endpoint_prediction(system, 0.3, order=3,
-                                              quadrature_steps=4096)
+        pred = chenfliess.endpoint_prediction(system, 0.3, order=3)
         assert pred == 0.3
 
 
@@ -479,9 +455,10 @@ class TestTensorLevels:
             assert float(np.abs(lhs[k] - rhs).max()) <= 1e-12 * scale ** k, k
 
 
-# The per-word quadrature that the level loop of compute_signature replaced,
-# kept as its oracle: a dict from each word to its running integral, built
-# from the running integral of the word without its first letter.
+# The per-word quadrature that the level loop of the trapezoid chain
+# (quad_oracle) replaced, kept as the oracle of that loop: a dict from each
+# word to its running integral, built from the running integral of the word
+# without its first letter.
 
 def dict_signature(dithers, depth: int, steps: int) -> dict:
     eps = dithers[0].epsilon
@@ -501,8 +478,8 @@ def dict_signature(dithers, depth: int, steps: int) -> dict:
 
 
 @st.composite
-def channel_lists(draw):
-    """1-4 channels of one period: channels of the built-in designs and
+def channel_lists(draw, max_size=4):
+    """1-max_size channels of one period: channels of the built-in designs and
     custom cos/sin harmonics (cos at harmonic 0 is a constant), mixed."""
     eps = draw(st.sampled_from([1e-4, 0.3, 1.0]))
     builtin = st.builds(lambda kind, ch, kappa: DitherSpec(kind, ch, eps, kappa),
@@ -514,7 +491,7 @@ def channel_lists(draw):
         "custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=h + (wave == "sin"),
         waveform=wave, bracket_length=2), st.sampled_from(["cos", "sin"]), st.integers(0, 3),
         st.floats(-3.0, 3.0), st.integers(1, 3))
-    return draw(st.lists(st.one_of(builtin, triple, custom), min_size=1, max_size=4))
+    return draw(st.lists(st.one_of(builtin, triple, custom), min_size=1, max_size=max_size))
 
 
 class TestSignatureLevels:
@@ -524,13 +501,122 @@ class TestSignatureLevels:
     @example(dithers=list(make_design("first12", 1e-4, 5) + make_design("third1222", 1e-4)),
              depth=4)
     def test_levels_equal_the_per_word_oracle_bitwise(self, dithers, depth):
+        # the level loop of the quadrature oracle, and the entry and items of
+        # a Signature holding its levels
         steps = 100 * max(d.fastest_harmonic for d in dithers) + 64
-        sig = compute_signature(dithers, depth, steps)
-        want = dict_signature(dithers, depth, steps)
         n = len(dithers)
+        sig = chenfliess.Signature(depth, n, dithers[0].epsilon,
+                                   levels=quad_signature(dithers, depth, steps))
+        want = dict_signature(dithers, depth, steps)
         assert level_bytes(sig.levels) == level_bytes(levels(n, depth, want))
         assert list(sig.items()) == list(want.items())
         assert all(sig.entry(w) == v for w, v in want.items())
         for bad in [(), (0,), (n + 1,), (1,) * (depth + 1)]:
             with pytest.raises(KeyError):
                 sig.entry(bad)
+
+
+# The closed form of compute_signature: exact values, and the trapezoid chain
+# of quad_oracle, whose error falls as 1/steps^2.
+
+TARGETS = [("first12", (1, 2)), ("classic", (1, 2)), ("second122", (1, 2, 2)),
+           ("third1222", (1, 2, 2, 2)), ("triple123", (1, 2, 3))]
+
+
+def oracle_tolerance(dithers, k: int, steps: int) -> float:
+    """The bound on level k of |closed form - trapezoid chain| on steps
+    intervals, fixed before the first comparison.  With S = eps * sum of the
+    channels' sup norms (each at most |factor| times its amplitudes) and H the
+    fastest harmonic, each of the k nested trapezoid integrals errs by at most
+    about (2 pi H / steps)^2 / 4 * S^k / (k - 1)!, Bernstein's inequality
+    bounding each derivative of a channel by 2 pi H / eps times its sup norm;
+    H is raised to the depth for channels with no harmonic, whose running
+    integrals are polynomials.  The tolerance is four times the sum of the k
+    errors."""
+    eps = dithers[0].epsilon
+    S = eps * sum(abs(factor) * sum(abs(a) for _, _, a in terms)
+                  for factor, terms in (d.series for d in dithers))
+    H = max(max(d.fastest_harmonic for d in dithers), chenfliess.MAX_DEPTH)
+    return k * (2 * math.pi * H / steps) ** 2 * S ** k / math.factorial(k - 1)
+
+
+@st.composite
+def oracle_designs(draw):
+    """A DESIGNS row at kappa 1-3, 1-3 custom-harmonic channels of bracket
+    lengths 2-4 (cos at harmonic 0 included), or a mix of channel_lists."""
+    eps = draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+    row = st.builds(lambda kind, kappa: list(make_design(kind, eps, kappa)),
+                    st.sampled_from(sorted(dither.DESIGNS)), st.integers(1, 3))
+    custom = st.lists(st.builds(lambda wave, h, amp, length, kappa: DitherSpec(
+        "custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=h + (wave == "sin"),
+        waveform=wave, bracket_length=length), st.sampled_from(["cos", "sin"]),
+        st.integers(0, 5), st.floats(-3.0, 3.0), st.integers(2, 4), st.integers(1, 3)),
+        min_size=1, max_size=3)
+    return draw(st.one_of(row, custom, channel_lists(max_size=3)))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("kind, target", TARGETS)
+    def test_target_coefficient_is_exactly_one(self, kind, target, kappa):
+        rep = verify_excitation(make_design(kind, 1e-4, kappa), target)
+        assert abs(rep.target_coeff - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_first12_strobe_offset_coefficient(self, eps):
+        # the one off-target coefficient of the first-order design
+        co = log_signature(compute_signature(make_design("first12", eps)))
+        want = -math.sqrt(eps / math.pi)
+        assert abs(co.coefficient((1, 2, 2)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-3])
+    def test_classic_pair_is_exact(self, eps):
+        sig = compute_signature(make_design("classic", eps), depth=2)
+        assert abs(sig.entry((1, 2)) + eps) <= 1e-12 * eps
+        assert abs(sig.entry((2, 1)) - eps) <= 1e-12 * eps
+
+    def test_shuffle_residual_of_equal_cos_channels(self):
+        # every entry of this signature is roundoff or a product of the two
+        # channels' equal integrals; the trapezoid chain read 0.142 at 16384 steps
+        spec = DitherSpec("custom-harmonic", 1, 1.0, amplitude=1.0, harmonic=1,
+                          bracket_length=2)
+        assert shuffle_residual(compute_signature([spec, spec], depth=4)) <= 1e-12
+
+    def test_harmonics_count_in_units_of_their_divisor(self):
+        # a kappa of 10^12 shifts by whole units of 10^12 harmonics: the band
+        # stays that of kappa 1
+        rep = verify_excitation(make_design("first12", 1e-4, 10 ** 12), (1, 2))
+        assert abs(rep.target_coeff - 1.0) <= 1e-12
+
+    def test_unsizable_band_is_rejected(self):
+        coprime = [DitherSpec("custom-harmonic", 1, 1.0, harmonic=h, bracket_length=2)
+                   for h in (10 ** 20, 10 ** 20 + 1)]
+        with pytest.raises(InvalidParameterError, match="more than an array of doubles"):
+            compute_signature(coprime)
+        with pytest.raises(InvalidParameterError, match="too large for a float"):
+            compute_signature(make_design("first12", 1e-4, 10 ** 400))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dithers=oracle_designs(), depth=st.integers(1, 4))
+    @example(dithers=list(make_design("triple123", 1e-2, 3)), depth=4)
+    @example(dithers=[DitherSpec("custom-harmonic", 1, 1.0, amplitude=0.5, harmonic=0,
+                                 bracket_length=3),
+                      DitherSpec("custom-harmonic", 1, 1.0, amplitude=2.0, harmonic=2,
+                                 waveform="sin", bracket_length=4)], depth=4)
+    def test_levels_match_the_trapezoid_chain(self, dithers, depth):
+        steps = 1 << 16
+        exact = compute_signature(dithers, depth).levels
+        quad = quad_signature(dithers, depth, steps)
+        for k in range(1, depth + 1):
+            err = float(np.abs(exact[k] - quad[k]).max())
+            assert err <= oracle_tolerance(dithers, k, steps), (k, err)
+
+    def test_triple123_at_the_reference_resolution(self):
+        # the quadrature's agreement at 2^18 steps, 5e-11..6e-8 of the
+        # largest entry on the designs, is held to 1e-6
+        dithers = make_design("triple123", 1e-4)
+        exact = compute_signature(dithers).levels
+        quad = quad_signature(dithers, 4, 1 << 18)
+        scale = max(float(np.abs(v).max()) for v in quad[1:])
+        for k in range(1, 5):
+            assert float(np.abs(exact[k] - quad[k]).max()) <= 1e-6 * scale, k

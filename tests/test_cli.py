@@ -284,12 +284,6 @@ def _binary_config(tmp_path):
      "config error: field 'cost.alpha' must be float, got bool"),
     (_config(**{"cost.m": True}), "config error: field 'cost.m' must be int, got bool"),
     (_binary_config, "config error: cannot read config"),
-    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
-                       "--quadrature-steps", "-5"],
-     "validation error: -5 steps resolve the fastest harmonic (1/period) with fewer than 16"),
-    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
-                       "--quadrature-steps", "8"],
-     "validation error: 8 steps resolve the fastest harmonic (1/period) with fewer than 16"),
     (_traj_csv("t,x,J\n0,0,1\n1e-4,0.1,0.6\n3e-4,0.2,0.3\n"),
      "line 3: times must be evenly spaced and increasing"),
     (_traj_csv(EVEN_CSV, epsilon="nan"), "validation error: --epsilon must be finite, got nan"),
@@ -312,14 +306,7 @@ def _binary_config(tmp_path):
      "validation error: --tol must be finite, got nan"),
     (_compare_band("0.05", **{"output.decimation": 128}),
      "config error: sample step mismatch: 0.001 vs 0.0005"),
-    # counts whose arrays exceed the address space (3.64 PiB here), or that
-    # numpy cannot size at all
-    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
-                       "--kappa", "1000000000000"],
-     "memory error: Unable to allocate 3.64 PiB"),
-    (lambda tmp_path: ["coeffs", "--kind", "first12", "--epsilon", "1e-4",
-                       "--quadrature-steps", "99999999999999999999"],
-     "validation error: 99999999999999999999 quadrature steps are more than an array"),
+    # counts whose arrays numpy cannot size
     (_config(system={"builder": "three_input", "phi2": 1.0, "kappa": 10 ** 20}),
      "validation error: 256 steps/period resolve the fastest harmonic "
      "(1500000000000000000000/period)"),
@@ -345,12 +332,12 @@ def _binary_config(tmp_path):
     (lambda tmp_path: ["run", "--config", "a.json", "x\ny"],
      "liees: error: unrecognized arguments: x\\ny"),
 ], ids=["missing-traj", "blank-csv-line", "header-only-csv", "non-integer-target",
-        "bool-alpha", "bool-degree", "binary-config", "negative-quadrature-steps",
-        "coarse-quadrature-steps", "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
+        "bool-alpha", "bool-degree", "binary-config",
+        "uneven-csv-times", "nan-rate-epsilon", "tiny-rate-epsilon",
         "nan-xstar", "nan-coeffs-epsilon", "inf-coeffs-epsilon", "infinite-total-time",
         "nan-x0", "coarse-three-input-steps", "nan-band",
-        "negative-band", "nan-tol", "sample-step-mismatch", "unallocatable-kappa",
-        "oversized-quadrature-steps", "oversized-three-input-kappa", "oversized-total-time",
+        "negative-band", "nan-tol", "sample-step-mismatch",
+        "oversized-three-input-kappa", "oversized-total-time",
         "oversized-steps-per-period", "huge-phi2", "subnormal-epsilon", "huge-degree",
         "huge-integer-alpha", "huge-steps-override", "non-integer-kappa", "unknown-kind",
         "unrecognized-multiline-argument"])
@@ -359,6 +346,31 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# coeffs inputs that exited 2 while the coefficients came from a quadrature
+# grid: a grid too coarse for the design, one numpy could not size, and a
+# kappa whose grid filled the address space.  The coefficients are exact now:
+# --quadrature-steps has no effect, and the band of a design counts its
+# harmonics in units of kappa, so each prints the table it prints without
+# them, and kappa 10^12 the design's exact target coefficient.
+@pytest.mark.parametrize("extra", [
+    ["--quadrature-steps", "-5"], ["--quadrature-steps", "8"], ["--kappa", "1000000000000"],
+    ["--quadrature-steps", "99999999999999999999"]],
+    ids=["negative-quadrature-steps", "coarse-quadrature-steps", "unallocatable-kappa",
+         "oversized-quadrature-steps"])
+def test_coeffs_inputs_once_rejected_now_run(capsys, extra):
+    argv = ["coeffs", "--kind", "first12", "--epsilon", "1e-4", "--target", "1,2"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + extra) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    if extra[0] == "--quadrature-steps":
+        assert got.out == plain.out
+    else:
+        verdict = json.loads(got.out[got.out.index("{"):])
+        assert abs(verdict["target_coeff"] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"]])
@@ -378,15 +390,13 @@ def test_help_exits_zero_with_its_usage(capsys, argv):
 # draws leave out only what would exhaust the host, each range named here:
 #   * a run and its LBS comparison that would take more than 2^20 RK4 steps
 #     (epsilon 1e-9 with total_time 0.05 is valid and runs 1.3e10 steps:
-#     minutes, not an error);
-#   * a coeffs quadrature grid of more than 2^18 points (a 3-channel grid
-#     holds 36 arrays of that length at once: 75 MB) up to 2^50 points.
-#     Below 2^50 doubles (8 PiB) an array may be granted and then fill
-#     memory; above it every allocation fails at once.
+#     minutes, not an error), unless an array of it reaches 2^50 doubles
+#     (8 PiB): above that every allocation fails at once;
 #   * output paths outside the test's own directory.
+# A coeffs draw is never left out: its signature is exact, on arrays sized by
+# the design's harmonics counted in units of kappa, whatever kappa is.
 
 WORK_CAP = 2 ** 20
-GRID_CAP = 2 ** 18
 ALLOC_FAILS = 2 ** 50
 PREFIXES = ("config error: ", "validation error: ", "numeric failure: ", "error: ",
             "I/O error: ", "memory error: ")
@@ -543,9 +553,6 @@ def test_cli_exit_codes_under_a_fuzzer(fuzz_dir, data):
                                                             "1,2,3", "1,1", "", "5,6", "x"]))]
         if data.draw(st.booleans()):
             argv += ["--out", str(fuzz_dir / "coeffs")]
-        harmonic = {"triple123": 15, "third1222": 3, "second122": 2}.get(kind, 1)
-        grid = int_arg(quad) or max(4096, 512 * int_arg(kappa) * harmonic)
-        assume(not GRID_CAP < grid < ALLOC_FAILS)
     else:
         traj = data.draw(st.sampled_from(["traj.csv", "traj.csv", "bad.csv", "missing.csv", "."]))
         argv = ["rate", "--traj", str(fuzz_dir / traj), "--xstar", data.draw(FLOAT_TEXT),

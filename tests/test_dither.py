@@ -13,9 +13,9 @@ from liees.errors import InvalidParameterError
 ALL_PAIR_KINDS = ["first12", "classic", "second122", "third1222"]
 
 
-def period_mean(spec, quadrature_steps):
+def period_mean(spec):
     """The level-one signature entry I_(1) = eps * mean, divided by eps."""
-    sig = compute_signature([spec], depth=1, quadrature_steps=quadrature_steps)
+    sig = compute_signature([spec], depth=1)
     return sig.entry((1,)) / spec.epsilon
 
 
@@ -175,7 +175,7 @@ class TestInvariants:
     def test_zero_mean(self, kind):
         for spec in dither.make_design(kind, 1e-3, kappa=2):
             amp = max(abs(eval_dither(spec, t)) for t in np.linspace(0, 1e-3, 257))
-            assert abs(period_mean(spec, 1024)) <= 1e-8 * amp
+            assert abs(period_mean(spec)) <= 1e-8 * amp
 
     @pytest.mark.parametrize("kind", ALL_PAIR_KINDS + ["triple123"])
     def test_amplitude_scaling(self, kind):
@@ -201,17 +201,17 @@ class TestInvariants:
 
 class TestPeriodMean:
     def test_classic_mean_zero(self):
-        assert abs(period_mean(DitherSpec("classic", 1, 1.0), 512)) <= 1e-10
+        assert abs(period_mean(DitherSpec("classic", 1, 1.0))) <= 1e-10
 
     def test_cos_harmonic_zero_is_the_constant_term(self):
         spec = DitherSpec("custom-harmonic", 1, 1.0, harmonic=0, bracket_length=3,
                           amplitude=2.5)
         assert spec.fastest_harmonic == 0
         assert np.all(eval_dither(spec, np.linspace(0.0, 1.0, 17)) == 2.5)
-        assert period_mean(spec, 4096) == pytest.approx(2.5, rel=1e-15)
+        assert period_mean(spec) == pytest.approx(2.5, rel=1e-15)
 
     def test_third1222_channel2_mean_zero(self):
-        assert abs(period_mean(DitherSpec("third1222", 2, 1e-4), 512)) <= 1e-10
+        assert abs(period_mean(DitherSpec("third1222", 2, 1e-4))) <= 1e-10
 
 
 class TestValidation:

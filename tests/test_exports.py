@@ -100,7 +100,7 @@ def test_benchmark_tracer_names_resolve():
     try:
         system = sim.build_two_input(costs.make_power_cost(1.0, 1.0, 2), 2, epsilon=1e-3)
         sim.integrate(system, 0.0, sim.IntegratorConfig(2e-3, 64, 64))
-        chenfliess.log_signature(chenfliess.compute_signature(system.dithers, 2, 256))
+        chenfliess.log_signature(chenfliess.compute_signature(system.dithers, 2))
         probes = tracer.run_probes()
         summary = tracer.take(0.0, 1.0)
     finally:
@@ -111,7 +111,8 @@ def test_benchmark_tracer_names_resolve():
 
 
 def test_benchmark_tracer_spans_the_signature_chain():
-    # the signature and log hooks read sig.quadrature_steps and
+    # the signature and log hooks read sig.quadrature_steps (0: the signature
+    # samples no grid, so the probe times one sample per channel) and
     # projection_residual; a rename would break only the traced run
     tracing = load_tracing()
     from liees import chenfliess, dither
@@ -122,9 +123,9 @@ def test_benchmark_tracer_spans_the_signature_chain():
     tracer.install()
     try:
         dithers = dither.make_design("second122", 1e-3)
-        sig = chenfliess.compute_signature(dithers, 3, 512)
+        sig = chenfliess.compute_signature(dithers, 3)
         coeffs = chenfliess.log_signature(sig)
-        assert [p[:3] for p in tracer.probes] == [("dither", d, 512) for d in dithers]
+        assert [p[:3] for p in tracer.probes] == [("dither", d, 0) for d in dithers]
         summary = tracer.take(0.0, 1.0)
     finally:
         tracer.uninstall()

@@ -1,6 +1,5 @@
-"""The compiled library: the RK4 kernel against sim._rk4, the signature
-quadrature against the numpy chain, the CSV codec against Python's, and the
-loader."""
+"""The compiled library: the RK4 kernel against sim._rk4, the CSV codec
+against Python's, and the loader."""
 
 import decimal
 import importlib.resources
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from liees import _kernel, chenfliess, cli, costs, sim
-from liees.dither import DESIGNS, DitherSpec, eval_dither, make_design
+from liees.dither import make_design
 from liees.errors import DivergenceError, InvalidParameterError, NumericFailureError
 from liees.sim import IntegratorConfig, build_two_input
 
@@ -286,15 +285,10 @@ def test_no_compiler_falls_back(tmp_path, monkeypatch, fresh_loader):
     lbs = sim.integrate_lbs(*lbs_args)
     assert lbs.meta["kernel"] == "c"
 
-    design = make_design("triple123", 1e-3)
-    sig = signature_outcome(design, 4, None)
-    assert sig[0] == "c"
-
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path))
     _kernel.load.cache_clear()
     assert _kernel.load() is None
-    assert signature_outcome(design, 4, None) == ("python", sig[1])
     for slow, fast in ((sim.integrate(system, 0.0, config), compiled),
                        (sim.integrate_lbs(*lbs_args), lbs)):
         assert slow.meta["kernel"] == "python"
@@ -356,90 +350,27 @@ def test_unsafe_cache_dir_is_not_used(tmp_path, monkeypatch, copy_compile):
     assert list(shared.iterdir()) == []
 
 
-# The signature quadrature: the compiled levels against the numpy chain of
-# chenfliess._cumtrapz, which runs when the library does not load.
+# The signature's overflow: a numeric failure naming the first word that is
+# not finite, the same whether the compiled library loads or not (signatures
+# are computed in numpy, in closed form).
 
-def signature_outcome(dithers, depth, steps):
-    """The path compute_signature took and its levels as bytes, or the
-    failure as (type, message)."""
+def signature_failure(dithers, depth):
+    """The failure of compute_signature as (type, message), or None."""
     try:
-        sig = chenfliess.compute_signature(dithers, depth, steps)
+        chenfliess.compute_signature(dithers, depth)
     except NumericFailureError as err:
         return type(err).__name__, str(err)
-    return sig.kernel, [v.tobytes() for v in sig.levels[1:]]
+    return None
 
 
-def numpy_levels(dithers, depth, steps):
-    """The levels of the numpy chain, as bytes, on the samples
-    compute_signature takes."""
-    eps = dithers[0].epsilon
-    us = [eval_dither(d, np.linspace(0.0, eps, steps + 1)) for d in dithers]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [v.tobytes() for v in chenfliess._signature_levels(us, depth, eps / steps)]
-
-
-@st.composite
-def signature_inputs(draw):
-    """1-4 channels of one period at eps 1e-6..1e-2 (channels of every
-    built-in kind at kappa 1-3, and custom cos and sin harmonics, cos at
-    harmonic 0 a constant), a grid from the 16 samples of the fastest
-    harmonic up, odd step counts included, and a depth 1-4."""
-    eps = draw(st.floats(1e-6, 1e-2))
-    builtin = st.sampled_from(sorted(DESIGNS)).flatmap(lambda kind: st.builds(
-        DitherSpec, st.just(kind), st.integers(1, len(DESIGNS[kind].channels)), st.just(eps),
-        st.integers(1, 3)))
-    custom = st.builds(lambda wave, h, amp, kappa: DitherSpec(
-        "custom-harmonic", 1, eps, kappa, amplitude=amp, harmonic=h + (wave == "sin"),
-        waveform=wave, bracket_length=2), st.sampled_from(["cos", "sin"]), st.integers(0, 3),
-        st.floats(-3.0, 3.0), st.integers(1, 3))
-    dithers = draw(st.lists(builtin | custom, min_size=1, max_size=4))
-    fastest = max(d.fastest_harmonic for d in dithers)
-    steps = max(16 * fastest, 1) + draw(st.integers(0, 257))
-    return dithers, steps, draw(st.integers(1, 4))
-
-
-# constant channels of amplitude -0.0 and 1.0: every product of the words
-# (1,), (1, 2), (1, 2, 2) and (1, 2, 2, 2) is -0.0, which a sum started from
-# 0.0, or a running integral whose first point is not 0.0, turns into 0.0
-SIGNED_ZERO = [DitherSpec("custom-harmonic", 1, 1e-3, amplitude=amp, harmonic=0,
-                          bracket_length=2) for amp in (-0.0, 1.0)]
-
-
-@needs_kernel
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(signature_inputs())
-@example((make_design("triple123", 1e-3, 3), 16 * 45 + 1, 4))
-@example((make_design("first12", 1e-6) + make_design("third1222", 1e-6), 16 * 3, 4))
-@example((SIGNED_ZERO, 17, 4))
-@example((SIGNED_ZERO, 17, 2))
-@example((SIGNED_ZERO + list(make_design("triple123", 1e-3)), 16 * 15, 3))
-def test_signature_levels_equal_the_numpy_chain(inputs):
-    dithers, steps, depth = inputs
-    compiled = signature_outcome(dithers, depth, steps)
-    assert compiled[0] == "c"
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernel, "load", lambda: None)
-        assert signature_outcome(dithers, depth, steps) == ("python", compiled[1])
-
-
-@needs_kernel
 @pytest.mark.parametrize("kind, eps, word", [
     ("first12", 1e160, "1111"), ("first12", 1e300, "111"), ("triple123", 1e300, "1111")])
 def test_signature_overflow_fails_alike(kind, eps, word):
-    compiled = signature_outcome(make_design(kind, eps), 4, None)
-    assert compiled == ("NumericFailureError",
-                        f"signature entry {word} is nan at epsilon {eps:g}")
+    failure = signature_failure(make_design(kind, eps), 4)
+    assert failure == ("NumericFailureError", f"signature entry {word} is nan at epsilon {eps:g}")
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_kernel, "load", lambda: None)
-        assert signature_outcome(make_design(kind, eps), 4, None) == compiled
-
-
-def test_signature_falls_back_to_numpy(monkeypatch):
-    design = make_design("second122", 1e-3)
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    kernel, levels = signature_outcome(design, 3, 64)
-    assert kernel == "python"
-    assert levels == numpy_levels(design, 3, 64)
+        assert signature_failure(make_design(kind, eps), 4) == failure
 
 
 # The CSV codec: the compiled writer and reader against the Python ones.
