@@ -48,9 +48,13 @@ __all__ = [
     "linear_shape",
     "poly_shape",
     "adaptive_simpson",
+    "simpson_halves",
 ]
 
 BracketIndex = tuple  # ordered channel indices (i1, ..., il), right-iterated
+# adaptive_simpson's default tolerance and recursion depth
+SIMPSON_TOL = 1e-10
+SIMPSON_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,12 @@ def make_generating_pair(N: int, c: float = 1.0) -> tuple[Callable, Callable]:
     return linear_shape(s * c), const_shape(1.0)
 
 
-def _simpson_halves(fn, lo, hi, flo, fmid, fhi, whole, tol, depth, max_depth):
-    """Simpson on both halves of [lo, hi], recursing where they disagree with whole."""
+def simpson_halves(fn, lo, hi, flo, fmid, fhi, whole, tol, depth,
+                   max_depth=SIMPSON_MAX_DEPTH):
+    """Simpson on both halves of [lo, hi], recursing where they disagree with
+    whole, the rule on [lo, hi] from flo, fmid and fhi: adaptive_simpson's
+    recursion, which sim's callable-phi2 stage continues where its inlined
+    first level fails."""
     mid = 0.5 * (lo + hi)
     flm = fn(0.5 * (lo + mid))
     frm = fn(0.5 * (mid + hi))
@@ -180,12 +188,12 @@ def _simpson_halves(fn, lo, hi, flo, fmid, fhi, whole, tol, depth, max_depth):
     err = left + right - whole
     if abs(err) <= 15 * tol:
         return left + right + err / 15.0
-    return (_simpson_halves(fn, lo, mid, flo, flm, fmid, left, tol / 2, depth + 1, max_depth)
-            + _simpson_halves(fn, mid, hi, fmid, frm, fhi, right, tol / 2, depth + 1, max_depth))
+    return (simpson_halves(fn, lo, mid, flo, flm, fmid, left, tol / 2, depth + 1, max_depth)
+            + simpson_halves(fn, mid, hi, fmid, frm, fhi, right, tol / 2, depth + 1, max_depth))
 
 
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 40) -> float:
+                     tol: float = SIMPSON_TOL, max_depth: int = SIMPSON_MAX_DEPTH) -> float:
     """Adaptive Simpson quadrature of fn over [a, b], for sim's callable-phi2 fields."""
     if a == b:
         return 0.0
@@ -193,7 +201,7 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
     if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
         raise NumericFailureError("integrand not finite on the quadrature range")
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_halves(fn, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    return simpson_halves(fn, a, b, fa, fm, fb, whole, tol, 0, max_depth)
 
 
 def make_wronskian_pair(phi: Sequence[float]) -> tuple[Callable, Callable]:

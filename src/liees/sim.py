@@ -11,6 +11,9 @@ When every channel shape is affine in the cost value, .poly of degree <= 1
 (all built-in designs are), F[c] is J and P, Q are precomputed tables.  Other
 shapes get one right-hand-side function per column, Q = 1 and P = 0, as does
 the averaged system of integrate_lbs on two columns: it has no time dependence.
+The callable-phi2 shapes of build_three_input, tagged .simpson and .negates,
+get one fused function per column that evaluates phi2 at four points per
+stage, bit for bit the per-shape sum.
 period_map runs the stepper of one system from many starts, building the
 tables and the right-hand side once.
 
@@ -74,8 +77,8 @@ from .errors import (
     ResolutionError,
     check_array_size,
 )
-from .lie import (ScalarField, adaptive_simpson, const_shape, linear_shape,
-                  make_generating_pair, make_triple_family)
+from .lie import (SIMPSON_TOL, ScalarField, adaptive_simpson, const_shape, linear_shape,
+                  make_generating_pair, make_triple_family, simpson_halves)
 
 __all__ = [
     "ESSystem",
@@ -222,13 +225,27 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
     kappa) or a callable shape: fields (1, -int_0^z phi2, -phi2) by adaptive
     Simpson quadrature, on the Python stepper, with no exact bracket for
     endpoint_prediction.  `liees verify excitation` checks the dither triple.
+
+    A callable phi2 must be a pure function of z: its value at 0.0 is taken
+    once, here, and the stepper evaluates each stage's two phi2 shapes in one
+    pass, phi2(z) serving both (see _phi2_columns).  It is rejected when
+    phi2(0.0) is not finite, and as numerically zero when no value at 0.0 or
+    at 33 points on [0, 4] reaches 1e-12 in magnitude (a NaN does not).
     """
     if callable(phi2):
-        probe = max(abs(phi2(z)) for z in np.linspace(0.0, 4.0, 33))
-        if probe < 1e-12:
+        f0 = phi2(0.0)
+        if not math.isfinite(f0):
+            raise InvalidParameterError(
+                f"phi2(0) = {f0} is not finite: every stage integrates phi2 from 0")
+        # a NaN is not >= 1e-12, so it counts as zero wherever it falls
+        if abs(f0) < 1e-12 and not any(abs(phi2(z)) >= 1e-12
+                                       for z in np.linspace(0.0, 4.0, 33)[1:]):
             raise ConstructionError("phi2 is numerically zero: the target bracket is null")
-        shapes = (const_shape(1.0), lambda z: -adaptive_simpson(phi2, 0.0, z),
-                  lambda z: -phi2(z))
+        g2 = lambda z: -adaptive_simpson(phi2, 0.0, z)
+        g3 = lambda z: -phi2(z)
+        # the tags _system_stepper fuses the two shapes by
+        g2.simpson, g3.negates = (phi2, f0), phi2
+        shapes = (const_shape(1.0), g2, g3)
         meta = {}
     else:
         phi = float(phi2)
@@ -385,10 +402,57 @@ class _Stepper:
         return np.array(states), np.array([self.J(v) for v in states]), "python"
 
 
+def _phi2_columns(J, phi2, f0: float, c: float, columns) -> list:
+    """One right-hand side per column (u1, u2, u3) for build_three_input's
+    callable-phi2 shapes (c, -int_0^z phi2, -phi2), given f0 = phi2(0.0).
+
+    Each performs the generic column's floating-point operations in its order,
+    0 + c u1 (once per column), then + g2 u2 and + g3 u3, where g2 negates
+    adaptive_simpson(phi2, 0.0, z) and g3 = -phi2(z).  The quadrature's first
+    level is inlined less the operations exact for z != 0: 0.0 + z and
+    z - 0.0 are z, mid - 0.0 is mid (0.0 + mid stays: it turns -0.0 into
+    0.0).  phi2(z) serves both shapes, so phi2 runs at z/2, z, z/4 and 3z/4
+    where the generic path calls it six times, and simpson_halves runs only
+    where the first level fails its tolerance.
+    """
+    hi = 15 * SIMPSON_TOL
+    lo = -hi
+
+    def rhs(us, xv):
+        a1, u2, u3 = us
+        z = J(xv)
+        if z == 0.0:
+            # adaptive_simpson's empty range
+            return a1 + -0.0 * u2 + -phi2(z) * u3
+        mid = 0.5 * z
+        fm = phi2(mid)
+        fz = phi2(z)
+        if not (math.isfinite(fm) and math.isfinite(fz)):
+            raise NumericFailureError("integrand not finite on the quadrature range")
+        whole = z / 6.0 * (f0 + 4.0 * fm + fz)
+        flm = phi2(0.5 * (0.0 + mid))
+        frm = phi2(0.5 * (mid + z))
+        left = mid / 6.0 * (f0 + 4.0 * flm + fm)
+        right = (z - mid) / 6.0 * (fm + 4.0 * frm + fz)
+        s = left + right
+        err = s - whole
+        if lo <= err <= hi:
+            q = s + err / 15.0
+        else:
+            q = (simpson_halves(phi2, 0.0, mid, f0, flm, fm, left, SIMPSON_TOL / 2, 1)
+                 + simpson_halves(phi2, mid, z, fm, frm, fz, right, SIMPSON_TOL / 2, 1))
+        return a1 + -q * u2 + -fz * u3
+
+    # one function bound to each column's values: a method object and a tuple
+    # per column, and _rk4's calls, which see one function, are specialised
+    return [rhs.__get__((0 + c * u1, u2, u3)) for u1, u2, u3 in columns]
+
+
 def _system_stepper(system: ESSystem, S: int) -> _Stepper:
     """A system's stepper at S steps per period: the dither tables, then P and Q
     for affine shapes (.poly of degree <= 1) or one right-hand-side function
-    per column for others."""
+    per column for others, fused into one stage for the callable-phi2 shapes
+    build_three_input tags (.simpson, .negates)."""
     if S < 16 * system.fastest_harmonic:
         raise ResolutionError(
             f"{S} steps/period resolve the fastest harmonic "
@@ -406,18 +470,23 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
         return _Stepper(J, h, sum(p[0] * u for p, u in zip(polys, tables)),
                         sum((*p, 0.0)[1] * u for p, u in zip(polys, tables)))
     shapes = system.shapes
+    columns = zip(*(u.tolist() for u in tables))
+    quad = getattr(shapes[1], "simpson", None) if len(shapes) == 3 else None
+    if (quad is not None and polys[0] is not None and len(polys[0]) == 1
+            and getattr(shapes[2], "negates", None) is quad[0]):
+        F = _phi2_columns(J, *quad, polys[0][0], columns)
+    else:
+        def column(us):
+            def rhs(xv):
+                # left to right from 0 like sum(), without a generator per call
+                z = J(xv)
+                acc = 0
+                for g, u in zip(shapes, us):
+                    acc = acc + g(z) * u
+                return acc
+            return rhs
 
-    def column(us):
-        def rhs(xv):
-            # left to right from 0 like sum(), without a generator per call
-            z = J(xv)
-            acc = 0
-            for g, u in zip(shapes, us):
-                acc = acc + g(z) * u
-            return acc
-        return rhs
-
-    F = [column(us) for us in zip(*(u.tolist() for u in tables))]
+        F = [column(us) for us in columns]
     return _Stepper(J, h, None, None, (F, [0.0] * (2 * S), [1.0] * (2 * S)))
 
 

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ from liees.errors import (
     ConstructionError,
     DivergenceError,
     InvalidParameterError,
+    NumericFailureError,
     ResolutionError,
 )
 from liees.sim import IntegratorConfig, build_mixed, build_three_input, build_two_input
@@ -95,6 +96,22 @@ class TestBuilders:
     def test_three_input_zero_phi_rejected(self):
         with pytest.raises(ConstructionError):
             build_three_input(QUAD, 0.0, 1e-3, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_callable_phi2_not_finite_at_zero_rejected(self, value):
+        # every stage's quadrature starts from phi2(0)
+        with pytest.raises(InvalidParameterError) as err:
+            build_three_input(QUAD, lambda z: value, 1e-3, 1)
+        assert "\n" not in str(err.value) and "phi2(0)" in str(err.value)
+
+    @pytest.mark.parametrize("k", [1, 2, 16, 32])
+    def test_callable_phi2_zero_check_wherever_a_nan_falls(self, k):
+        # zero but for a NaN at the k-th of the probe points 4 i / 32
+        phi2 = lambda z: math.nan if z == k / 8 else 0.0
+        with pytest.raises(ConstructionError):
+            build_three_input(QUAD, phi2, 1e-3, 1)
+        nonzero = lambda z: math.nan if z == k / 8 else 1e-9
+        assert build_three_input(QUAD, nonzero, 1e-3, 1).arity == 3
 
     def test_mixed_valid_frequencies(self):
         system = build_mixed(QUARTIC, 5, 1, 1.0, 1.0, 1e-4)
@@ -291,6 +308,111 @@ class TestGeneralShapePath:
         rep = analysis.contraction_check(phi2_system(), [0.65, 0.85, 1.1, 1.3], 1.0, 256)
         assert (rep.gamma.hex(), rep.sigma.hex()) == ("-0x1.3b9bca5681f08p+0",
                                                       "0x1.5f93b3e5723dfp+0")
+
+
+class Counted:
+    """fn, counting its calls and keeping their arguments."""
+
+    def __init__(self, fn):
+        self.fn, self.args = fn, []
+
+    def __call__(self, z):
+        self.args.append(z)
+        return self.fn(z)
+
+
+def generic_phi2_system(cost, phi2, epsilon=1e-3):
+    """build_three_input's callable-phi2 shapes without the tags that fuse
+    them: the generic per-shape columns run them."""
+    shapes = (lie.const_shape(1.0), lambda z: -lie.adaptive_simpson(phi2, 0.0, z),
+              lambda z: -phi2(z))
+    dithers = make_design("triple123", epsilon, 1)
+    return sim.ESSystem(cost=cost, channels=tuple(zip(shapes, dithers)))
+
+
+def outcome(run, J):
+    """The bytes of run()'s arrays, or its error with the number of cost
+    evaluations before it: one per RK4 stage on either path."""
+    J.args.clear()
+    try:
+        return [a.tobytes() for a in run()]
+    except (DivergenceError, NumericFailureError) as err:
+        return (type(err), str(err), getattr(err, "last_time", None),
+                getattr(err, "last_x", None), len(J.args))
+
+
+PHI2_FAMILIES = {
+    "affine": lambda a, b, zc: lambda z: a + b * z,
+    "quadratic": lambda a, b, zc: lambda z: a - b * z + 2.0 * z * z,
+    # exp(5 z) fails the first Simpson level from d0 = 0.3 on the quartic cost
+    "exp": lambda a, b, zc: lambda z: a * math.exp(b * z),
+    "inf past zc": lambda a, b, zc: lambda z: a + b * z if z < zc else math.inf,
+    "nan past zc": lambda a, b, zc: lambda z: a + b * z if z < zc else math.nan,
+}
+
+
+class TestFusedPhi2Stage:
+    """The fused callable-phi2 stage against the generic columns running the
+    same shapes: bit for bit, the same errors at the same stage."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(sorted(PHI2_FAMILIES)), a=st.floats(0.2, 1.0),
+           b=st.floats(-1.0, 5.0), zc=st.floats(1e-3, 0.2), m=st.sampled_from((2, 4)),
+           x0=st.one_of(st.just(1.0), st.floats(0.2, 1.8)), S=st.sampled_from((256, 512)))
+    @example(family="exp", a=1.0, b=5.0, zc=0.1, m=4, x0=1.3, S=256)
+    @example(family="affine", a=0.5, b=0.3, zc=0.1, m=4, x0=1.0, S=256)
+    @example(family="exp", a=1.0, b=5.0, zc=0.1, m=2, x0=1.3, S=256)
+    @example(family="inf past zc", a=0.5, b=0.3, zc=0.05, m=2, x0=1.3, S=256)
+    def test_fused_equals_generic(self, family, a, b, zc, m, x0, S):
+        J = Counted(costs.make_power_cost(1.0, 1.0, m).eval)
+        cost = costs.CostFunction(eval=J, degree=m)
+        phi2 = PHI2_FAMILIES[family](a, b, zc)
+        fused, generic = build_three_input(cost, phi2, 1e-3), generic_phi2_system(cost, phi2)
+        cfg = IntegratorConfig(total_time=1e-3, steps_per_period=S)
+
+        def integrated(system):
+            traj = sim.integrate(system, x0, cfg)
+            return traj.states, traj.cost_values
+
+        def mapped(system):
+            return (sim.period_map(system, [x0, 1.0, 2.0 - x0], 1, S),)
+
+        for run in (integrated, mapped):
+            assert outcome(lambda: run(fused), J) == outcome(lambda: run(generic), J)
+
+    def test_first_level_failure_recurses(self, monkeypatch):
+        # exp(5 z) from d0 = 0.3 on the quartic cost (z up to 0.125): the
+        # first Simpson level fails, and the recursion gives the generic bits
+        calls = []
+
+        def halves(*args):
+            calls.append(args)
+            return lie.simpson_halves(*args)
+
+        monkeypatch.setattr(sim, "simpson_halves", halves)
+        cost = costs.make_power_cost(1.0, 1.0, 4)
+        phi2 = lambda z: math.exp(5.0 * z)
+        cfg = IntegratorConfig(total_time=1e-3, steps_per_period=256)
+        fused = sim.integrate(build_three_input(cost, phi2, 1e-3), 1.3, cfg).states
+        assert calls
+        generic = sim.integrate(generic_phi2_system(cost, phi2), 1.3, cfg).states
+        assert fused.tobytes() == generic.tobytes()
+
+    def test_phi2_calls(self):
+        # once at 0.0 (a float) per build, then 4 per stage with the first
+        # Simpson level accepted, where the generic columns make 6
+        phi2 = Counted(lambda z: 0.5 + 0.3 * z)
+        system = build_three_input(QUARTIC, phi2, 1e-3)
+        assert phi2.args == [0.0] and type(phi2.args[0]) is float
+        S = 256
+        cfg = IntegratorConfig(total_time=1e-3, steps_per_period=S)
+        for built, per_stage in ((system, 4), (generic_phi2_system(QUARTIC, phi2), 6)):
+            phi2.args.clear()
+            sim.integrate(built, 0.7, cfg)
+            assert len(phi2.args) == per_stage * 4 * S
+        phi2.args.clear()
+        sim.period_map(system, [0.7, 1.2], 1, S)
+        assert len(phi2.args) == 2 * 4 * 4 * S
 
 
 def end_state_or_error(system, x0, cfg):
