@@ -10,8 +10,9 @@
  *     f(x) = -(0.0 + g_1 * (c_1 * (x - s_1)^p_1) + g_2 * (...) + ...),
  *
  * one (g, c, s, p) row per bracket term, c (x - s)^p being the analytic
- * derivative of J that costs.derivative evaluates; the kernel reads each row
- * with the parity of p as a fifth column.
+ * derivative of J that costs.derivative evaluates.  Each stage takes the
+ * parity of p with is_odd, as it takes that of m, and as CPython's float_pow
+ * takes it on every call.
  *
  * Every floating-point operation outside the powers happens in the order the
  * Python stepper performs it, so the stored states and their costs are
@@ -300,10 +301,10 @@ static int is_odd(double w)
 }
 
 /* The stage function f(y), stored in *r.  Each row of terms is
- * (g, c, s, p, odd), odd being 1 when p is odd, as CPython's float_pow tests
- * it, and 0 otherwise.  Returns RK4_OVERFLOW where Python raises
- * OverflowError, and RK4_NONFINITE where costs.derivative raises
- * NumericFailureError, with the index of that term in *bad. */
+ * (g, c, s, p), whose parity of p is_odd takes here, as CPython's float_pow
+ * takes it on every call; odd is that of m.  Returns RK4_OVERFLOW where
+ * Python raises OverflowError, and RK4_NONFINITE where costs.derivative
+ * raises NumericFailureError, with the index of that term in *bad. */
 INLINE int stage(int use_fma, double alpha, double xstar, double m, int odd,
                  const double *terms, int64_t nterms, double y, double *r,
                  int64_t *bad)
@@ -318,9 +319,9 @@ INLINE int stage(int use_fma, double alpha, double xstar, double m, int odd,
         return RK4_OK;
     }
     for (t = 0; t < nterms; t++) {
-        const double *g = terms + 5 * t;
+        const double *g = terms + 4 * t;
         double d;
-        if (py_pow_cold(y - g[2], g[3], g[4] != 0.0, &p))
+        if (py_pow_cold(y - g[2], g[3], is_odd(g[3]), &p))
             return RK4_OVERFLOW;
         d = g[1] * p;
         if (!isfinite(d)) {
@@ -345,7 +346,7 @@ INLINE int stage(int use_fma, double alpha, double xstar, double m, int odd,
  * to out[1..n_out] (out[0] = x0) and its cost J to jout[0..n_out].  Columns c
  * of P and Q index the step/half-step grid of one period and wrap at ncol.
  * The stage function is J when nterms is 0, else the averaged field over the
- * nterms (g, c, s, p, odd) rows of terms.
+ * nterms (g, c, s, p) rows of terms.
  *
  * On divergence returns RK4_EXCEEDED (the state left (-limit, limit)) or
  * RK4_OVERFLOW, with the index of the failing step in *k_fail and the state at

@@ -109,9 +109,7 @@ def rk4_entry(fn):
         """Run the kernel; terms holds the (g, c, s, p) rows of the averaged
         field, or none for the cost itself.  Returns (states, costs, status, failing step
         or term, state or stage argument there)."""
-        terms = np.asarray(terms, dtype=np.float64).reshape(-1, 4)
-        # each row's parity of p, taken once per call as CPython's float_pow takes it
-        rows = np.column_stack([terms, np.fmod(np.abs(terms[:, 3]), 2.0) == 1.0])
+        rows = np.ascontiguousarray(terms, dtype=np.float64).reshape(-1, 4)
         P = np.ascontiguousarray(P, dtype=np.float64)
         Q = np.ascontiguousarray(Q, dtype=np.float64)
         out = np.empty(n_out + 1)

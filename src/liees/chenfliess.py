@@ -101,28 +101,6 @@ def expand_bracket(word: tuple) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _lie_dimension(n: int, ell: int) -> int:
-    """Necklace-count dimension of the degree-ell free Lie algebra component."""
-    def mobius(m: int) -> int:
-        if m == 1:
-            return 1
-        res, x, p = 1, m, 2
-        count = 0
-        while p * p <= x:
-            if x % p == 0:
-                x //= p
-                count += 1
-                if x % p == 0:
-                    return 0
-            p += 1
-        if x > 1:
-            count += 1
-        return -1 if count % 2 else 1
-
-    total = sum(mobius(d) * n ** (ell // d) for d in range(1, ell + 1) if ell % d == 0)
-    return total // ell
-
-
 def _is_lyndon(w: tuple) -> bool:
     return all(w < w[i:] + w[:i] for i in range(1, len(w)))
 
@@ -153,11 +131,12 @@ def basis_labels(n_channels: int, ell: int) -> tuple:
     Lyndon words are tried first in lexicographic order, then all remaining
     words; a word is accepted when its bracket expansion enlarges the span,
     that is when it does not reduce to zero against the echelon basis (a
-    dict from pivot word to reduced row) of the labels accepted so far.
+    dict from pivot word to reduced row) of the labels accepted so far.  The
+    dimension is the number of Lyndon words of length ell (Witt's formula).
     """
-    dim = _lie_dimension(n_channels, ell)
     all_words = list(product(range(1, n_channels + 1), repeat=ell))
     candidates = [w for w in all_words if _is_lyndon(w)]
+    dim = len(candidates)
     candidates += [w for w in all_words if not _is_lyndon(w)]
     labels: list[tuple] = []
     basis: dict = {}

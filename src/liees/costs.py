@@ -72,6 +72,12 @@ def make_power_cost(alpha: float, xstar: float, m: int) -> CostFunction:
     if int(m) != m or m < 2:
         raise InvalidParameterError(f"degree m must be an integer >= 2, got {m}")
     m = int(m)
+    # as doubles, the values the compiled kernel reads from the .power tags
+    try:
+        alpha, xstar = float(alpha), float(xstar)
+    except OverflowError:
+        raise InvalidParameterError(
+            "alpha and xstar must lie within the range of a float") from None
 
     def _deriv(order: int) -> Callable[[float], float]:
         # .power = (c, xstar, p): the derivative is c * (x - xstar) ** p, which

@@ -9,19 +9,20 @@ one period and reused for every period.
 One stepper, _rk4, integrates x' = F[c](x) * Q[c] + P[c] over grid columns c.
 When every channel shape is affine in the cost value, .poly of degree <= 1
 (all built-in designs are), F[c] is J and P, Q are precomputed tables.  Other
-shapes get one right-hand-side function per column, Q = 1 and P = 0, as does
-the averaged system of integrate_lbs on two columns: it has no time dependence.
-The callable-phi2 shapes of build_three_input, tagged .simpson and .negates,
-get one fused function per column that evaluates phi2 at four points per
-stage, bit for bit the per-shape sum.
-period_map runs the stepper of one system from many starts, building the
-tables and the right-hand side once.
+shapes take one column form: Q = 1, P = 0 and F[c] one function rhs(us, xv)
+bound to column c's tuple us of dither values.  For the callable-phi2 shapes
+of build_three_input, tagged .simpson and .negates, rhs evaluates phi2 at
+four points per stage, bit for bit the per-shape sum.  The averaged system of
+integrate_lbs runs on two columns: it has no time dependence.  _Stepper
+chooses its path once, when it is built, and period_map runs the stepper of
+one system from many starts, building the tables and the right-hand side once.
 
 When the cost comes from make_power_cost and x0 is a float, integrate (with
 affine shapes: every system a config can build), period_map and
 integrate_lbs run the same stepper compiled from C (liees/_kernel.c), whose
 stage function is J(x) = alpha * (x - xstar)^m or the averaged field
--sum_j gamma_j J^(j)(x).  It performs the Python stepper's floating-point
+-sum_j gamma_j J^(j)(x), its parameters read from the cost's .power tags,
+which hold doubles.  It performs the Python stepper's floating-point
 operations in the same order, except the powers v^n with n = 2, 3, 4 and
 2^-64 <= |v| <= 2^64: it forms those as a double-double, within 2^-103 of
 the exact power, and rounds them itself; v^1 is v.  It calls libm pow, as
@@ -228,7 +229,7 @@ def build_three_input(cost: CostFunction, phi2, epsilon: float = 1e-4,
 
     A callable phi2 must be a pure function of z: its value at 0.0 is taken
     once, here, and the stepper evaluates each stage's two phi2 shapes in one
-    pass, phi2(z) serving both (see _phi2_columns).  It is rejected when
+    pass, phi2(z) serving both (see _phi2_rhs).  It is rejected when
     phi2(0.0) is not finite, and as numerically zero when no value at 0.0 or
     at 33 points on [0, 4] reaches 1e-12 in magnitude (a NaN does not).
     """
@@ -331,82 +332,55 @@ def _rk4(F, P, Q, x0: float, h: float, n_out: int, dec: int, store) -> None:
         raise _diverged(True, i * dec + j, h, x) from None
 
 
-def _as_double(v) -> float | None:
-    """v as a C double when Python converts it to one in arithmetic with floats, else None."""
-    if type(v) in (int, float):
-        try:
-            return float(v)
-        except OverflowError:
-            return None
-    return None
-
-
-def _integrate_compiled(J, P, Q, x0, h: float, n_out: int, dec: int, field=()):
-    """The states and their costs from the compiled kernel, or None when it
-    does not apply.
-
-    The stage function is J, or with field the averaged field of integrate_lbs
-    over its (order, gain, derivative) rows.  The kernel applies when J and
-    every derivative carry make_power_cost's .power tag, x0 is a float and
-    every parameter converts to a double: then Python evaluates in doubles
-    too.  When the cost of a stored state overflows, the costs are evaluated
-    again by J, which raises OverflowError as on the Python path.
-    """
-    tags = [getattr(f, "power", None) for f in (J, *(d for _, _, d in field))]
-    if None in tags or type(x0) is not float:
-        return None
-    args = [_as_double(v) for v in tags[0]]
-    rows = [_as_double(v) for (_, g, _), tag in zip(field, tags[1:]) for v in (g, *tag)]
-    if None in args or None in rows:
-        return None
-    from . import _kernel
-
-    kernel = _kernel.load()
-    if kernel is None:
-        return None
-    xs, js, status, k, last_x = kernel.rk4(*args, rows, P, Q, x0, h, n_out, dec,
-                                           DIVERGENCE_LIMIT)
-    if status == _kernel.NONFINITE:
-        # the error costs.derivative raises at the stage argument last_x
-        raise NumericFailureError(
-            f"analytic derivative of order {field[k][0]} at x={last_x} is not finite")
-    if status == _kernel.COST_OVERFLOW:
-        js = np.array([J(v) for v in xs.tolist()])
-    elif status:
-        raise _diverged(status == _kernel.OVERFLOW, k, h, last_x)
-    return xs, js
-
-
 class _Stepper:
     """x' = F[c](x) * Q[c] + P[c] on the columns of _rk4, for any number of
-    starts.  With arrays P and Q the compiled kernel may run, on J or on the
-    averaged field of the rows of field; lists holds the Python stepper's F,
-    P and Q, made from J, P and Q when first needed if not given."""
+    starts, on a path chosen once, here: stage holds the compiled kernel's
+    arguments, read from the .power tags of J and of the derivative in each
+    (order, gain, derivative) row of field, when P and Q are arrays and every
+    tag is there, else None.  lists holds the Python stepper's F, P and Q,
+    made from J, P and Q when first needed if not given."""
 
     def __init__(self, J, h: float, P, Q, lists=None, field=()):
         self.J, self.h, self.P, self.Q, self.lists, self.field = J, h, P, Q, lists, field
+        tags = [getattr(f, "power", None) for f in (J, *(d for _, _, d in field))]
+        self.stage = None
+        if P is not None and None not in tags:
+            self.stage = (*tags[0], [(g, *tag) for (_, g, _), tag in zip(field, tags[1:])])
 
     def run(self, x0, n_out: int, dec: int):
         """(states, costs, kernel) of n_out * dec steps from x0, storing every
         dec-th state."""
         check_array_size(n_out + 1, f"{n_out + 1} stored states")
-        if self.P is not None:
-            compiled = _integrate_compiled(self.J, self.P, self.Q, x0, self.h, n_out, dec,
-                                           self.field)
-            if compiled is not None:
-                return (*compiled, "c")
-            if self.lists is None:
-                self.lists = ([self.J] * len(self.Q), self.P.tolist(), self.Q.tolist())
+        if self.stage is not None and type(x0) is float:
+            from . import _kernel
+
+            kernel = _kernel.load()
+            if kernel is not None:
+                xs, js, status, k, last_x = kernel.rk4(*self.stage, self.P, self.Q, x0, self.h,
+                                                       n_out, dec, DIVERGENCE_LIMIT)
+                if status == _kernel.NONFINITE:
+                    # the error costs.derivative raises at the stage argument last_x
+                    raise NumericFailureError(f"analytic derivative of order {self.field[k][0]}"
+                                              f" at x={last_x} is not finite")
+                if status == _kernel.COST_OVERFLOW:
+                    # J raises OverflowError, as on the Python path
+                    js = np.array([self.J(v) for v in xs.tolist()])
+                elif status:
+                    raise _diverged(status == _kernel.OVERFLOW, k, self.h, last_x)
+                return xs, js, "c"
+        if self.lists is None:
+            self.lists = ([self.J] * len(self.Q), self.P.tolist(), self.Q.tolist())
         states = [x0]
         _rk4(*self.lists, x0, self.h, n_out, dec, states.append)
         return np.array(states), np.array([self.J(v) for v in states]), "python"
 
 
-def _phi2_columns(J, phi2, f0: float, c: float, columns) -> list:
-    """One right-hand side per column (u1, u2, u3) for build_three_input's
-    callable-phi2 shapes (c, -int_0^z phi2, -phi2), given f0 = phi2(0.0).
+def _phi2_rhs(J, phi2, f0: float):
+    """The right-hand side rhs(us, xv) of a column us = (0 + c u1, u2, u3)
+    for build_three_input's callable-phi2 shapes (c, -int_0^z phi2, -phi2),
+    given f0 = phi2(0.0).
 
-    Each performs the generic column's floating-point operations in its order,
+    It performs the generic column's floating-point operations in its order,
     0 + c u1 (once per column), then + g2 u2 and + g3 u3, where g2 negates
     adaptive_simpson(phi2, 0.0, z) and g3 = -phi2(z).  The quadrature's first
     level is inlined less the operations exact for z != 0: 0.0 + z and
@@ -443,16 +417,15 @@ def _phi2_columns(J, phi2, f0: float, c: float, columns) -> list:
                  + simpson_halves(phi2, mid, z, fm, frm, fz, right, SIMPSON_TOL / 2, 1))
         return a1 + -q * u2 + -fz * u3
 
-    # one function bound to each column's values: a method object and a tuple
-    # per column, and _rk4's calls, which see one function, are specialised
-    return [rhs.__get__((0 + c * u1, u2, u3)) for u1, u2, u3 in columns]
+    return rhs
 
 
 def _system_stepper(system: ESSystem, S: int) -> _Stepper:
     """A system's stepper at S steps per period: the dither tables, then P and Q
-    for affine shapes (.poly of degree <= 1) or one right-hand-side function
-    per column for others, fused into one stage for the callable-phi2 shapes
-    build_three_input tags (.simpson, .negates)."""
+    for affine shapes (.poly of degree <= 1), else one right-hand side
+    rhs(us, xv) bound to each column's tuple us of dither values, fused into
+    one stage for the callable-phi2 shapes build_three_input tags (.simpson,
+    .negates)."""
     if S < 16 * system.fastest_harmonic:
         raise ResolutionError(
             f"{S} steps/period resolve the fastest harmonic "
@@ -474,19 +447,21 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
     quad = getattr(shapes[1], "simpson", None) if len(shapes) == 3 else None
     if (quad is not None and polys[0] is not None and len(polys[0]) == 1
             and getattr(shapes[2], "negates", None) is quad[0]):
-        F = _phi2_columns(J, *quad, polys[0][0], columns)
+        rhs = _phi2_rhs(J, *quad)
+        c = polys[0][0]
+        columns = [(0 + c * u1, u2, u3) for u1, u2, u3 in columns]
     else:
-        def column(us):
-            def rhs(xv):
-                # left to right from 0 like sum(), without a generator per call
-                z = J(xv)
-                acc = 0
-                for g, u in zip(shapes, us):
-                    acc = acc + g(z) * u
-                return acc
-            return rhs
+        def rhs(us, xv):
+            # left to right from 0 like sum(), without a generator per call
+            z = J(xv)
+            acc = 0
+            for g, u in zip(shapes, us):
+                acc = acc + g(z) * u
+            return acc
 
-        F = [column(us) for us in columns]
+    # one function bound to each column's tuple: a method object per column,
+    # and _rk4's calls, which see one function, are specialised
+    F = [rhs.__get__(us) for us in columns]
     return _Stepper(J, h, None, None, (F, [0.0] * (2 * S), [1.0] * (2 * S)))
 
 

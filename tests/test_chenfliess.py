@@ -73,6 +73,12 @@ class TestBasis:
             (2, 3, 4, 2), (2, 4, 2, 2), (2, 4, 2, 3), (2, 4, 2, 4), (3, 4, 3, 3), (3, 4, 3, 4),
         )
 
+    @pytest.mark.parametrize("n, dims", [(2, (2, 1, 2, 3, 6)), (3, (3, 3, 8, 18, 48)),
+                                         (4, (4, 6, 20, 60))])
+    def test_dimension_is_witts_formula(self, n, dims):
+        # the dimensions of the free Lie algebra's homogeneous components
+        assert tuple(len(basis_labels(n, ell)) for ell in range(1, len(dims) + 1)) == dims
+
     def test_expand_bracket_antisymmetry(self):
         # [[e1,e2],e2] = e122 - 2 e212 + e221
         assert expand_bracket((1, 2, 2)) == {(1, 2, 2): 1, (2, 1, 2): -2, (2, 2, 1): 1}

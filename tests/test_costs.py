@@ -27,6 +27,20 @@ class TestMakePowerCost:
         with pytest.raises(InvalidParameterError):
             costs.make_power_cost(alpha, 0.0, m)
 
+    def test_power_tags_hold_doubles(self):
+        # the tags the compiled kernel reads, of J and of every derivative
+        c = costs.make_power_cost(1, 0, 2)
+        for f in (c.eval, *c.analytic_derivs):
+            coeff, xstar, _ = f.power
+            assert type(coeff) is float and type(xstar) is float
+        assert c.eval.power[0] == 1.0 and c.xstar == 0.0
+
+    @pytest.mark.parametrize("alpha, xstar", [(10**400, 0.0), (1.0, -10**400)],
+                             ids=["alpha", "xstar"])
+    def test_parameters_beyond_a_float_rejected(self, alpha, xstar):
+        with pytest.raises(InvalidParameterError, match="range of a float"):
+            costs.make_power_cost(alpha, xstar, 2)
+
     def test_declared_minimum_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             costs.CostFunction(eval=lambda x: x**2 + 1.0, xstar=0.0, jstar=0.0)

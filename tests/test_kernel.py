@@ -166,12 +166,29 @@ GAINS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0)
          total_time=1.0, steps=10)
 @example(m=4, terms=[(1, 0.0), (3, 2.0)], alpha=1.0, xstar=1.0, offset=0.0,
          total_time=1.0, steps=10)
+# the parity of p, taken in C, on a negative base: p = 3 (odd) and p = 2 (even)
+@example(m=4, terms=[(1, 1.0)], alpha=1.0, xstar=1.0, offset=-0.5, total_time=1.0, steps=10)
+@example(m=4, terms=[(2, 1.0)], alpha=1.0, xstar=1.0, offset=-0.5, total_time=1.0, steps=10)
 def test_lbs_kernel_equals_python_stepper(m, terms, alpha, xstar, offset, total_time, steps):
     # orders above m give a zero field, order m a constant one; x0 == x* is offset 0
     cost = costs.make_power_cost(alpha, xstar, m)
     compiled, python = both_paths(sim.integrate_lbs, cost, terms, xstar + offset,
                                   total_time, steps)
     assert compiled == python
+
+
+@needs_kernel
+def test_integer_parameter_cost_integrates_like_the_float_one():
+    # make_power_cost holds its parameters as doubles: the same tags, the same bits
+    config = IntegratorConfig(total_time=0.02, steps_per_period=256, decimation=16)
+    runs = {}
+    for params in ((1, 1, 4), (1.0, 1.0, 4)):
+        cost = costs.make_power_cost(*params)
+        runs[params] = (both_paths(sim.integrate, build_two_input(cost, 4, 1, 1e-3, 1.0), 0.0,
+                                   config),
+                        both_paths(sim.integrate_lbs, cost, [(1, 1.0), (3, 0.5)], 0.0, 0.5, 50))
+    assert runs[(1, 1, 4)] == runs[(1.0, 1.0, 4)]
+    assert all(o[0] == "ok" for pair in runs[(1, 1, 4)] for o in pair)
 
 
 @needs_kernel
@@ -218,9 +235,10 @@ def test_cost_of_last_state(drift, overflows):
         with pytest.raises(OverflowError):
             [J(v) for v in states]
         with pytest.raises(OverflowError):
-            sim._integrate_compiled(J, P, Q, 1.0, h, 1, 1)
+            sim._Stepper(J, h, P, Q).run(1.0, 1, 1)
         return
-    xs, js = sim._integrate_compiled(J, P, Q, 1.0, h, 1, 1)
+    xs, js, path = sim._Stepper(J, h, P, Q).run(1.0, 1, 1)
+    assert path == "c"
     assert xs.tobytes() == np.array(states).tobytes()
     assert js.tobytes() == np.array([J(v) for v in states]).tobytes()
 
@@ -234,7 +252,9 @@ def _drift_run(J, targets):
     n = len(targets) - 1
     P = np.zeros(2 * n)
     P[1::2] = np.diff(targets) / 4.0
-    return sim._integrate_compiled(J, P, np.zeros(2 * n), float(targets[0]), 6.0, n, 1)
+    xs, js, path = sim._Stepper(J, 6.0, P, np.zeros(2 * n)).run(float(targets[0]), n, 1)
+    assert path == "c"
+    return xs, js
 
 
 @needs_kernel

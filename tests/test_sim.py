@@ -286,6 +286,14 @@ def polynomial_shape_system():
         (lambda z: 1.0 + 0.5 * z, d1), (lambda z: z - 0.25 * z * z, d2)))
 
 
+def triple_family_system():
+    """make_triple_family's polynomial shapes for phi2 = 0.5 + 0.3 z on the
+    triple123 dithers: not affine, so the generic columns run them."""
+    dithers = make_design("triple123", 1e-3, 1)
+    return sim.ESSystem(cost=QUARTIC, channels=tuple(zip(lie.make_triple_family((0.5, 0.3)),
+                                                         dithers)))
+
+
 def sha256(a: np.ndarray) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
 
@@ -308,6 +316,12 @@ class TestGeneralShapePath:
         rep = analysis.contraction_check(phi2_system(), [0.65, 0.85, 1.1, 1.3], 1.0, 256)
         assert (rep.gamma.hex(), rep.sigma.hex()) == ("-0x1.3b9bca5681f08p+0",
                                                       "0x1.5f93b3e5723dfp+0")
+
+    @pytest.mark.parametrize("system", [triple_family_system(), phi2_system()])
+    def test_one_column_form(self, system):
+        # every column is one function bound to that column's dither values
+        F, _, _ = sim._system_stepper(system, 256).lists
+        assert len(F) == 512 and len({f.__func__ for f in F}) == 1
 
 
 class Counted:
