@@ -40,7 +40,8 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # (product, error) pair as Dekker's split.  Those run only in the build of the
 # RK4 loop that the library picks at load when the CPU has FMA, so no -mfma
 # or -march=native: a cached library may be loaded on another CPU.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# -pthread: the CSV codec splits each call's rows across threads.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 COMPILER = "cc"
 # Codes liees_rk4 returns besides 0 (success): the state diverged, a stage
 # overflowed, only the cost of a stored state overflowed, or a derivative of
@@ -50,6 +51,27 @@ EXCEEDED, OVERFLOW, COST_OVERFLOW, NONFINITE = 1, 2, 3, 4
 # "-2.2250738585072014e-308" (the exact integer path writes at most 23 bytes),
 # and the separator, written over snprintf's terminating zero.
 FIELD_BYTES = 25
+# Least work per part of one codec call: fields formatted, or bytes of text
+# parsed.  Each is about 0.25 ms of work, some ten times a thread's start and
+# join (see the _kernel.c header).
+FORMAT_PART_FIELDS = 4096
+PARSE_PART_BYTES = 1 << 16
+# Most parts the C codec takes in one call.
+MAX_PARTS = 64
+
+
+def cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def part_count(work: int, per_part: int) -> int:
+    """Parts for a codec call of work units: one per CPU, each of at least
+    per_part units."""
+    return max(1, min(cpus(), work // per_part, MAX_PARTS))
 
 
 def _cache_dir() -> str | None:
@@ -130,49 +152,67 @@ def _bind(path: str) -> types.SimpleNamespace:
     lib = ctypes.CDLL(path)
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fmt = lib.liees_format_rows
-    fmt.argtypes = [ptr, i64, i64, i64, ptr]
+    fmt.argtypes = [ptr, i64, i64, i64, i64, ptr]
     fmt.restype = i64
     parse = lib.liees_parse_rows
-    parse.argtypes = [ptr, i64, i64, ptr, i64, i64, ctypes.POINTER(i64)]
+    parse.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, ctypes.POINTER(i64)]
     parse.restype = i64
+    count = lib.liees_count_lines
+    count.argtypes = [ptr, i64]
+    count.restype = i64
     # both codec entry points return -1 when the library could not make its C locale
-    if fmt(None, 0, 0, 0, None) != 0:
+    if fmt(None, 0, 0, 0, 1, None) != 0:
         raise OSError("the CSV codec has no C locale")
 
-    def format_rows(block, n, buf):
+    def format_rows(block, n, buf, parts=None):
         """Write rows 0..n-1 of the columns block[k] as CSV lines into buf, a
         uint8 array of at least FIELD_BYTES bytes per field; returns the
-        number of bytes written."""
+        number of bytes written.  The rows are split into parts (by default
+        part_count's) that threads format at once; the bytes do not depend
+        on it."""
         ncol, stride = block.shape
         if not (block.dtype == np.float64 and block.flags.c_contiguous and 0 <= n <= stride
                 and buf.dtype == np.uint8 and buf.flags.c_contiguous
                 and len(buf) >= FIELD_BYTES * ncol * n):
             raise ValueError("format_rows: block or buffer of the wrong shape or type")
-        return fmt(block.ctypes.data, ncol, stride, n, buf.ctypes.data)
+        if parts is None:
+            parts = part_count(ncol * n, FORMAT_PART_FIELDS)
+        return fmt(block.ctypes.data, ncol, stride, n, parts, buf.ctypes.data)
 
-    def parse_rows(text: bytes, out, fill: int):
-        """Parse the lines of text into the columns out[:, fill:], one line
-        per column index, up to the end of out, stopping at a line that does
-        not end in text or that the writer would not have written.  Returns
-        (lines parsed, the bytes of text they take)."""
+    def count_lines(text) -> int:
+        """The line ends (\\n) in text, any bytes-like object."""
+        view = np.frombuffer(text, np.uint8)
+        return count(view.ctypes.data, len(view))
+
+    def parse_rows(text, out, fill: int, parts=None):
+        """Parse the lines of text, any bytes-like object, into the columns
+        out[:, fill:], one line per column index, up to the end of out,
+        stopping at a line that does not end in text or that the writer
+        would not have written.  Returns (lines parsed, the bytes of text
+        they take).  The text is split at line ends into parts (by default
+        part_count's) that threads parse at once; neither the values nor
+        the result depend on it."""
         ncol, stride = out.shape
         if not (out.dtype == np.float64 and out.flags.c_contiguous and 0 <= fill <= stride):
             raise ValueError("parse_rows: output of the wrong shape or type")
+        view = np.frombuffer(text, np.uint8)
+        if parts is None:
+            parts = part_count(len(view), PARSE_PART_BYTES)
         used = i64(0)
-        rows = parse(text, len(text), ncol, out.ctypes.data + fill * out.itemsize, stride,
-                     stride - fill, ctypes.byref(used))
+        rows = parse(view.ctypes.data, len(view), ncol, out.ctypes.data + fill * out.itemsize,
+                     stride, stride - fill, parts, ctypes.byref(used))
         return rows, used.value
 
     return types.SimpleNamespace(rk4=rk4_entry(lib.liees_rk4), format_rows=format_rows,
-                                 parse_rows=parse_rows, cdll=lib)
+                                 count_lines=count_lines, parse_rows=parse_rows, cdll=lib)
 
 
 @functools.lru_cache(maxsize=None)
 def load():
     """The compiled library, or None when it cannot be built or loaded.
     Its entry points: rk4, the RK4 loop of sim.integrate and
-    sim.integrate_lbs; format_rows and parse_rows, the CSV codec; and cdll,
-    the ctypes library itself."""
+    sim.integrate_lbs; format_rows, count_lines and parse_rows, the CSV
+    codec; and cdll, the ctypes library itself."""
     try:
         with open(SOURCE, "rb") as fh:
             key = sha256(fh.read())

@@ -78,6 +78,8 @@ def make_power_cost(alpha: float, xstar: float, m: int) -> CostFunction:
     except OverflowError:
         raise InvalidParameterError(
             "alpha and xstar must lie within the range of a float") from None
+    if not (math.isfinite(alpha) and math.isfinite(xstar)):
+        raise InvalidParameterError(f"alpha and xstar must be finite, got {alpha} and {xstar}")
 
     def _deriv(order: int) -> Callable[[float], float]:
         # .power = (c, xstar, p): the derivative is c * (x - xstar) ** p, which

@@ -52,8 +52,10 @@ significand and the decimal exponent, and converts them by the Eisel-Lemire
 algorithm (one 64 x 128-bit product with a power of ten, rarely a second);
 strtod in the C locale reads the fields that algorithm declines (possible
 ties and carries, more than 19 digits, exponents past +-55).  Both round
-correctly, as float does.  The bytes written and the values read are those
-of the Python codec, which runs without the library.
+correctly, as float does.  Both split each call's rows across the CPUs the
+process may run on, on threads the call starts and joins itself.  The bytes
+written and the values read are those of the Python codec, which runs
+without the library, whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -99,11 +101,15 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Rows per block of trajectory CSV formatted at once, or parsed at once in Python:
-# the writer's memory stays flat in the number of rows beyond the arrays.
+# Rows per block of trajectory CSV formatted or parsed at once in Python, and
+# formatted at once by the compiled codec: the writer's memory stays flat in the
+# number of rows beyond the arrays.
 CSV_BLOCK = 1024
-# Bytes of trajectory CSV the compiled reader reads at once.
-CSV_CHUNK = 1 << 16
+CSV_FORMAT_BLOCK = 1 << 14
+# Bytes of trajectory CSV the compiled reader reads at once: its one buffer.
+CSV_CHUNK = 1 << 19
+# The characters of the writer's CSV lines.
+CSV_ALPHABET = "0123456789+-.,einfa\n"
 # Time steps checked at once: the check's temporaries stay small beside the
 # arrays read.
 SPACING_BLOCK = 1 << 14
@@ -547,14 +553,19 @@ def write_csv_rows(fh, columns) -> None:
     """Write the rows zip(*columns) to the text file fh as CSV lines, each
     value spelled as "%.17g" % float(v) spells it.
 
-    Like zip, it stops at the shortest column.  Rows are formatted CSV_BLOCK
-    at a time, by the compiled codec when it loads and every column is a 1-d
-    array of bool, integer or float values, else by Python's own "%.17g"; the
-    bytes are the same either way.  The compiled codec rounds each value to
-    17 digits itself, in exact integer arithmetic, and writes nan for every
-    NaN, as Python does; only subnormals, 0 < |v| <= 1e-38 and |v| >= 2^128
-    go through snprintf "%.17g" (see the _kernel.c header for the argument
-    that the bytes agree).
+    Like zip, it stops at the shortest column.  When the compiled codec loads
+    and every column is a 1-d array of bool, integer or float values, it
+    formats CSV_FORMAT_BLOCK rows at a time, each block split across the
+    process's CPUs, and writes the bytes to fh.buffer after flushing fh, when
+    fh has a buffer and an encoding that spells the CSV characters as ASCII
+    does (else it writes them to fh as str).  Those bytes bypass fh's newline
+    translation: a file opened with the default newline on POSIX gets the
+    same bytes either way.  Otherwise Python's own "%.17g" formats CSV_BLOCK
+    rows at a time; the bytes are the same.  The compiled codec rounds each
+    value to 17 digits itself, in exact integer arithmetic, and writes nan for
+    every NaN, as Python does; only subnormals, 0 < |v| <= 1e-38 and
+    |v| >= 2^128 go through snprintf "%.17g" (see the _kernel.c header for
+    the argument that the bytes agree, whatever the number of threads).
     """
     from . import _kernel
 
@@ -562,14 +573,20 @@ def write_csv_rows(fh, columns) -> None:
     n = min(len(c) for c in columns)
     lib = _kernel.load()
     if lib is not None and all(c.ndim == 1 and c.dtype.kind in "biuf" for c in columns):
-        block = np.empty((len(columns), CSV_BLOCK))
+        block = np.empty((len(columns), min(n, CSV_FORMAT_BLOCK)))
         buf = np.empty(_kernel.FIELD_BYTES * block.size, np.uint8)
-        for s in range(0, n, CSV_BLOCK):
-            m = min(CSV_BLOCK, n - s)
+        out = getattr(fh, "buffer", None)
+        if out is not None and CSV_ALPHABET.encode(fh.encoding) == CSV_ALPHABET.encode():
+            fh.flush()
+            write = out.write
+        else:
+            def write(data):
+                fh.write(str(data, "ascii"))
+        for s in range(0, n, CSV_FORMAT_BLOCK):
+            m = min(CSV_FORMAT_BLOCK, n - s)
             for row, c in zip(block, columns):
                 row[:m] = c[s:s + m]
-            size = lib.format_rows(block, m, buf)
-            fh.write(str(memoryview(buf)[:size], "ascii"))
+            write(memoryview(buf)[:lib.format_rows(block, m, buf)])
         return
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     for s in range(0, n, CSV_BLOCK):
@@ -669,12 +686,16 @@ def _check_spacing(times: np.ndarray, path: str) -> None:
 
 def _read_compiled(raw) -> np.ndarray | None:
     """The columns of every row of the binary file raw as one (3, rows)
-    array, parsed by the compiled codec CSV_CHUNK bytes at a time, each chunk
-    completed to its line end; or None, with raw at its start, when the
-    library does not load, raw is not seekable, its header line is not
-    exactly t,x,J, or a line lies outside the writer's own grammar (a last
-    line without its line end included) or past the line ends counted first
-    to size the array.
+    array, or None, with raw at its start, when the library does not load,
+    raw is not seekable, its header line is not exactly t,x,J, or a line lies
+    outside the writer's own grammar (a last line without its line end
+    included), is longer than CSV_CHUNK bytes, or lies past the line ends
+    counted first to size the array.
+
+    One buffer of CSV_CHUNK bytes is filled by readinto, twice over the
+    file: first to count its line ends in C, then to parse the whole lines
+    it holds, split at line ends across the process's CPUs, with any partial
+    last line moved to the buffer's front to be completed by the next read.
     """
     from . import _kernel
 
@@ -682,23 +703,26 @@ def _read_compiled(raw) -> np.ndarray | None:
     if lib is None or not raw.seekable():
         return None
     if raw.readline(8) in (b"t,x,J\n", b"t,x,J\r\n"):
+        buf = bytearray(CSV_CHUNK)
+        view = memoryview(buf)
         offset, lines = raw.tell(), 0
-        while chunk := raw.read(CSV_CHUNK):
-            lines += chunk.count(b"\n")
+        while size := raw.readinto(buf):
+            lines += lib.count_lines(view[:size])
         raw.seek(offset)
-        values, fill = np.empty((3, lines)), 0
-        while chunk := raw.read(CSV_CHUNK):
-            # whole lines, unless the last has no line end within CSV_CHUNK
-            # more bytes: the writer's lines are far shorter
-            text = chunk + raw.readline(CSV_CHUNK)
-            k, used = lib.parse_rows(text, values, fill)
-            fill += k
-            if used < len(text):
-                # a line outside the grammar, without its line end or past the
-                # lines counted
+        values, fill, size = np.empty((3, lines)), 0, 0
+        while read := raw.readinto(view[size:]):
+            size += read
+            end = buf.rfind(b"\n", 0, size) + 1
+            rows, used = lib.parse_rows(view[:end], values, fill)
+            fill += rows
+            if used < end or not end and size == len(buf):
+                # a line outside the grammar or past the lines counted, or
+                # one with no line end in a full buffer
                 break
+            size -= end
+            view[:size] = view[end:end + size]
         else:
-            if fill == lines:
+            if fill == lines and not size:
                 return values
     raw.seek(0)
     return None
@@ -709,12 +733,14 @@ def read_trajectory_csv(path: str, epsilon: float = 0.0) -> Trajectory:
 
     One parser reads the whole file: the compiled codec (see _read_compiled)
     when it loads, the file is seekable and every line is in the writer's own
-    grammar ("%.17g" fields, \\n or \\r\\n line ends); else Python's float,
+    grammar ("%.17g" fields, \\n or \\r\\n line ends), its text split at line
+    ends across the process's CPUs; else Python's float,
     CSV_BLOCK lines at a time, which also takes spellings such as " 1_0.5 ",
     "+1" or "Infinity" and names the line of a malformed row.  The compiled
     codec converts a field by Eisel-Lemire, which returns the correctly
     rounded double or declines, and a declined field by strtod, which rounds
-    correctly too.  So every value is the one float returns, either way.
+    correctly too.  So every value is the one float returns, either way and
+    on any number of threads.
     """
     with open(path, "rb") as raw:
         values = _read_compiled(raw)

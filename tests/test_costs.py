@@ -41,6 +41,13 @@ class TestMakePowerCost:
         with pytest.raises(InvalidParameterError, match="range of a float"):
             costs.make_power_cost(alpha, xstar, 2)
 
+    @pytest.mark.parametrize("alpha, xstar", [(math.nan, 0.0), (math.inf, 0.0),
+                                              (1.0, math.nan), (1.0, math.inf)],
+                             ids=["alpha-nan", "alpha-inf", "xstar-nan", "xstar-inf"])
+    def test_non_finite_parameters_rejected(self, alpha, xstar):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            costs.make_power_cost(alpha, xstar, 2)
+
     def test_declared_minimum_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             costs.CostFunction(eval=lambda x: x**2 + 1.0, xstar=0.0, jstar=0.0)

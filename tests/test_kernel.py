@@ -540,6 +540,74 @@ def test_writer_bytes_equal_python(tmp_path_factory, data, ncol, n):
     assert compiled == python_codec(csv_bytes, path / "py.csv", columns)
 
 
+# values for the split tests: every special, subnormals, and the ends of the
+# writer's exact path, 1e-38 and 2^128
+EDGE_VALUES = (st.sampled_from(SPECIALS.tolist())
+               | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+               | st.sampled_from([s * v for s in (1.0, -1.0)
+                                  for v in (*neighbours(1e-38), *neighbours(2.0 ** 128))])
+               | st.floats(1e-39, 1e-37) | st.floats(2.0 ** 127, 2.0 ** 129)
+               | st.floats(width=64))
+
+
+def python_lines(columns, sep="\n") -> list[str]:
+    """The Python codec's CSV lines of the rows zip(*columns)."""
+    return [",".join("%.17g" % v for v in row) + sep for row in zip(*columns)]
+
+
+def test_part_count_follows_the_cpus_and_the_work(monkeypatch):
+    monkeypatch.setattr(_kernel, "cpus", lambda: 4)
+    per_part = _kernel.PARSE_PART_BYTES
+    assert [_kernel.part_count(w, per_part) for w in (0, per_part - 1, per_part,
+                                                      3 * per_part, 100 * per_part)] \
+        == [1, 1, 1, 3, 4]
+    monkeypatch.setattr(_kernel, "cpus", lambda: 1000)
+    assert _kernel.part_count(10 ** 12, 1) == _kernel.MAX_PARTS
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), ncol=st.integers(1, 5), parts=st.integers(1, 4),
+       n=st.sampled_from([0, 1]) | st.integers(0, 200))
+def test_writer_bytes_do_not_depend_on_the_part_count(codec_lib, data, ncol, parts, n):
+    block = np.empty((ncol, n))
+    for row in block:
+        row[:] = data.draw(arrays(np.float64, n, elements=EDGE_VALUES))
+    buf = np.empty(_kernel.FIELD_BYTES * block.size, np.uint8)
+    one = bytes(buf[:codec_lib.format_rows(block, n, buf, 1)])
+    assert bytes(buf[:codec_lib.format_rows(block, n, buf, parts)]) == one
+    assert one == "".join(python_lines(block.tolist())).encode()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), parts=st.integers(2, 4), n=st.sampled_from([0, 1]) | st.integers(0, 120),
+       sep=st.sampled_from(["\n", "\r\n"]),
+       flaw=st.sampled_from([None, "-nan", "missing field", "open end"]))
+def test_reader_result_does_not_depend_on_the_part_count(codec_lib, data, parts, n, sep, flaw):
+    columns = [data.draw(arrays(np.float64, n, elements=EDGE_VALUES)) for _ in range(3)]
+    lines = python_lines([c.tolist() for c in columns], sep)
+    if flaw == "open end" and lines:
+        lines[-1] = lines[-1].rstrip(sep)
+    elif flaw is not None and lines:
+        row, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
+        fields = lines[row].rstrip(sep).split(",")
+        if flaw == "-nan":
+            fields[k] = "-nan"
+        else:
+            del fields[k]
+        lines[row] = ",".join(fields) + sep
+    text = "".join(lines).encode()
+    # the output may end before the text does
+    fill, room = data.draw(st.integers(0, 3)), data.draw(st.integers(max(0, n - 3), n + 2))
+    results = []
+    for p in (1, parts):
+        out = np.full((3, fill + room), -1.5)
+        rows, used = codec_lib.parse_rows(text, out, fill, p)
+        results.append(((rows, used), out[:, fill:fill + rows].tobytes()))
+    assert results[1] == results[0]
+    if flaw is None and room >= n:
+        assert results[0][0] == (n, len(text))
+
+
 def read_outcome(path):
     """The arrays read from path as bytes, or the error message."""
     try:
@@ -616,7 +684,7 @@ READ_WHOLE = {"clean", "crlf", "crlf-rows", "nan-inf", "huge-tiny-signed", "subn
 
 @needs_kernel
 def test_reader_declines_a_long_open_line_in_linear_time(tmp_path, monkeypatch):
-    # each parse gets one chunk completed to its line end, never the whole of
+    # each parse gets at most the whole lines of one chunk, never the whole of
     # a line that has none
     path = tmp_path / "open.csv"
     path.write_bytes(b"t,x,J\n" + ROWS[0].encode() + b"1" * 100_000)
@@ -631,7 +699,7 @@ def test_reader_declines_a_long_open_line_in_linear_time(tmp_path, monkeypatch):
     monkeypatch.setattr(lib, "parse_rows", parse_rows)
     with open(path, "rb") as raw:
         assert sim._read_compiled(raw) is None and raw.tell() == 0
-    assert sizes and max(sizes) <= 2 * 64
+    assert sizes and max(sizes) <= 64
 
 
 def test_compiled_reader_reads_every_written_file_whole(tmp_path, codec):
