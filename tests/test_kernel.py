@@ -661,7 +661,8 @@ CSV_FILES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [97, sim.CSV_CHUNK])
+# 1 << 16 was the reader's buffer before it grew to CSV_CHUNK; both must agree
+@pytest.mark.parametrize("chunk", [97, 1 << 16, sim.CSV_CHUNK])
 @pytest.mark.parametrize("name", CSV_FILES)
 def test_reader_equals_python(tmp_path, monkeypatch, codec, name, chunk):
     path = tmp_path / f"{name}.csv"
