@@ -55,9 +55,9 @@
  * same bits in every state.  The one RK4 loop, rk4_loop, is built twice: a
  * portable build with the split (liees_rk4_split, exported so that tests
  * run it on any CPU) and a build with __attribute__((target("fma"))).
- * liees_rk4 runs the one chosen once, when the library loads, from
- * __builtin_cpu_supports("fma"); on a target that defines __FP_FAST_FMA,
- * where fma is one instruction on every CPU, it runs the fused form only.
+ * liees_rk4 runs the fused form only where __FP_FAST_FMA is defined (fma is
+ * one instruction on every CPU), else on x86-64 the one chosen once, when the
+ * library loads, from __builtin_cpu_supports("fma"), else the portable one.
  * Each build takes the powers of the full system's stages, nearly all the
  * powers of a run, inline in its own form; the averaged field and the stored
  * costs call one shared copy with the split.
@@ -70,7 +70,8 @@
  *
  * The same library holds the trajectory CSV codec of liees.sim.  Its bytes
  * and values equal those of the Python codec, which runs when this library
- * does not load:
+ * does not load.  The codec needs unsigned __int128: a compiler without it
+ * stops at an #error, and liees then runs in Python, with the same results.
  *
  *   - liees_format_rows writes each value as Python's "%.17g" % v does: the
  *     exact binary value rounded to 17 significant digits, ties to even, in
@@ -115,8 +116,7 @@
  *          here).
  *     +-0, +-inf and NaN are written as 0, -0, inf, -inf and nan, as both
  *     spell them.  Every other field (subnormals, 0 < |v| <= 1e-38 and
- *     |v| >= 2^128), and every field when the compiler has no unsigned
- *     __int128, is written by snprintf "%.17g".
+ *     |v| >= 2^128) is written by snprintf "%.17g".
  *   - liees_parse_rows reads only the writer's own grammar: fields
  *     -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf, -inf and nan, separated by
  *     commas, with \n or \r\n line ends.  inf and nan are the constants
@@ -152,8 +152,7 @@
  *     zero), so every field reads as float() reads it, whichever path takes
  *     it.  The fields of the writer's exact path have at most 17 digits and
  *     |e| <= 54, so strtod reads only the declined ones, such as exact binary
- *     values with a short decimal (1.625).  Without unsigned __int128 every
- *     numeric field goes to strtod.
+ *     values with a short decimal (1.625).
  *     The first line outside that grammar stops the parser, and the caller
  *     then reads the whole file in Python: one parser per file.
  *
@@ -473,7 +472,7 @@ __attribute__((constructor)) static void choose_rk4_build(void)
 {
     rk4_build = rk4_fma;
 }
-#elif defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#elif defined(__GNUC__) && defined(__x86_64__)
 /* The build with FMA, run only where the CPU has it. */
 __attribute__((target("fma"))) static int rk4_fma(RK4_PARAMS)
 {
@@ -505,7 +504,9 @@ int liees_rk4_uses_fma(void)
  * failed, and then the codec entry points return -1. */
 static locale_t c_locale;
 
-#ifdef __SIZEOF_INT128__
+#ifndef __SIZEOF_INT128__
+#error "the CSV codec needs unsigned __int128"
+#endif
 typedef unsigned __int128 u128;
 
 /* The reader's powers of ten 10^e = (m + delta) 2^e2, 0 <= delta < 1,
@@ -545,14 +546,11 @@ static void make_pow10(void)
         }
     }
 }
-#endif
 
 __attribute__((constructor)) static void make_codec_tables(void)
 {
     c_locale = newlocale(LC_ALL_MASK, "C", (locale_t) 0);
-#ifdef __SIZEOF_INT128__
     make_pow10();
-#endif
 }
 
 /* "%.17g" of v by glibc's snprintf in the C locale, at p; returns its length. */
@@ -565,7 +563,6 @@ static int format_libc(char *p, double v)
     return len;
 }
 
-#ifdef __SIZEOF_INT128__
 static const char DIGIT_PAIRS[] =
     "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
@@ -702,7 +699,6 @@ static int format_exact(char *p, int neg, int be, uint64_t m)
     }
     return (int) (s - p);
 }
-#endif
 
 /* "%.17g" of v at p, nan for every NaN; returns its length. */
 static inline int format_field(char *p, double v)
@@ -725,10 +721,8 @@ static inline int format_field(char *p, double v)
         memcpy(p, be ? "inf" : "0", len);
         return neg + len;
     }
-#ifdef __SIZEOF_INT128__
     if (fabs(v) > 1e-38 && fabs(v) < 0x1p128)
         return format_exact(p, neg, be, bits | 1ULL << 52);
-#endif
     return format_libc(p, v);
 }
 
@@ -829,7 +823,6 @@ static inline const char *digits(const char *p, const char *end, uint64_t *w, in
     return p;
 }
 
-#ifdef __SIZEOF_INT128__
 /* w 10^e for w < 2^64 and |e| <= POW10_MAX, with the sign neg, into *v
  * by Eisel-Lemire; returns 0 where it declines (see the header). */
 static inline int eisel_lemire(uint64_t w, int e, int neg, double *v)
@@ -875,7 +868,6 @@ static inline int eisel_lemire(uint64_t w, int e, int neg, double *v)
     memcpy(v, &bits, sizeof bits);
     return 1;
 }
-#endif
 
 /* The end of the field at p if it is -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?, inf,
  * -inf or nan, with its value in *v, else NULL: one pass that checks the
@@ -923,10 +915,8 @@ static inline const char *parse_field(const char *p, const char *end, double *v)
             return NULL;
         e += q[-1] == '-' ? -x : x;
     }
-#ifdef __SIZEOF_INT128__
     if (nd <= 19 && e >= -POW10_MAX && e <= POW10_MAX && eisel_lemire(w, (int) e, neg, v))
         return p;
-#endif
     /* strtod would read past p only where more of a number follows (1E5,
      * 0x1p3), on a line refused anyway; it gets only a field followed by
      * its delimiter in text, where it stops, so it never reads past text */

@@ -6,9 +6,9 @@ the shared library in $XDG_CACHE_HOME/liees (else ~/.cache/liees), keyed by
 the SHA-256 of the source, the flags and the machine type.  A cache
 directory that is missing and cannot be made, is not owned by the user, or
 is writable by others is not used: the library is then built in a private
-temporary directory for this process only.  Any failure (no compiler, a
-failed compile, a library that does not load) makes load() return None and
-the caller integrates, writes and reads CSV in Python, with the same
+temporary directory for this process only.  Any failure (no compiler, one
+without unsigned __int128, a failed compile, a library that does not load)
+makes load() return None and the caller runs in Python, with the same
 results.  The result is memoised per process; nothing is loaded before the
 first integration or CSV call, so `import liees` loads no shared library.
 """

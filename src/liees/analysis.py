@@ -210,6 +210,8 @@ def contraction_check(system: ESSystem, x0_grid, xstar: float,
     lhs <= d0^2 (1 - 2 eps gamma) + eps^(1 + 1/m) sigma holds at every grid
     point.
     """
+    if len(x0_grid) == 0:
+        raise InvalidParameterError("contraction_check needs at least one start in x0_grid")
     eps = system.epsilon
     m = system.cost.degree if system.cost.degree is not None else 2
     ends = period_map(system, x0_grid, 1, steps_per_period).tolist()

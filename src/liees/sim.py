@@ -17,10 +17,11 @@ integrate_lbs runs on two columns: it has no time dependence.  _Stepper
 chooses its path once, when it is built, and period_map runs the stepper of
 one system from many starts, building the tables and the right-hand side once.
 
-When the cost comes from make_power_cost and x0 is a float, integrate (with
-affine shapes: every system a config can build), period_map and
-integrate_lbs run the same stepper compiled from C (liees/_kernel.c), whose
-stage function is J(x) = alpha * (x - xstar)^m or the averaged field
+Any real start x0 is converted once to a float, by _Stepper.run.  When the
+cost comes from make_power_cost, integrate (with affine shapes: every system
+a config can build), period_map and integrate_lbs run the same stepper
+compiled from C (liees/_kernel.c), whose stage function is
+J(x) = alpha * (x - xstar)^m or the averaged field
 -sum_j gamma_j J^(j)(x), its parameters read from the cost's .power tags,
 which hold doubles.  It performs the Python stepper's floating-point
 operations in the same order, except the powers v^n with n = 2, 3, 4 and
@@ -63,6 +64,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass, field
@@ -354,10 +356,15 @@ class _Stepper:
             self.stage = (*tags[0], [(g, *tag) for (_, g, _), tag in zip(field, tags[1:])])
 
     def run(self, x0, n_out: int, dec: int):
-        """(states, costs, kernel) of n_out * dec steps from x0, storing every
-        dec-th state."""
+        """(states, costs, kernel) of n_out * dec steps from float(x0), each dec-th stored."""
+        if not isinstance(x0, numbers.Real):
+            raise InvalidParameterError(f"the start must be a real number, got {x0!r}")
+        try:
+            x0 = float(x0)
+        except OverflowError:
+            raise InvalidParameterError("the start is too large for a float") from None
         check_array_size(n_out + 1, f"{n_out + 1} stored states")
-        if self.stage is not None and type(x0) is float:
+        if self.stage is not None:
             from . import _kernel
 
             kernel = _kernel.load()
@@ -472,7 +479,7 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
 
 
 def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 over whole periods; raises DivergenceError past 1e12.
+    """Fixed-step RK4 over whole periods from any real x0; raises DivergenceError past 1e12.
 
     The run is round(config.total_time / eps) periods (ties to even), at least
     one, recorded in meta["periods"]: total_time 0.4 eps runs one period and
@@ -500,7 +507,7 @@ def period_map(system: ESSystem, xs, periods: int = 1,
                steps_per_period: int = 4096) -> np.ndarray:
     """The states after `periods` periods from each start in xs.
 
-    Entry i is bitwise equal to integrate(system, float(xs[i]),
+    Entry i is bitwise equal to integrate(system, xs[i],
     IntegratorConfig(periods * eps, steps_per_period)).states[-1]: the same
     stepper runs from every start, on dither tables and a right-hand side
     built once per call.  A start that makes integrate raise makes period_map
@@ -511,7 +518,7 @@ def period_map(system: ESSystem, xs, periods: int = 1,
     S = steps_per_period
     IntegratorConfig(total_time=periods * system.epsilon, steps_per_period=S)  # checks S
     stepper = _system_stepper(system, S)
-    return np.array([stepper.run(float(x), periods, S)[0][-1] for x in xs])
+    return np.array([stepper.run(x, periods, S)[0][-1] for x in xs])
 
 
 def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]],
@@ -519,8 +526,7 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
                   record_epsilon: float | None = None) -> Trajectory:
     """RK4 on the averaged system x' = -sum_j gamma_j J^(j)(x), orders j <= 3.
 
-    Like integrate, it runs the compiled kernel when the cost comes from
-    make_power_cost and x0 is a float, and records the path in meta["kernel"].
+    Like integrate, it takes any real x0 and records its path in meta["kernel"].
     """
     terms = [(int(j), float(g)) for j, g in bracket_terms]
     for j, g in terms:

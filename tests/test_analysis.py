@@ -261,6 +261,13 @@ class TestContraction:
         assert not rep.contracts
         assert all(p["holds"] for p in rep.points)
 
+    def test_empty_grid_is_refused_before_integrating(self, monkeypatch):
+        system = build_two_input(costs.make_power_cost(1.0, 1.0, 4), 4, 1, 1e-3, 1.0)
+        monkeypatch.setattr(analysis, "period_map", lambda *a: pytest.fail("integrated"))
+        with pytest.raises(InvalidParameterError, match="at least one start") as err:
+            contraction_check(system, [], 1.0)
+        assert "\n" not in str(err.value)
+
     def test_rescaling_preserves_sign(self):
         # J -> 2J with the gain halved gives identical fields, identical gamma
         a = build_two_input(costs.make_power_cost(1.0, 1.0, 4), 4, 1, 1e-3, 1.0)

@@ -209,6 +209,70 @@ def test_lbs_failures_match_python(cost, terms, x0, total_time, steps, kind):
     assert kind in ": ".join(map(str, compiled[:2]))
 
 
+def typed_runs(start):
+    """integrate, period_map and integrate_lbs of a quartic from start, each
+    as ("ok", states, costs, their dtypes, meta["kernel"]) or the failure as
+    (type, message, time, state)."""
+    system = build_two_input(QUARTIC, 4, 1, 1e-3, 1.0)
+    config = IntegratorConfig(total_time=2e-3, steps_per_period=256, decimation=16)
+    runs = []
+    for run in (lambda: sim.integrate(system, start, config),
+                lambda: sim.period_map(system, [start], 1, 256),
+                lambda: sim.integrate_lbs(QUARTIC, [(3, 1.0)], start, 1.0, 50)):
+        try:
+            out = run()
+        except (DivergenceError, NumericFailureError) as err:
+            runs.append((type(err).__name__, str(err), err.last_time, err.last_x))
+            continue
+        if isinstance(out, np.ndarray):
+            runs.append(("ok", out.tobytes(), None, {out.dtype}, None))
+        else:
+            runs.append(("ok", out.states.tobytes(), out.cost_values.tobytes(),
+                         {out.states.dtype, out.cost_values.dtype}, out.meta["kernel"]))
+    return runs
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(v=st.floats(-3.0, 3.0))
+@example(v=2.5)  # state exceeded 1e+12
+@example(v=1e30)  # state overflow at t=0
+def test_the_type_of_a_start_never_shows(v):
+    # each start against the float start it converts to, on both paths
+    r = round(v)
+    starts = [(np.float64(v), v), (np.float32(v), float(np.float32(v))), (Fraction(v), v),
+              (r, float(r))]
+    if abs(r) < 2 ** 63:
+        starts.append((np.int64(r), float(r)))
+    for load in (_kernel.load, lambda: None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_kernel, "load", load)
+            kernel = "c" if _kernel.load() is not None else "python"
+            for start, ref in starts:
+                runs = typed_runs(start)
+                assert runs == typed_runs(ref), (type(start).__name__, start)
+                for run in runs:
+                    if run[0] == "ok":
+                        assert run[3] == {np.dtype(np.float64)}
+                        assert run[4] in (None, kernel)
+
+
+@pytest.mark.parametrize("start", [1j, np.complex128(1.0), "0.5", Decimal("0.5"), None,
+                                   10 ** 400],
+                         ids=["complex", "complex128", "str", "Decimal", "None", "10**400"])
+@pytest.mark.parametrize("library", [True, False])
+def test_a_start_with_no_float_value_is_refused(start, library, monkeypatch):
+    if not library:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    system = build_two_input(QUARTIC, 4, 1, 1e-3, 1.0)
+    config = IntegratorConfig(total_time=1e-3, steps_per_period=256, decimation=16)
+    for run in (lambda: sim.integrate(system, start, config),
+                lambda: sim.period_map(system, [start], 1, 256),
+                lambda: sim.integrate_lbs(QUARTIC, [(3, 1.0)], start, 1.0, 50)):
+        with pytest.raises(InvalidParameterError, match="the start") as err:
+            run()
+        assert "\n" not in str(err.value)
+
+
 def test_lbs_records_its_path(monkeypatch):
     args = ([(1, 1.0)], 0.0, 1.0, 10)
     # analytic derivatives without make_power_cost's .power tags
@@ -216,7 +280,9 @@ def test_lbs_records_its_path(monkeypatch):
         eval=lambda x: QUARTIC.eval(x), xstar=1.0, jstar=0.0, degree=4,
         analytic_derivs=tuple(lambda x, d=d: d(x) for d in QUARTIC.analytic_derivs))
     assert sim.integrate_lbs(untagged, *args).meta["kernel"] == "python"
-    assert sim.integrate_lbs(QUARTIC, [(1, 1.0)], 0, 1.0, 10).meta["kernel"] == "python"
+    # an int start runs where a float start runs
+    kernel = "python" if _kernel.load() is None else "c"
+    assert sim.integrate_lbs(QUARTIC, [(1, 1.0)], 0, 1.0, 10).meta["kernel"] == kernel
     monkeypatch.setattr(_kernel, "load", lambda: None)
     assert sim.integrate_lbs(QUARTIC, *args).meta["kernel"] == "python"
 
@@ -316,6 +382,17 @@ def test_no_compiler_falls_back(tmp_path, monkeypatch, fresh_loader):
         assert slow.cost_values.tobytes() == fast.cost_values.tobytes()
 
 
+@pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None, reason="no cc on PATH")
+def test_source_needs_unsigned_int128():
+    # a compiler without the type fails the build, and load() returns None
+    # (test_failed_compile_falls_back)
+    done = subprocess.run([shutil.which(_kernel.COMPILER), "-fsyntax-only",
+                           "-U__SIZEOF_INT128__", _kernel.SOURCE], capture_output=True,
+                          text=True, stdin=subprocess.DEVNULL, timeout=120)
+    assert done.returncode != 0
+    assert "unsigned __int128" in done.stderr
+
+
 def test_failed_compile_falls_back(tmp_path, monkeypatch, fresh_loader):
     fake = tmp_path / _kernel.COMPILER
     fake.write_text("#!/bin/sh\nexit 1\n")
@@ -395,21 +472,11 @@ def test_signature_overflow_fails_alike(kind, eps, word):
 
 # The CSV codec: the compiled writer and reader against the Python ones.
 
-@pytest.fixture(scope="session", params=["default", "no-int128"])
-def codec_lib(request, tmp_path_factory):
-    """A build of the compiled codec: the library the loader returns, or the
-    source compiled as by a compiler with no unsigned __int128, whose writer
-    calls snprintf and whose reader calls strtod for every numeric field."""
-    if request.param == "default":
-        lib = _kernel.load()
-    else:
-        cc, lib = shutil.which(_kernel.COMPILER), None
-        if cc is not None:
-            target = str(tmp_path_factory.mktemp("no-int128") / "kernel.so")
-            subprocess.run([cc, *_kernel.FLAGS, "-U__SIZEOF_INT128__", "-o", target,
-                            _kernel.SOURCE, "-lm"], check=True, capture_output=True,
-                           stdin=subprocess.DEVNULL, timeout=120)
-            lib = _kernel._bind(target)
+# one parameter, named for the build: the codec tests keep their [default] ids
+@pytest.fixture(scope="session", params=["default"])
+def codec_lib():
+    """The compiled codec: the library the loader returns."""
+    lib = _kernel.load()
     if lib is None:
         pytest.skip("the compiled codec cannot be built here")
     return lib
@@ -417,7 +484,7 @@ def codec_lib(request, tmp_path_factory):
 
 @pytest.fixture
 def codec(codec_lib, monkeypatch):
-    """Run liees.sim's codec on each build of codec_lib."""
+    """Run liees.sim's codec on codec_lib."""
     monkeypatch.setattr(_kernel, "load", lambda: codec_lib)
 
 
