@@ -728,18 +728,52 @@ CSV_FILES = {
 }
 
 
+@pytest.fixture(scope="session", params=["default", "no-int128"])
+def reader_lib(request, tmp_path_factory):
+    """What the loader returns: the library it builds here, or, with a
+    compiler that has no unsigned __int128, None, the build stopped by the
+    guard at the u128 typedef (its stderr says so)."""
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("the compiled codec cannot be built here")
+    if request.param == "default":
+        return lib
+    home = tmp_path_factory.mktemp("no-int128")
+    fake, log = home / _kernel.COMPILER, home / "stderr.txt"
+    fake.write_text(f'#!/bin/sh\nexec "{shutil.which(_kernel.COMPILER)}" '
+                    f'-U__SIZEOF_INT128__ "$@" 2>>"{log}"\n')
+    fake.chmod(0o755)
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(home / "cache"))
+        m.setenv("PATH", str(home) + os.pathsep + os.environ.get("PATH", ""))
+        _kernel.load.cache_clear()
+        try:
+            built = _kernel.load()
+        finally:
+            _kernel.load.cache_clear()
+    assert built is None
+    assert "unsigned __int128" in log.read_text()
+    return built
+
+
 # 1 << 16 was the reader's buffer before it grew to CSV_CHUNK; both must agree
 @pytest.mark.parametrize("chunk", [97, 1 << 16, sim.CSV_CHUNK])
 @pytest.mark.parametrize("name", CSV_FILES)
-def test_reader_equals_python(tmp_path, monkeypatch, codec, name, chunk):
+def test_reader_equals_python(tmp_path, monkeypatch, reader_lib, name, chunk):
+    # each build reads each file as the Python and the compiled reader do
     path = tmp_path / f"{name}.csv"
     path.write_bytes(CSV_FILES[name].encode(errors="surrogateescape"))
     monkeypatch.setattr(sim, "CSV_CHUNK", chunk)
-    compiled = read_outcome(path)
-    assert compiled == python_codec(read_outcome, path)
+    outcomes = []
+    for lib in (reader_lib, None, _kernel.load()):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_kernel, "load", lambda: lib)
+            outcomes.append(read_outcome(path))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    monkeypatch.setattr(_kernel, "load", lambda: reader_lib)
     with open(path, "rb") as raw:
         whole = sim._read_compiled(raw)
-        assert (whole is not None) == (name in READ_WHOLE)
+        assert (whole is not None) == (reader_lib is not None and name in READ_WHOLE)
         if whole is None:
             assert raw.tell() == 0
 
