@@ -360,8 +360,9 @@ def _check_finite(what: str, pairs, eps: float) -> None:
             raise NumericFailureError(f"{what} {''.join(map(str, w))} is {v} at epsilon {eps:g}")
 
 
-def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> float:
-    """Worst violation of entry(w1) entry(w2) = sum of shuffle entries.
+def shuffle_residual(sig: Signature) -> float:
+    """Worst violation of entry(w1) entry(w2) = sum of shuffle entries, over
+    the pairs of words whose lengths sum to at most the signature's depth.
 
     Each pair's defect is divided by the largest of |lhs|, |rhs| and the
     largest absolute entry of the signature (1 when every entry is 0).  The
@@ -370,9 +371,8 @@ def shuffle_residual(sig: Signature, pairs: Sequence[tuple] | None = None) -> fl
     a quadrature estimate whose largest entry is small against the scale of
     its path, the quadrature error alone can read as a large residual.
     """
-    if pairs is None:
-        ws = [w for w, _ in sig.items() if len(w) <= sig.depth - 1]
-        pairs = [(w1, w2) for w1 in ws for w2 in ws if len(w1) + len(w2) <= sig.depth]
+    ws = [w for w, _ in sig.items() if len(w) <= sig.depth - 1]
+    pairs = [(w1, w2) for w1 in ws for w2 in ws if len(w1) + len(w2) <= sig.depth]
     worst = 0.0
     scale = max(abs(v) for _, v in sig.items()) or 1.0
     for w1, w2 in pairs:

@@ -10,6 +10,7 @@ failure (verify: 1 on any failed check).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -85,8 +86,8 @@ def load_config(path: str) -> dict:
                      check=lambda v: v in BUILDERS, describe=f"one of {BUILDERS}")
     out["builder"] = builder
     if builder == "two_input":
-        out["N"] = _field(cfg, "system.N", int, problems, check=lambda v: v in (2, 3, 4),
-                          describe="must be 2, 3 or 4")
+        out["N"] = _field(cfg, "system.N", int, problems,
+                          check=lambda v: v in sim.TWO_INPUT_KINDS, describe="must be 2, 3 or 4")
         out["kappa"] = _field(cfg, "system.kappa", int, problems, required=False, default=1,
                               check=lambda v: v >= 1, describe="must be >= 1")
         out["gain"] = _field(cfg, "system.gain", float, problems, required=False, default=1.0,
@@ -143,6 +144,18 @@ def build_from_config(cfg: dict) -> sim.ESSystem:
                            cfg["gamma1"], cfg["gamma3"], cfg["epsilon"])
 
 
+def _check_output_dirs(paths: list[str]) -> None:
+    """Raise, before any work, the OSError that open(path, "w") raises for a
+    new file in a missing or unwritable directory."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+        if not (os.path.exists(path) or os.access(parent, os.W_OK | os.X_OK)):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def run_experiment(cfg: dict, out_dir: str = ".") -> tuple[dict, sim.Trajectory]:
     """Build, integrate, optionally fit; returns the summary dict and the trajectory."""
     system = build_from_config(cfg)
@@ -150,6 +163,8 @@ def run_experiment(cfg: dict, out_dir: str = ".") -> tuple[dict, sim.Trajectory]
     config = sim.IntegratorConfig(total_time=cfg["total_time"],
                                   steps_per_period=cfg["steps_per_period"],
                                   decimation=dec)
+    _check_output_dirs([os.path.join(out_dir, cfg[k])
+                        for k in ("trajectory_csv", "summary_json") if cfg[k]])
     traj = sim.integrate(system, cfg["x0"], config)
     summary: dict = {
         "builder": cfg["builder"],
@@ -222,6 +237,8 @@ def cmd_compare(args) -> int:
     dec_a, dec_b = cfg_a["decimation"] or s_a, cfg_b["decimation"] or s_b
     if dec_a * s_b != dec_b * s_a:
         raise ConfigError([f"sample step mismatch: {eps * dec_a / s_a:g} vs {eps * dec_b / s_b:g}"])
+    verdict_json = os.path.splitext(args.out)[0] + ".json"
+    _check_output_dirs([args.out, verdict_json])
     _, ta = run_experiment(cfg_a, args.out_dir)
     _, tb = run_experiment(cfg_b, args.out_dir)
     with open(args.out, "w") as fh:
@@ -232,7 +249,7 @@ def cmd_compare(args) -> int:
         "time_to_band_a": _json_num(analysis.time_to_band(ta, cfg_a["xstar"], band)),
         "time_to_band_b": _json_num(analysis.time_to_band(tb, cfg_b["xstar"], band)),
     }
-    print(_dump_json(verdict, os.path.splitext(args.out)[0] + ".json"))
+    print(_dump_json(verdict, verdict_json))
     return 0
 
 
@@ -389,7 +406,3 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

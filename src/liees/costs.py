@@ -132,14 +132,17 @@ def derivative(cost: CostFunction, order: int, x: float) -> float:
 # assumption checkers
 # ---------------------------------------------------------------------------
 
-def _ratio_grids(cost: CostFunction, domain: tuple[float, float], grid_points: int):
+GRID_POINTS = 33    # points of the fit grid, ends included
+
+
+def _ratio_grids(cost: CostFunction, domain: tuple[float, float]):
     """Fit grid plus a refined validation grid (midpoints and points near x*)."""
     lo, hi = domain
-    xs = [lo + (hi - lo) * k / (grid_points - 1) for k in range(grid_points)]
+    xs = [lo + (hi - lo) * k / (GRID_POINTS - 1) for k in range(GRID_POINTS)]
     fit = [x for x in xs if abs(x - cost.xstar) > 1e-9]
     mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
     near = []
-    h = (hi - lo) / (grid_points - 1)
+    h = (hi - lo) / (GRID_POINTS - 1)
     for k in range(1, 7):
         step = h / 2**k
         for x in (cost.xstar - step, cost.xstar + step):
@@ -192,8 +195,9 @@ def _inequalities(cost: CostFunction, assumption_id: int, m: int):
 
 
 def check_assumption(cost: CostFunction, assumption_id: int,
-                     domain: tuple[float, float], grid_points: int = 33) -> AssumptionReport:
-    """Fit the assumption's constants on a grid and validate on a refined grid.
+                     domain: tuple[float, float]) -> AssumptionReport:
+    """Fit the assumption's constants on a grid of GRID_POINTS points and
+    validate them on a refined grid.
 
     The fitted constants trivially satisfy the inequalities at the fit points,
     so satisfaction is decided at midpoints and at points approaching the
@@ -205,11 +209,9 @@ def check_assumption(cost: CostFunction, assumption_id: int,
     lo, hi = domain
     if not (lo < cost.xstar < hi):
         raise InvalidDomainError(f"domain {domain} must strictly contain x*={cost.xstar}")
-    if grid_points < 16:
-        raise InvalidParameterError(f"grid_points must be >= 16, got {grid_points}")
 
     m = cost.degree if cost.degree is not None else 2
-    fit_xs, check_xs = _ratio_grids(cost, domain, grid_points)
+    fit_xs, check_xs = _ratio_grids(cost, domain)
     constants: dict[str, float] = {}
     witness: dict[str, float] = {}
     failures: list[str] = []

@@ -20,43 +20,19 @@ one system from many starts, building the tables and the right-hand side once.
 Any real start x0 is converted once to a float, by _Stepper.run.  When the
 cost comes from make_power_cost, integrate (with affine shapes: every system
 a config can build), period_map and integrate_lbs run the same stepper
-compiled from C (liees/_kernel.c), whose stage function is
-J(x) = alpha * (x - xstar)^m or the averaged field
--sum_j gamma_j J^(j)(x), its parameters read from the cost's .power tags,
-which hold doubles.  It performs the Python stepper's floating-point
-operations in the same order, except the powers v^n with n = 2, 3, 4 and
-2^-64 <= |v| <= 2^64: it forms those as a double-double, within 2^-103 of
-the exact power, and rounds them itself; v^1 is v.  It calls libm pow, as
-CPython's float ** int does, only within 0.05 ulp of a rounding midpoint and
-for all other powers.  glibc's pow is within 0.54 ulp, so outside that band
-it returns the correctly rounded power too, and the states, cost values,
-divergence times and messages are bitwise equal to the Python path (the
-argument is in _kernel.c).  The double-double's exact products take one
-fused multiply-add each on a CPU with FMA, a choice made when the library
-loads, and Dekker's split elsewhere; both give the exact product error, so
-the bits do not depend on the CPU.  The library is built with
--ffp-contract=off, so no other operation is fused.  The kernel is built with
-`cc` on the first such call and cached in $XDG_CACHE_HOME/liees (else
-~/.cache/liees); without a compiler, or if the build or load fails, the
-Python stepper runs silently.  The path taken is recorded in
-Trajectory.meta["kernel"] ("c" or "python").
+compiled from C (liees/_kernel.c), its parameters read from the cost's .power
+tags.  Its states, cost values, divergence times and messages are bitwise
+equal to the Python stepper's; the _kernel.c header gives the argument.  The
+library is built with `cc` on the first such call and cached in
+$XDG_CACHE_HOME/liees (else ~/.cache/liees); without a compiler, or if the
+build or load fails, the Python stepper runs silently.  The path taken is
+recorded in Trajectory.meta["kernel"] ("c" or "python").
 
-Trajectory CSV is written and read by the same library when it loads.
-write_csv_rows spells each value as "%.17g" with exact integer arithmetic
-(17 digits from m 5^j in 64-bit limbs, rounded half to even), calling C's
-snprintf in the C locale only for subnormals, 0 < |v| <= 1e-38 and
-|v| >= 2^128.  read_trajectory_csv runs one parser per file: a file whose
-every line is in that writer's own grammar is parsed into one array sized by
-the file's line ends, and any other file by Python's float.  The compiled
-parser reads each field once, checking its grammar while it collects the
-significand and the decimal exponent, and converts them by the Eisel-Lemire
-algorithm (one 64 x 128-bit product with a power of ten, rarely a second);
-strtod in the C locale reads the fields that algorithm declines (possible
-ties and carries, more than 19 digits, exponents past +-55).  Both round
-correctly, as float does.  Both split each call's rows across the CPUs the
-process may run on, on threads the call starts and joins itself.  The bytes
-written and the values read are those of the Python codec, which runs
-without the library, whatever the number of threads.
+Trajectory CSV is written and read by the same library when it loads, else by
+Python's "%.17g" and float, with the same bytes and values either way (the
+_kernel.c header gives the codec's algorithms and the argument).
+read_trajectory_csv runs one parser per file: the compiled one when every
+line is in the writer's own grammar, else Python's.
 """
 
 from __future__ import annotations
@@ -89,8 +65,6 @@ __all__ = [
     "ESSystem",
     "IntegratorConfig",
     "Trajectory",
-    "const_shape",
-    "linear_shape",
     "build_two_input",
     "build_three_input",
     "build_mixed",
@@ -117,6 +91,8 @@ CSV_ALPHABET = "0123456789+-.,einfa\n"
 SPACING_BLOCK = 1 << 14
 # Largest deviation of a CSV time step from the mean step, relative to it.
 SPACING_RTOL = 1e-6
+# The dither design build_two_input pairs with the generating pair of each order N.
+TWO_INPUT_KINDS = {2: "first12", 3: "second122", 4: "third1222"}
 
 
 @dataclass(frozen=True)
@@ -215,10 +191,10 @@ def build_two_input(cost: CostFunction, N: int, kappa: int = 1,
                     epsilon: float = 1e-4, gain: float = 1.0,
                     kind: str | None = None) -> ESSystem:
     """Generating pair of order N matched with the bracket-exciting dither pair of order N."""
-    if N not in (2, 3, 4):
+    if N not in TWO_INPUT_KINDS:
         raise InvalidParameterError(f"N must be 2, 3 or 4, got {N}")
     g1, g2 = make_generating_pair(N, gain)
-    kind = kind or {2: "first12", 3: "second122", 4: "third1222"}[N]
+    kind = kind or TWO_INPUT_KINDS[N]
     d1, d2 = make_design(kind, epsilon, kappa)
     return ESSystem(cost=cost, channels=((g1, d1), (g2, d2)),
                     meta={"builder": "two_input", "N": N, "kappa": kappa, "gain": gain,
@@ -497,7 +473,7 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
     xs, cost_values, backend = stepper.run(x0, n_periods * S // dec, dec)
     times = np.arange(len(xs)) * (stepper.h * dec)
     meta = dict(system.meta)
-    meta.update({"x0": x0, "steps_per_period": S, "decimation": dec,
+    meta.update({"x0": float(xs[0]), "steps_per_period": S, "decimation": dec,
                  "epsilon": eps, "periods": n_periods, "kernel": backend})
     return Trajectory(times=times, states=xs, cost_values=cost_values,
                       epsilon=eps, meta=meta)
@@ -552,7 +528,7 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
     xs, cost_values, backend = stepper.run(x0, steps, 1)
     return Trajectory(times=np.arange(len(xs)) * h, states=xs, cost_values=cost_values,
                       epsilon=record_epsilon if record_epsilon is not None else h,
-                      meta={"builder": "lbs", "terms": terms, "x0": x0, "kernel": backend})
+                      meta={"builder": "lbs", "terms": terms, "x0": float(xs[0]), "kernel": backend})
 
 
 def write_csv_rows(fh, columns) -> None:

@@ -132,14 +132,14 @@ def assumptions() -> list[Check]:
     quart = costs.make_power_cost(1.0, 1.0, 4)
     quad = costs.make_power_cost(1.0, 0.0, 2)
     for aid in (1, 2, 3):
-        rep = costs.check_assumption(quart, aid, (0.0, 2.0), 33)
+        rep = costs.check_assumption(quart, aid, (0.0, 2.0))
         checks.append(Check(f"power(1,1,4) assumption {aid} satisfied", rep.satisfied,
                             ",".join(rep.failures) or "ok"))
-    rep = costs.check_assumption(quad, 3, (-1.0, 1.0), 33)
+    rep = costs.check_assumption(quad, 3, (-1.0, 1.0))
     beta21 = rep.constants["beta21"]
     checks.append(Check("power(1,0,2) assumption 3 satisfied (beta21=0)",
                         rep.satisfied and beta21 == 0.0, f"beta21={beta21}", (beta21,)))
-    rep = costs.check_assumption(costs.make_abs_cost(), 2, (-1.0, 1.0), 33)
+    rep = costs.check_assumption(costs.make_abs_cost(), 2, (-1.0, 1.0))
     checks.append(Check("abs cost assumption 2 rejected", not rep.satisfied,
                         ",".join(rep.failures) or "unexpectedly ok"))
     return checks

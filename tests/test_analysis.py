@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liees import analysis, costs, sim
+from liees import analysis, costs, lie, sim
 from liees.analysis import Envelope, closeness, contraction_check, envelope, fit_rate
 from liees.errors import InsufficientSignalError, InvalidParameterError
 from liees.sim import Trajectory, build_two_input
@@ -253,8 +253,8 @@ class TestContraction:
             return (shape, DitherSpec("custom-harmonic", 1, 1e-3, amplitude=0.0,
                                       harmonic=1, waveform="cos", bracket_length=2))
 
-        system = sim.ESSystem(cost=quad, channels=(zchan(sim.linear_shape(1.0)),
-                                                   zchan(sim.const_shape(1.0))))
+        system = sim.ESSystem(cost=quad, channels=(zchan(lie.linear_shape(1.0)),
+                                                   zchan(lie.const_shape(1.0))))
         rep = contraction_check(system, [0.2, 0.5, 0.8], 0.0, steps_per_period=64)
         assert rep.gamma == pytest.approx(0.0, abs=1e-9)
         assert rep.sigma == pytest.approx(0.0, abs=1e-9)

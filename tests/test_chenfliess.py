@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liees import chenfliess, costs, dither, sim
+from liees import chenfliess, costs, dither, lie, sim
 from liees.chenfliess import (
     basis_labels,
     compute_signature,
@@ -344,8 +344,8 @@ class TestEndpointPrediction:
 
     def test_zero_dithers_fixed_point(self):
         cost = costs.make_power_cost(1.0, 0.0, 2)
-        ch = ((sim.linear_shape(1.0), zero_dither()),
-              (sim.const_shape(1.0), zero_dither()))
+        ch = ((lie.linear_shape(1.0), zero_dither()),
+              (lie.const_shape(1.0), zero_dither()))
         system = sim.ESSystem(cost=cost, channels=ch)
         pred = chenfliess.endpoint_prediction(system, 0.3, order=3)
         assert pred == 0.3

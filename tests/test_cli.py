@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -126,6 +127,38 @@ class TestCompare:
         assert cli.main(["compare", "--config-a", str(pa), "--config-b", str(pb),
                          "--out", str(out), "--out-dir", str(tmp_path)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 21
+
+
+def _run_into(tmp_path, out_dir):
+    argv = ["run", "--config", str(small_config(tmp_path)), "--out", str(out_dir)]
+    return argv, out_dir / "cfg.json.traj.csv"
+
+
+def _compare_into(tmp_path, out_dir):
+    argv = ["compare", "--config-a", str(small_config(tmp_path, "a.json")),
+            "--config-b", str(small_config(tmp_path, "b.json")),
+            "--out", str(out_dir / "cmp.csv"), "--out-dir", str(tmp_path)]
+    return argv, out_dir / "cmp.csv"
+
+
+@pytest.mark.parametrize("command", [_run_into, _compare_into], ids=["run", "compare"])
+@pytest.mark.parametrize("parent, error", [("missing", "[Errno 2] No such file or directory"),
+                                           ("file", "[Errno 20] Not a directory"),
+                                           ("unwritable", "[Errno 13] Permission denied")])
+def test_output_directory_checked_before_integrating(tmp_path, capsys, monkeypatch,
+                                                     command, parent, error):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "unwritable").mkdir()
+    # a directory root may write to reads as unwritable
+    monkeypatch.setattr(os, "access", lambda path, mode: not path.endswith("unwritable"))
+    argv, first_output = command(tmp_path, tmp_path / parent)
+
+    def integrate(*args):
+        raise AssertionError("integrated before checking the output directory")
+
+    monkeypatch.setattr(sim, "integrate", integrate)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"I/O error: {error}: {str(first_output)!r}\n"
 
 
 class TestCoeffs:

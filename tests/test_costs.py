@@ -95,46 +95,41 @@ class TestDerivative:
 class TestCheckAssumption:
     def test_quartic_assumption2(self):
         c = costs.make_power_cost(1.0, 1.0, 4)
-        rep = costs.check_assumption(c, 2, (0.0, 2.0), 33)
+        rep = costs.check_assumption(c, 2, (0.0, 2.0))
         assert rep.satisfied
         assert rep.constants["alpha1"] == pytest.approx(1.0, abs=1e-9)
         assert rep.constants["alpha2"] == pytest.approx(1.0, abs=1e-9)
 
     def test_quadratic_assumption3_beta21_zero(self):
         c = costs.make_power_cost(1.0, 0.0, 2)
-        rep = costs.check_assumption(c, 3, (-1.0, 1.0), 33)
+        rep = costs.check_assumption(c, 3, (-1.0, 1.0))
         assert rep.satisfied
         assert rep.constants["beta21"] == 0.0
         assert rep.constants["beta22"] == pytest.approx(0.0, abs=1e-8)
 
     def test_abs_cost_fails_assumption2(self):
-        rep = costs.check_assumption(costs.make_abs_cost(), 2, (-1.0, 1.0), 33)
+        rep = costs.check_assumption(costs.make_abs_cost(), 2, (-1.0, 1.0))
         assert not rep.satisfied
         assert rep.failures == ["alpha2", "beta2"]
 
     def test_quartic_all_assumptions(self):
         c = costs.make_power_cost(1.0, 1.0, 4)
         for aid in (1, 2, 3):
-            assert costs.check_assumption(c, aid, (0.0, 2.0), 33).satisfied, aid
+            assert costs.check_assumption(c, aid, (0.0, 2.0)).satisfied, aid
 
     def test_matching_power_always_satisfied(self):
         # even degrees only: (x-x*)^m has no interior minimum for odd m
         for m in (2, 4):
             c = costs.make_power_cost(2.0, 0.5, m)
-            rep = costs.check_assumption(c, 2, (-0.5, 1.5), 33)
+            rep = costs.check_assumption(c, 2, (-0.5, 1.5))
             assert rep.satisfied, (m, rep.failures)
 
     def test_odd_degree_has_no_minimum(self):
         c = costs.make_power_cost(2.0, 0.5, 3)
-        rep = costs.check_assumption(c, 2, (-0.5, 1.5), 33)
+        rep = costs.check_assumption(c, 2, (-0.5, 1.5))
         assert not rep.satisfied
 
     def test_minimizer_outside_domain(self):
         c = costs.make_power_cost(1.0, 5.0, 2)
         with pytest.raises(InvalidDomainError):
             costs.check_assumption(c, 2, (0.0, 2.0))
-
-    def test_grid_too_small(self):
-        c = costs.make_power_cost(1.0, 0.5, 2)
-        with pytest.raises(InvalidParameterError):
-            costs.check_assumption(c, 2, (0.0, 2.0), 8)

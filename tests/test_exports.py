@@ -1,5 +1,5 @@
-"""The package's public names resolve: every __all__ entry, every package-level
-import, and every name the benchmark's span recorder wraps."""
+"""The package's public names resolve: every __all__ entry and every name the
+benchmark's span recorder wraps."""
 
 import ast
 import importlib
@@ -25,25 +25,10 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
-def test_package_imports_resolve():
-    # each name liees/__init__.py imports from a submodule resolves there and,
-    # where the submodule declares __all__, is declared public in it
-    tree = ast.parse(Path(liees.__file__).read_text())
-    imports = [(node.module, alias.name) for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-               for alias in node.names]
-    assert ("lie", "make_generating_pair") in imports
-    for module_name, name in imports:
-        module = importlib.import_module(f"liees.{module_name}")
-        assert getattr(liees, name) is getattr(module, name)
-        assert name in getattr(module, "__all__", (name,)), (module_name, name)
-
-
-def test_moved_shapes_keep_their_sim_names():
-    from liees import lie, sim
-
-    assert sim.const_shape is lie.const_shape
-    assert sim.linear_shape is lie.linear_shape
+def test_package_root_binds_only_its_submodules():
+    # each public name has one home, its module: the package re-exports none
+    assert sorted(n for n in vars(liees) if not n.startswith("_")) == MODULES
+    assert liees.__version__
 
 
 def test_bracket_paths_import_no_heavy_modules():

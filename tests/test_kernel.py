@@ -3,6 +3,7 @@ against Python's, and the loader."""
 
 import decimal
 import importlib.resources
+import json
 import locale
 import math
 import os
@@ -254,6 +255,21 @@ def test_the_type_of_a_start_never_shows(v):
                     if run[0] == "ok":
                         assert run[3] == {np.dtype(np.float64)}
                         assert run[4] in (None, kernel)
+
+
+@pytest.mark.parametrize("start", [np.float32(0.3), Fraction(3, 10), 0, np.int64(0)],
+                         ids=["float32", "Fraction", "int", "int64"])
+@pytest.mark.parametrize("library", [True, False])
+def test_meta_records_the_start_that_ran(start, library, monkeypatch):
+    if not library:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    system = build_two_input(QUARTIC, 4, 1, 1e-3, 1.0)
+    config = IntegratorConfig(total_time=1e-3, steps_per_period=256, decimation=16)
+    for traj in (sim.integrate(system, start, config),
+                 sim.integrate_lbs(QUARTIC, [(3, 1.0)], start, 1e-3, 50)):
+        x0 = traj.meta["x0"]
+        assert type(x0) is float and x0 == traj.states[0] == float(start)
+        json.dumps(traj.meta)
 
 
 @pytest.mark.parametrize("start", [1j, np.complex128(1.0), "0.5", Decimal("0.5"), None,

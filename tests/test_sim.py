@@ -140,8 +140,8 @@ class TestBuilders:
         d1 = DitherSpec("classic", 1, 1e-3)
         d2 = DitherSpec("classic", 2, 1e-4)
         with pytest.raises(InvalidParameterError):
-            sim.ESSystem(cost=QUAD, channels=((sim.linear_shape(1.0), d1),
-                                              (sim.const_shape(1.0), d2)))
+            sim.ESSystem(cost=QUAD, channels=((lie.linear_shape(1.0), d1),
+                                              (lie.const_shape(1.0), d2)))
 
 
 class TestAveragedDrift:
@@ -191,8 +191,8 @@ class TestAveragedDrift:
 class TestIntegrate:
     def test_zero_dither_constant_trajectory(self):
         system = sim.ESSystem(cost=QUAD, channels=(
-            zero_channel(sim.linear_shape(1.0), 1e-3),
-            zero_channel(sim.const_shape(1.0), 1e-3)))
+            zero_channel(lie.linear_shape(1.0), 1e-3),
+            zero_channel(lie.const_shape(1.0), 1e-3)))
         traj = sim.integrate(system, 0.7, IntegratorConfig(total_time=0.05,
                                                            steps_per_period=64,
                                                            decimation=8))
