@@ -22,21 +22,46 @@
  *
  *   - For n = 2, 3, 4 and 2^-64 <= |v| <= 2^64, pow_small forms |v|^n as a
  *     double-double hi + lo from error-free products (below), within 2^-103
- *     relative of the exact power y, and returns hi = RN(y) when
- *     |lo| <= 0.45 ulp(hi) and hi is not a power of two.  Then y lies at
- *     least 0.05 ulp from a rounding midpoint, so every double other than hi
- *     is more than 0.55 ulp from y.  glibc's pow (2.28 and later,
- *     sysdeps/ieee754/dbl-64/e_pow.c) documents a worst-case error of
- *     0.54 ulp, so it returns hi too: the two paths give the same bits.  The
- *     band needs only 0.04 ulp plus the double-double's error; 0.05 leaves
- *     room for both.
+ *     relative of the exact power y, so within 2^-50 ulp.  Where
+ *     |lo| <= 0.48 ulp(hi) (POW_BAND) and hi is not a power of two, y lies
+ *     0.02 ulp (less 2^-50) or more from a rounding midpoint: hi = RN(y), and
+ *     every other double is more than 0.5199 ulp from y.  glibc's pow (2.28
+ *     and later) states its error in sysdeps/ieee754/dbl-64/e_pow.c as
+ *
+ *         Worst-case error: 0.54 ULP (~= ulperr_exp + 1024*Ln2*relerr_log*2^53)
+ *         relerr_log: 1.3 * 2^-68 (Relative error of log, 1.5 * 2^-68 without fma)
+ *         ulperr_exp: 0.509 ULP (ULP error of exp, 0.511 ULP without fma)
+ *
+ *     that is ulperr_exp + |w ln v| relerr_log 2^53 ulp for pow(v, w), at its
+ *     largest |w ln v|.  Here |n ln v| <= 4 * 64 ln 2 < 177.5, so pow errs by
+ *     at most 0.511 + 177.5 * 1.5 * 2^-68 * 2^53 < 0.5192 ulp and returns hi
+ *     too: the two paths give the same bits.  A count agrees: over 60M log-uniform
+ *     draws of v in [2^-64, 2^64], glibc 2.36's pow misrounded 0.083-0.084%
+ *     of v^2, v^3 and v^4, every one within 0.0089 ulp of a midpoint.
+ *   - pow_small returns a candidate that equals hi outside the band.  The
+ *     build with fma forms it from v^2 = h2 + l2 (h2 itself for n = 2) as
+ *     fma(h2, h2, 2 h2 l2) for n = 4 and fma(h2, v, l2 v) for n = 3: four
+ *     dependent operations after v, where hi = q + lo takes five.  It is
+ *     y (1 + d) rounded once, |d| <= 2^-104 (the dropped l2^2 and the
+ *     rounding of 2 h2 l2 or l2 v), and y d is under 2^-51 ulp, so outside
+ *     the band it is RN(y) = hi.  The double-double stays beside it as the
+ *     band test only.  The split build returns hi itself.
+ *   - Within the band, or for a power of two hi, pow_small calls pow and
+ *     returns the candidate when pow returns the same double.  When the two
+ *     differ, py_pow calls pow again and returns its value, as CPython does.
+ *     Either way the power is pow's.  In a fig1 run 3.9-4.0% of the stage
+ *     powers fall in the band (10% at a band of 0.05 ulp), and in
+ *     0.064-0.084% pow and the candidate differ.
  *   - For n = 1 the kernel returns v: v is a double, so pow, within
- *     0.54 ulp, returns v too.  n = 0 and the bases 0, +-1, NaN and inf
+ *     0.52 ulp, returns v too.  n = 0 and the bases 0, +-1, NaN and inf
  *     take CPython's own special cases, which call no pow.
- *   - Within that band of a midpoint, for a power of two hi, for every other
- *     exponent (n > 4, non-integral) and for |v| outside [2^-64, 2^64]
- *     (where v^n could overflow or underflow), the kernel calls pow and
- *     reads errno exactly as CPython does.
+ *   - For every other exponent (n > 4, non-integral) and for |v| outside
+ *     [2^-64, 2^64] (where v^n could overflow or underflow), the kernel calls
+ *     pow and reads errno exactly as CPython does.
+ *
+ * At alpha = 1.0 the stage of the full system returns the power p, which is
+ * exactly 1.0 * p: rk4_loop reads alpha == 1.0 once per call, and the one
+ * loop runs either way.
  *
  * The sign of v is taken as CPython takes it: the power of |v| is formed,
  * then negated for a negative v and an odd n.
@@ -51,7 +76,7 @@
  * Both are exact unless something overflows or underflows.  Here
  * 2^-128 <= |a|, |b| <= 2^128 and every exact product is a multiple of
  * 2^-360 below 2^257, so nothing does: the two forms give the same (p, e),
- * hence the same hi and lo, the same decision at the 0.05-ulp band and the
+ * hence the same hi and lo, the same decision at the 0.02-ulp band and the
  * same bits in every state.  The one RK4 loop, rk4_loop, is built twice: a
  * portable build with the split (liees_rk4_split, exported so that tests
  * run it on any CPU) and a build with __attribute__((target("fma"))).
@@ -59,14 +84,14 @@
  * one instruction on every CPU), else on x86-64 the one chosen once, when the
  * library loads, from __builtin_cpu_supports("fma"), else the portable one.
  * Each build takes the powers of the full system's stages, nearly all the
- * powers of a run, inline in its own form; the averaged field and the stored
- * costs call one shared copy with the split.
+ * powers of a run, inline in its own form; the averaged field and the cost
+ * of the last state call one shared copy with the split.
  * The library is built without -mfma, so the portable build runs where the
  * CPU has no FMA.  Build with -ffp-contract=off and without -ffast-math:
- * then the only fused multiply-adds are the fma calls of the products, and a
- * contraction anywhere else (in the split, the band test or the stepper) or
- * a pow expanded into multiplications, which would round differently, never
- * happens.
+ * then the only fused multiply-adds are the fma calls of the products and of
+ * the candidate, and a contraction anywhere else (in the split, the band test
+ * or the stepper) or a pow expanded into multiplications, which would round
+ * differently, never happens.
  *
  * The same library holds the trajectory CSV codec of liees.sim.  Its bytes
  * and values equal those of the Python codec, which runs when this library
@@ -231,37 +256,49 @@ INLINE void two_prod(int use_fma, double a, double b, double *p, double *e)
     }
 }
 
-/* v^n for n = 2, 3, 4 and 2^-64 <= v <= 2^64, correctly rounded, in *r.
- * Returns 0, leaving *r alone, when v^n lies within 0.05 ulp of a rounding
- * midpoint or rounds to a power of two: there pow alone decides. */
+/* The band of pow_small: v^n lies 0.02 ulp or more from a rounding midpoint
+ * when the double-double's |lo| <= POW_BAND ulp(hi) (see the header). */
+#define POW_BAND 0.48
+
+/* v^n for n = 2, 3, 4 and 2^-64 <= v <= 2^64, correctly rounded, in *r: the
+ * fused candidate when use_fma, else the double-double's hi.  Within the band
+ * of a midpoint, or for a power of two hi, pow decides: *r is the candidate
+ * when pow returns it, else the call returns 0 and *r is not to be used. */
 INLINE int pow_small(int use_fma, double v, int n, double *r)
 {
-    double hi, lo, q, f, ulp;
+    double hi, lo, q, f, ulp, cand;
     uint64_t bits;
 
     two_prod(use_fma, v, v, &hi, &lo); /* v^2 = hi + lo */
+    cand = hi;
     if (n != 2) {
         if (n == 3) {
+            if (use_fma)
+                cand = fma(hi, v, lo * v);
             two_prod(use_fma, hi, v, &q, &f);
             lo = f + lo * v;
         } else {
             /* v^4 = q + f + 2 hi lo + lo^2, and lo^2 <= 2^-106 v^4 is dropped */
+            if (use_fma)
+                cand = fma(hi, hi, 2.0 * hi * lo);
             two_prod(use_fma, hi, hi, &q, &f);
             lo = f + 2.0 * hi * lo;
         }
         hi = q + lo;
         lo = lo - (hi - q);
+        if (!use_fma)
+            cand = hi;
     }
+    *r = cand;
     memcpy(&bits, &hi, sizeof bits);
-    if ((bits & 0x000fffffffffffffULL) == 0)
-        return 0;
-    /* ulp(hi): hi >= 2^-256, so the exponent less 52 stays normal */
-    bits = (bits & 0x7ff0000000000000ULL) - (52ULL << 52);
-    memcpy(&ulp, &bits, sizeof ulp);
-    if (fabs(lo) > 0.45 * ulp)
-        return 0;
-    *r = hi;
-    return 1;
+    if ((bits & 0x000fffffffffffffULL) != 0) {
+        /* ulp(hi): hi >= 2^-256, so the exponent less 52 stays normal */
+        bits = (bits & 0x7ff0000000000000ULL) - (52ULL << 52);
+        memcpy(&ulp, &bits, sizeof ulp);
+        if (fabs(lo) <= POW_BAND * ulp)
+            return 1;
+    }
+    return pow(v, n) == cand;
 }
 
 /* CPython's float_pow for a nonnegative integral exponent w (odd: w is odd).
@@ -317,10 +354,12 @@ INLINE int py_pow(int use_fma, double v, double w, int odd, double *r)
     return errno != 0;
 }
 
-/* py_pow out of line with the split products, for the powers off the hot
- * path: the averaged field of integrate_lbs (4 steps a period, against 512
- * for the full system in fig1) and the stored costs.  Both forms give the
- * same bits, and one copy here keeps the compile time down. */
+/* py_pow out of line with the split products, whose candidate is hi, for the
+ * powers off the hot path: the averaged field of integrate_lbs (4 steps a
+ * period, against 512 for the full system in fig1), its stored costs and the
+ * full system's cost of the last state.  Outside the band hi is the fused
+ * candidate, and in it both builds return pow's double, so both give the
+ * same bits; one copy here keeps the compile time down. */
 static int py_pow_cold(double v, double w, int odd, double *r)
 {
     return py_pow(0, v, w, odd, r);
@@ -335,8 +374,9 @@ static int is_odd(double w)
  * (g, c, s, p), whose parity of p is_odd takes here, as CPython's float_pow
  * takes it on every call; odd is that of m.  Returns RK4_OVERFLOW where
  * Python raises OverflowError, and RK4_NONFINITE where costs.derivative
- * raises NumericFailureError, with the index of that term in *bad. */
-INLINE int stage(int use_fma, double alpha, double xstar, double m, int odd,
+ * raises NumericFailureError, with the index of that term in *bad.  unit says
+ * that alpha is 1.0, where alpha * p is p: the multiply is left out. */
+INLINE int stage(int use_fma, double alpha, int unit, double xstar, double m, int odd,
                  const double *terms, int64_t nterms, double y, double *r,
                  int64_t *bad)
 {
@@ -346,7 +386,7 @@ INLINE int stage(int use_fma, double alpha, double xstar, double m, int odd,
     if (nterms == 0) {
         if (py_pow(use_fma, y - xstar, m, odd, &p))
             return RK4_OVERFLOW;
-        *r = alpha * p;
+        *r = unit ? p : alpha * p;
         return RK4_OK;
     }
     for (t = 0; t < nterms; t++) {
@@ -390,17 +430,17 @@ INLINE int rk4_loop(int use_fma, RK4_PARAMS)
 {
     const double hh = 0.5 * h;
     const double h6 = h / 6.0;
-    const int odd = is_odd(m);
+    const int odd = is_odd(m), unit = alpha == 1.0;
     double x = x0, y = x0, p, f1, k1, k2, k3, k4, xn;
     int64_t c = 0, i, j, bad = 0;
     int status, cost_overflow = 0;
 
-#define STAGE(arg, res)                                                                   \
-    do {                                                                                  \
-        y = (arg);                                                                        \
-        status = stage(use_fma, alpha, xstar, m, odd, terms, nterms, y, &(res), &bad);    \
-        if (status)                                                                       \
-            goto fail;                                                                    \
+#define STAGE(arg, res)                                                                      \
+    do {                                                                                     \
+        y = (arg);                                                                           \
+        status = stage(use_fma, alpha, unit, xstar, m, odd, terms, nterms, y, &(res), &bad); \
+        if (status)                                                                          \
+            goto fail;                                                                       \
     } while (0)
 
     out[0] = x0;
