@@ -22,11 +22,12 @@
  *
  *   - For n = 2, 3, 4 and 2^-64 <= |v| <= 2^64, pow_small forms |v|^n as a
  *     double-double hi + lo from error-free products (below), within 2^-103
- *     relative of the exact power y, so within 2^-50 ulp.  Where
- *     |lo| <= 0.48 ulp(hi) (POW_BAND) and hi is not a power of two, y lies
- *     0.02 ulp (less 2^-50) or more from a rounding midpoint: hi = RN(y), and
- *     every other double is more than 0.5199 ulp from y.  glibc's pow (2.28
- *     and later) states its error in sysdeps/ieee754/dbl-64/e_pow.c as
+ *     relative of the exact power y, so within 2^-50 ulp.  Where hi is not a
+ *     power of two and |lo| <= POW_BAND ulp(hi), 0.48 in the build with fma
+ *     and 0.45 in the split build, y lies 0.02 ulp (0.05) less 2^-50 or more
+ *     from a rounding midpoint: hi = RN(y), and every other double is more
+ *     than 0.5199 ulp (0.5499) from y.  glibc's pow (2.28 and later) states
+ *     its error in sysdeps/ieee754/dbl-64/e_pow.c as
  *
  *         Worst-case error: 0.54 ULP (~= ulperr_exp + 1024*Ln2*relerr_log*2^53)
  *         relerr_log: 1.3 * 2^-68 (Relative error of log, 1.5 * 2^-68 without fma)
@@ -34,26 +35,32 @@
  *
  *     that is ulperr_exp + |w ln v| relerr_log 2^53 ulp for pow(v, w), at its
  *     largest |w ln v|.  Here |n ln v| <= 4 * 64 ln 2 < 177.5, so pow errs by
- *     at most 0.511 + 177.5 * 1.5 * 2^-68 * 2^53 < 0.5192 ulp and returns hi
- *     too: the two paths give the same bits.  A count agrees: over 60M log-uniform
- *     draws of v in [2^-64, 2^64], glibc 2.36's pow misrounded 0.083-0.084%
- *     of v^2, v^3 and v^4, every one within 0.0089 ulp of a midpoint.
- *   - pow_small returns a candidate that equals hi outside the band.  The
- *     build with fma forms it from v^2 = h2 + l2 (h2 itself for n = 2) as
- *     fma(h2, h2, 2 h2 l2) for n = 4 and fma(h2, v, l2 v) for n = 3: four
- *     dependent operations after v, where hi = q + lo takes five.  It is
- *     y (1 + d) rounded once, |d| <= 2^-104 (the dropped l2^2 and the
- *     rounding of 2 h2 l2 or l2 v), and y d is under 2^-51 ulp, so outside
- *     the band it is RN(y) = hi.  The double-double stays beside it as the
- *     band test only.  The split build returns hi itself.
+ *     less than 0.5161 ulp with fma and 0.5192 ulp without, and returns hi
+ *     too: the two paths give the same bits.  On x86-64 glibc runs its pow
+ *     with fma where the CPU has both FMA and AVX2, and the split build runs
+ *     where it has no FMA, against the 0.54 ulp of the first line.  Where the
+ *     build with fma meets glibc's pow without fma (a CPU with FMA but not
+ *     AVX2, or either masked by the tunable glibc.cpu.hwcaps), 0.0007 ulp of
+ *     the stated sum, itself an estimate, is left.  Counts agree: over 60M
+ *     log-uniform draws of v in [2^-64, 2^64], glibc 2.36's pow misrounded
+ *     0.083% of v^2, v^3 and v^4 with fma and 0.102% without, every one
+ *     within 0.0089 ulp (0.0099 without fma) of a midpoint.
+ *   - pow_small returns a candidate that equals hi outside the band.  For
+ *     n = 4 the build with fma forms it from v^2 = h2 + l2 as
+ *     fma(h2, h2, 2 h2 l2): four dependent operations after v, where
+ *     hi = q + lo takes five.  It is y (1 + d) rounded once, |d| <= 2^-104
+ *     (the dropped l2^2 and the rounding of 2 h2 l2), and y d is under
+ *     2^-51 ulp, so outside the band it is RN(y) = hi.  The double-double
+ *     stays beside it as the band test only.  For n = 2 and 3, and in the
+ *     split build, the candidate is hi itself.
  *   - Within the band, or for a power of two hi, pow_small calls pow and
  *     returns the candidate when pow returns the same double.  When the two
  *     differ, py_pow calls pow again and returns its value, as CPython does.
  *     Either way the power is pow's.  In a fig1 run 3.9-4.0% of the stage
- *     powers fall in the band (10% at a band of 0.05 ulp), and in
- *     0.064-0.084% pow and the candidate differ.
+ *     powers fall in the band of the build with fma (10% at 0.05 ulp), and
+ *     in 0.064-0.084% pow and the candidate differ.
  *   - For n = 1 the kernel returns v: v is a double, so pow, within
- *     0.52 ulp, returns v too.  n = 0 and the bases 0, +-1, NaN and inf
+ *     0.54 ulp, returns v too.  n = 0 and the bases 0, +-1, NaN and inf
  *     take CPython's own special cases, which call no pow.
  *   - For every other exponent (n > 4, non-integral) and for |v| outside
  *     [2^-64, 2^64] (where v^n could overflow or underflow), the kernel calls
@@ -76,8 +83,9 @@
  * Both are exact unless something overflows or underflows.  Here
  * 2^-128 <= |a|, |b| <= 2^128 and every exact product is a multiple of
  * 2^-360 below 2^257, so nothing does: the two forms give the same (p, e),
- * hence the same hi and lo, the same decision at the 0.02-ulp band and the
- * same bits in every state.  The one RK4 loop, rk4_loop, is built twice: a
+ * hence the same hi and lo.  Outside either build's band both return
+ * RN(y) and within it pow's double, so both give the same bits in every
+ * state.  The one RK4 loop, rk4_loop, is built twice: a
  * portable build with the split (liees_rk4_split, exported so that tests
  * run it on any CPU) and a build with __attribute__((target("fma"))).
  * liees_rk4 runs the fused form only where __FP_FAST_FMA is defined (fma is
@@ -256,49 +264,47 @@ INLINE void two_prod(int use_fma, double a, double b, double *p, double *e)
     }
 }
 
-/* The band of pow_small: v^n lies 0.02 ulp or more from a rounding midpoint
- * when the double-double's |lo| <= POW_BAND ulp(hi) (see the header). */
-#define POW_BAND 0.48
+/* The band of pow_small: v^n lies 0.02 ulp (FMA build) or 0.05 ulp (split
+ * build) or more from a rounding midpoint when the double-double's
+ * |lo| <= POW_BAND(use_fma) ulp(hi) (see the header). */
+#define POW_BAND(use_fma) ((use_fma) ? 0.48 : 0.45)
 
 /* v^n for n = 2, 3, 4 and 2^-64 <= v <= 2^64, correctly rounded, in *r: the
- * fused candidate when use_fma, else the double-double's hi.  Within the band
- * of a midpoint, or for a power of two hi, pow decides: *r is the candidate
- * when pow returns it, else the call returns 0 and *r is not to be used. */
+ * fused candidate for n = 4 when use_fma, else the double-double's hi.  Within
+ * the band of a midpoint, or for a power of two hi, pow decides: *r is the
+ * candidate when pow returns it, else the call returns 0 and *r is not to be
+ * used. */
 INLINE int pow_small(int use_fma, double v, int n, double *r)
 {
-    double hi, lo, q, f, ulp, cand;
+    double hi, lo, q, f, ulp;
     uint64_t bits;
 
     two_prod(use_fma, v, v, &hi, &lo); /* v^2 = hi + lo */
-    cand = hi;
+    if (use_fma && n == 4)
+        *r = fma(hi, hi, 2.0 * hi * lo);
     if (n != 2) {
         if (n == 3) {
-            if (use_fma)
-                cand = fma(hi, v, lo * v);
             two_prod(use_fma, hi, v, &q, &f);
             lo = f + lo * v;
         } else {
             /* v^4 = q + f + 2 hi lo + lo^2, and lo^2 <= 2^-106 v^4 is dropped */
-            if (use_fma)
-                cand = fma(hi, hi, 2.0 * hi * lo);
             two_prod(use_fma, hi, hi, &q, &f);
             lo = f + 2.0 * hi * lo;
         }
         hi = q + lo;
         lo = lo - (hi - q);
-        if (!use_fma)
-            cand = hi;
     }
-    *r = cand;
+    if (!(use_fma && n == 4))
+        *r = hi;
     memcpy(&bits, &hi, sizeof bits);
     if ((bits & 0x000fffffffffffffULL) != 0) {
         /* ulp(hi): hi >= 2^-256, so the exponent less 52 stays normal */
         bits = (bits & 0x7ff0000000000000ULL) - (52ULL << 52);
         memcpy(&ulp, &bits, sizeof ulp);
-        if (fabs(lo) <= POW_BAND * ulp)
+        if (fabs(lo) <= POW_BAND(use_fma) * ulp)
             return 1;
     }
-    return pow(v, n) == cand;
+    return pow(v, n) == *r;
 }
 
 /* CPython's float_pow for a nonnegative integral exponent w (odd: w is odd).
@@ -354,12 +360,12 @@ INLINE int py_pow(int use_fma, double v, double w, int odd, double *r)
     return errno != 0;
 }
 
-/* py_pow out of line with the split products, whose candidate is hi, for the
- * powers off the hot path: the averaged field of integrate_lbs (4 steps a
+/* py_pow out of line with the split products and their 0.05-ulp band, for
+ * the powers off the hot path: the averaged field of integrate_lbs (4 steps a
  * period, against 512 for the full system in fig1), its stored costs and the
- * full system's cost of the last state.  Outside the band hi is the fused
- * candidate, and in it both builds return pow's double, so both give the
- * same bits; one copy here keeps the compile time down. */
+ * full system's cost of the last state.  Outside either band both builds
+ * return RN(v^n), as the fused candidate does, and within it pow's double,
+ * so both give the same bits; one copy here keeps the compile time down. */
 static int py_pow_cold(double v, double w, int odd, double *r)
 {
     return py_pow(0, v, w, odd, r);
