@@ -37,14 +37,14 @@
  *     largest |w ln v|.  Here |n ln v| <= 4 * 64 ln 2 < 177.5, so pow errs by
  *     less than 0.5161 ulp with fma and 0.5192 ulp without, and returns hi
  *     too: the two paths give the same bits.  On x86-64 glibc runs its pow
- *     with fma where the CPU has both FMA and AVX2, and the split build runs
- *     where it has no FMA, against the 0.54 ulp of the first line.  Where the
- *     build with fma meets glibc's pow without fma (a CPU with FMA but not
- *     AVX2, or either masked by the tunable glibc.cpu.hwcaps), 0.0007 ulp of
- *     the stated sum, itself an estimate, is left.  Counts agree: over 60M
- *     log-uniform draws of v in [2^-64, 2^64], glibc 2.36's pow misrounded
- *     0.083% of v^2, v^3 and v^4 with fma and 0.102% without, every one
- *     within 0.0089 ulp (0.0099 without fma) of a midpoint.
+ *     with fma where the CPU has both FMA and AVX2 and the tunable
+ *     glibc.cpu.hwcaps masks neither, and the build with fma runs there
+ *     only.  The split build runs everywhere else, where it meets glibc's
+ *     pow without fma, against the 0.54 ulp of the first line.  Counts
+ *     agree: over 60M log-uniform draws of v in [2^-64, 2^64], glibc
+ *     2.36's pow misrounded 0.083% of v^2, v^3 and v^4 with fma and 0.102%
+ *     without, every one within 0.0089 ulp (0.0099 without fma) of a
+ *     midpoint.
  *   - pow_small returns a candidate that equals hi outside the band.  For
  *     n = 4 the build with fma forms it from v^2 = h2 + l2 as
  *     fma(h2, h2, 2 h2 l2): four dependent operations after v, where
@@ -90,7 +90,9 @@
  * run it on any CPU) and a build with __attribute__((target("fma"))).
  * liees_rk4 runs the fused form only where __FP_FAST_FMA is defined (fma is
  * one instruction on every CPU), else on x86-64 the one chosen once, when the
- * library loads, from __builtin_cpu_supports("fma"), else the portable one.
+ * library loads: the fused form where glibc's pow has fma too (FMA and AVX2
+ * both usable, and neither masked by a whole -FMA or -AVX2 token of
+ * glibc.cpu.hwcaps in GLIBC_TUNABLES), else the portable one.
  * Each build takes the powers of the full system's stages, nearly all the
  * powers of a run, inline in its own form; the averaged field and the cost
  * of the last state call one shared copy with the split.
@@ -525,16 +527,41 @@ __attribute__((target("fma"))) static int rk4_fma(RK4_PARAMS)
     return rk4_loop(1, RK4_ARGS);
 }
 
+/* 1 when GLIBC_TUNABLES ("name=value" pairs joined by ':') sets the tunable
+ * glibc.cpu.hwcaps to a comma-separated list that holds `feature` ("-FMA")
+ * as a whole token: "-FMA4" does not mask "-FMA". */
+static int hwcaps_masks(const char *feature)
+{
+    static const char key[] = "glibc.cpu.hwcaps=";
+    const size_t n = strlen(feature);
+    const char *p = getenv("GLIBC_TUNABLES");
+
+    while (p != NULL && *p != '\0') {
+        const size_t len = strcspn(p, ":");
+        if (len >= sizeof key - 1 && memcmp(p, key, sizeof key - 1) == 0) {
+            for (const char *v = p + sizeof key - 1; v <= p + len;) {
+                const size_t tok = strcspn(v, ",:");
+                if (tok == n && memcmp(v, feature, n) == 0)
+                    return 1;
+                v += tok + 1;
+            }
+        }
+        p += len + (p[len] == ':');
+    }
+    return 0;
+}
+
 __attribute__((constructor)) static void choose_rk4_build(void)
 {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("fma"))
+    if (__builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2")
+        && !hwcaps_masks("-FMA") && !hwcaps_masks("-AVX2"))
         rk4_build = rk4_fma;
 }
 #endif
 
-/* The RK4 loop of the header: the FMA build where the CPU has FMA, else the
- * portable build. */
+/* The RK4 loop of the header: the FMA build where glibc's pow has fma too,
+ * else the portable build. */
 int liees_rk4(RK4_PARAMS)
 {
     return rk4_build(RK4_ARGS);
@@ -808,7 +835,10 @@ struct format_part {
     int64_t len;
 };
 
-static void *format_part(void *arg)
+/* Each codec part starts on a 64-byte line, so that the layout of its loops
+ * does not move with code added before it: shifted 368 bytes, parse_part
+ * read 7-10% slower. */
+__attribute__((aligned(64))) static void *format_part(void *arg)
 {
     struct format_part *f = arg;
     char *p = f->buf;
@@ -993,7 +1023,7 @@ struct parse_part {
     int64_t stride, max_rows, rows, used;
 };
 
-static void *parse_part(void *arg)
+__attribute__((aligned(64))) static void *parse_part(void *arg)
 {
     struct parse_part *f = arg;
     const char *p = f->text, *const end = f->text + f->len;

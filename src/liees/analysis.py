@@ -167,7 +167,7 @@ def closeness(full: Trajectory, averaged: Trajectory) -> float:
     if abs(span_a - span_b) > period * (1 + 1e-9):
         raise InvalidParameterError(f"trajectory spans differ: {span_a} vs {span_b}")
     n = int(math.floor(round(min(span_a, span_b) / period, 9)))
-    tk = np.arange(n + 1) * period
+    tk = np.arange(n + 1, dtype=float) * period
     gap = np.abs(_states_at(full, tk) - _states_at(averaged, tk))
     return float(np.fmax.reduce(gap, initial=0.0))    # fmax skips NaN gaps
 

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import InvalidParameterError, NumericFailureError, check_array_size
 from .dither import DitherSpec
 from .lie import iterated_bracket
-from .sim import ESSystem
 
 __all__ = [
     "Signature",
@@ -474,6 +473,7 @@ def verify_excitation(dithers: Sequence[DitherSpec], target: tuple,
 
 def endpoint_prediction(system, x0: float, order: int = MAX_DEPTH) -> float:
     """Truncated one-period endpoint x0 + sum coeff * eps * bracket(x0)."""
+    from .sim import ESSystem
     if not isinstance(system, ESSystem):
         raise InvalidParameterError("endpoint_prediction expects an ESSystem")
     sig = compute_signature(system.dithers, order)

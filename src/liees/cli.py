@@ -4,19 +4,21 @@ rate fits, and the bundled verification suites.
 Subcommands: run, compare, coeffs, rate, verify.  Exit codes: 0 success,
 2 configuration, validation or I/O error (a step count too coarse for the
 design, or one whose arrays cannot be allocated, included), 3 numeric
-failure (verify: 1 on any failed check).
+failure (verify: 1 on any failed check).  Each command imports the modules
+it runs, when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import math
 import os
 import sys
 
-from . import analysis, chenfliess, costs, dither, sim, verify
+from . import dither
 from .errors import (
     ConstructionError,
     DivergenceError,
@@ -67,6 +69,7 @@ def _field(cfg: dict, path: str, typ, problems: list[str], required=True, defaul
 
 
 def load_config(path: str) -> dict:
+    from . import sim
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -130,6 +133,7 @@ def load_config(path: str) -> dict:
 
 
 def build_from_config(cfg: dict) -> sim.ESSystem:
+    from . import costs, sim
     cost = costs.make_power_cost(cfg["alpha"], cfg["xstar"], cfg["m"])
     b = cfg["builder"]
     if b == "classic_durr":
@@ -158,6 +162,7 @@ def _check_output_dirs(paths: list[str]) -> None:
 
 def run_experiment(cfg: dict, out_dir: str = ".") -> tuple[dict, sim.Trajectory]:
     """Build, integrate, optionally fit; returns the summary dict and the trajectory."""
+    from . import analysis, sim
     system = build_from_config(cfg)
     dec = cfg["decimation"] or cfg["steps_per_period"]
     config = sim.IntegratorConfig(total_time=cfg["total_time"],
@@ -225,6 +230,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import analysis, sim
     band = _positive("--band", args.band)
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
@@ -266,6 +272,7 @@ def _positive(option: str, value: float) -> float:
 
 
 def cmd_coeffs(args) -> int:
+    from . import chenfliess
     eps = _finite("--epsilon", args.epsilon)
     tol = _positive("--tol", args.tol)
     specs = dither.make_design(args.kind, eps, args.kappa)
@@ -301,6 +308,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from . import analysis, sim
     eps = _finite("--epsilon", args.epsilon)
     xstar = _finite("--xstar", args.xstar)
     traj = sim.read_trajectory_csv(args.traj, epsilon=eps)
@@ -313,6 +321,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
@@ -320,6 +329,14 @@ def cmd_verify(args) -> int:
             all_ok &= check.ok
             print(f"[{'PASS' if check.ok else 'FAIL'}] {name}: {check.label} ({check.detail})")
     return 0 if all_ok else 1
+
+
+class _SuiteNames:
+    """The `verify` choices, read when parsed or shown: no other command loads verify."""
+
+    def __iter__(self):
+        from . import verify
+        return iter(["all", *verify.SUITES])
 
 
 class UsageError(Exception):
@@ -374,7 +391,8 @@ def make_parser() -> argparse.ArgumentParser:
     pt.set_defaults(fn=cmd_rate)
 
     pv = sub.add_parser("verify", help="run bundled property suites")
-    pv.add_argument("suite", choices=["all", *verify.SUITES])
+    # set after add_argument, whose metavar check would read the choices now
+    pv.add_argument("suite").choices = _SuiteNames()
     pv.set_defaults(fn=cmd_verify)
     return p
 
@@ -406,3 +424,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
+
+
+def entry() -> int:
+    """The `liees` process: main(), then gc.freeze(), so that the collections
+    at exit skip the command's heap.  In-process callers use main()."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .costs import CostFunction
 from .errors import InvalidParameterError, NumericFailureError
+
+if TYPE_CHECKING:
+    from .costs import CostFunction
 
 __all__ = [
     "ScalarField",

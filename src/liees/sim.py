@@ -182,7 +182,7 @@ class Trajectory:
         if self.epsilon <= 0 or self.dt <= 0:
             return self.times, self.states
         n = int(math.floor(round(float(self.times[-1]) / self.epsilon, 9)))
-        k = np.rint(np.arange(n + 1) * (self.epsilon / self.dt))
+        k = np.rint(np.arange(n + 1, dtype=float) * (self.epsilon / self.dt))
         idx = np.minimum(k, len(self.times) - 1).astype(np.intp)
         return self.times[idx], self.states[idx]
 
@@ -424,7 +424,7 @@ def _system_stepper(system: ESSystem, S: int) -> _Stepper:
     check_array_size(2 * S, f"{S} steps per period")
     h = system.epsilon / S
     J = system.cost.eval
-    ts = np.arange(2 * S) * (system.epsilon / (2 * S))
+    ts = np.arange(2 * S, dtype=float) * (system.epsilon / (2 * S))
     tables = [eval_dither(d, ts) for d in system.dithers]
     polys = [getattr(g, "poly", None) for g in system.shapes]
     if all(p is not None and len(p) <= 2 for p in polys):
@@ -471,7 +471,7 @@ def integrate(system: ESSystem, x0: float, config: IntegratorConfig) -> Trajecto
     n_periods = max(1, int(round(periods)))
     dec = config.decimation
     xs, cost_values, backend = stepper.run(x0, n_periods * S // dec, dec)
-    times = np.arange(len(xs)) * (stepper.h * dec)
+    times = np.arange(len(xs), dtype=float) * (stepper.h * dec)
     meta = dict(system.meta)
     meta.update({"x0": float(xs[0]), "steps_per_period": S, "decimation": dec,
                  "epsilon": eps, "periods": n_periods, "kernel": backend})
@@ -526,7 +526,8 @@ def integrate_lbs(cost: CostFunction, bracket_terms: Sequence[tuple[int, float]]
     stepper = _Stepper(cost.eval, h, np.zeros(2), np.ones(2),
                        ([rhs, rhs], [0.0, 0.0], [1.0, 1.0]), field)
     xs, cost_values, backend = stepper.run(x0, steps, 1)
-    return Trajectory(times=np.arange(len(xs)) * h, states=xs, cost_values=cost_values,
+    times = np.arange(len(xs), dtype=float) * h
+    return Trajectory(times=times, states=xs, cost_values=cost_values,
                       epsilon=record_epsilon if record_epsilon is not None else h,
                       meta={"builder": "lbs", "terms": terms, "x0": float(xs[0]), "kernel": backend})
 

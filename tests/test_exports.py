@@ -26,9 +26,30 @@ def test_module_all_resolves(name):
 
 
 def test_package_root_binds_only_its_submodules():
-    # each public name has one home, its module: the package re-exports none
-    assert sorted(n for n in vars(liees) if not n.startswith("_")) == MODULES
-    assert liees.__version__
+    # each public name has one home, its module: the package re-exports none,
+    # and binds each submodule on first use, so `import liees` loads no
+    # submodule and no numpy (checked in a fresh interpreter)
+    code = """
+import sys
+import liees
+print(sorted(m for m in sys.modules if m.startswith("liees.")), "numpy" in sys.modules)
+names = sorted(n for n in dir(liees) if not n.startswith("_"))
+print(names)
+print(all(getattr(liees, n) is sys.modules["liees." + n] for n in names))
+from liees import sim
+print(sim.__name__, liees.__version__)
+try:
+    liees.nope
+except AttributeError as exc:
+    print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(liees.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, stdin=subprocess.DEVNULL, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[] False", str(MODULES), "True",
+                                        "liees.sim 0.1.0",
+                                        "module 'liees' has no attribute 'nope'"]
 
 
 def test_bracket_paths_import_no_heavy_modules():

@@ -9,6 +9,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import threading
 import tracemalloc
 from decimal import Decimal
@@ -83,12 +84,35 @@ def cpu_flags():
     return None
 
 
-@needs_kernel
-def test_loader_chooses_the_fma_build_exactly_when_the_cpu_has_fma():
+def fma_pow_cpu():
+    """Whether glibc's pow runs with fma on this CPU: it needs FMA and AVX2."""
     flags = cpu_flags()
     if flags is None:
         pytest.skip("no x86 feature flags in /proc/cpuinfo")
-    assert bool(_kernel.load().cdll.liees_rk4_uses_fma()) == ("fma" in flags)
+    return "fma" in flags and "avx2" in flags
+
+
+@needs_kernel
+def test_loader_chooses_the_fma_build_exactly_when_glibc_pow_has_fma():
+    assert bool(_kernel.load().cdll.liees_rk4_uses_fma()) == fma_pow_cpu()
+
+
+@needs_kernel
+@pytest.mark.parametrize("tunables, masked", [
+    ("glibc.cpu.hwcaps=-AVX2", True),
+    ("glibc.malloc.check=0:glibc.cpu.hwcaps=-AVX512F,-FMA", True),
+    ("glibc.cpu.hwcaps=-FMA4,-AVX2_Usable:glibc.cpu.hwcapz=-FMA", False),
+], ids=["avx2", "fma-after-another-tunable", "other-tokens"])
+def test_hwcaps_tunable_masks_the_fma_build(tunables, masked):
+    # glibc picks its pow without fma where GLIBC_TUNABLES masks FMA or AVX2,
+    # and the kernel must then run the split build; a mask is a whole token of
+    # glibc.cpu.hwcaps's value, so -FMA4, or -FMA set for another name, is none
+    code = "import ctypes, sys; print(ctypes.CDLL(sys.argv[1]).liees_rk4_uses_fma())"
+    done = subprocess.run([sys.executable, "-c", code, _kernel.load().cdll._name],
+                          env=dict(os.environ, GLIBC_TUNABLES=tunables), capture_output=True,
+                          text=True, stdin=subprocess.DEVNULL, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(int(fma_pow_cpu() and not masked))
 
 
 def fig1_we():
